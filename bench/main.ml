@@ -521,7 +521,7 @@ let regenerate_figures ~quick ~force_mismatch ~corpus =
         Format.printf
           "  view-based TSO: %-9s   operational TSO: %-9s  -> the claim fails \
            on store-forwarding (see EXPERIMENTS.md)@."
-          (verdict (Smem_core.Tso.check h))
+          (verdict (Smem_core.Model.check Smem_core.Tso.model h))
           (verdict (Smem_core.Tso_operational.check h))
     | None -> ());
     corpus_matrix ();
@@ -643,7 +643,8 @@ let scaling_benches =
   List.map
     (fun (name, h) ->
       Test.make ~name:("scaling/sc/" ^ name)
-        (Staged.stage (fun () -> ignore (Smem_core.Sc.check h))))
+        (Staged.stage (fun () ->
+             ignore (Smem_core.Model.check Smem_core.Sc.model h))))
     [ ("4ops", h4); ("6ops", h6); ("9ops", h9) ]
 
 let lattice_bench =

@@ -180,12 +180,15 @@ let engine_arg =
         Model.Enum
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Witness engine: $(b,enum) runs each model's own rf × co \
-           enumeration; $(b,solve) routes every model with a declared \
-           parameter quadruple through the constraint-propagation engine \
-           (watched views, conflict-driven nogood learning), falling back \
-           to enumeration for composed models.  Verdicts are identical — \
-           $(b,smem fuzz --engines) checks exactly that.")
+          "Witness engine: $(b,enum) enumerates the candidates (reads-from \
+           map, labeled order, write order) that a model's parameter \
+           quadruple implies; $(b,solve) searches the same candidates \
+           variable by variable with constraint propagation (watched \
+           views, conflict-driven nogood learning).  Both accept a \
+           candidate through the same per-candidate check, so verdicts \
+           and witnesses are identical — $(b,smem fuzz --engines) checks \
+           the verdicts.  Models without a quadruple (tso-op, composed \
+           models) use their own search under either engine.")
 
 let setup_engine engine =
   Smem_solve.Solve.install ();
@@ -622,15 +625,7 @@ let mutex_cmd =
             "Report the DPOR reduction counters (states, transitions, ample \
              hits, sleep and covering skips) after the verdict.")
   in
-  let naive =
-    Arg.(
-      value & flag
-      & info [ "naive" ]
-          ~doc:
-            "Also run the unreduced enumerator and report its transition \
-             count next to the DPOR one (the differential baseline).")
-  in
-  let run alg machine n unlabeled stats naive =
+  let run alg machine n unlabeled stats =
     let program =
       match load_program alg ~labeled:(not unlabeled) ~n with
       | Ok p -> p
@@ -640,16 +635,7 @@ let mutex_cmd =
     in
     let verdict, dstats = Smem_lang.Explore.check_mutex_stats machine program in
     let report () =
-      if stats then
-        Format.printf "%a@." Smem_lang.Dpor.pp_stats dstats;
-      if naive then begin
-        let _, ntrans = Smem_lang.Explore.check_mutex_naive machine program in
-        Format.printf
-          "naive enumeration: %d transitions (%.1fx the reduced %d)@." ntrans
-          (float_of_int ntrans
-          /. float_of_int (max 1 dstats.Smem_lang.Dpor.transitions))
-          dstats.Smem_lang.Dpor.transitions
-      end
+      if stats then Format.printf "%a@." Smem_lang.Dpor.pp_stats dstats
     in
     match verdict with
     | Smem_lang.Explore.Safe states ->
@@ -669,8 +655,8 @@ let mutex_cmd =
     (Cmd.info "mutex"
        ~doc:
          "Exhaustively explore a mutual-exclusion algorithm on a machine \
-          (sleep-set DPOR; --naive for the unreduced baseline).")
-    Term.(const run $ alg $ machine $ n $ unlabeled $ stats $ naive)
+          (sleep-set DPOR).")
+    Term.(const run $ alg $ machine $ n $ unlabeled $ stats)
 
 let distinguish_cmd =
   let model_pos n doc =

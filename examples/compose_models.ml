@@ -27,8 +27,8 @@ let () =
   in
   Format.printf "composed: %s@.@." coherent_causal.Model.description;
 
-  (* It agrees with the hand-written Causal_coherent model across the
-     standard scopes. *)
+  (* It agrees with the catalogued causal-coh, which the enumerator
+     decides from its parameter quadruple, across the standard scopes. *)
   let scopes = Classify.standard_scopes in
   (match
      Distinguish.compare ~a:coherent_causal ~b:(builtin "causal-coh") scopes

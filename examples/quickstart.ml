@@ -29,7 +29,7 @@ let () =
 
   (* A witness explains *why* a weak memory allows it: each processor's
      view orders the other's write after its own read. *)
-  (match Smem_core.Tso.witness h with
+  (match Model.witness_of Smem_core.Tso.model h with
   | Some w -> Format.printf "@.TSO witness views:@.%a@." (Witness.pp h) w
   | None -> assert false);
 

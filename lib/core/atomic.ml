@@ -1,38 +1,13 @@
-module Rel = Smem_relation.Rel
-
-let witness h =
-  let order = Rel.union (Orders.po h) (Orders.real_time h) in
-  let all = History.all_ops_set h in
-  let empty = Rel.create (History.nops h) in
-  let found = ref None in
-  let _ : bool =
-    Reads_from.iter h ~f:(fun rf ->
-        Coherence.iter h ~f:(fun co ->
-            match
-              Engine.check h ~rf ~co ~extra:empty
-                ~views:[ { Engine.proc = -1; ops = all; order } ]
-            with
-            | Some w ->
-                found := Some w;
-                true
-            | None -> false))
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"atomic" ~name:"Atomic Memory"
+  Enum.model ~key:"atomic" ~name:"Atomic Memory"
     ~description:
       "Sequential consistency plus real-time precedence: the shared view \
        orders an operation before any operation invoked after its response \
        (Misra 1986; linearizability).  Coincides with SC on histories \
        without timing information."
-    ~params:
-      {
-        Model.population = Model.Shared_all;
-        ordering = Model.Po_plus_real_time;
-        mutual = Model.No_mutual;
-        legality = Model.Writer_legal;
-      }
-    witness
+    {
+      Model.population = Model.Shared_all;
+      ordering = Model.Po_plus_real_time;
+      mutual = Model.No_mutual;
+      legality = Model.Writer_legal;
+    }

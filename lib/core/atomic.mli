@@ -9,6 +9,4 @@
     invocation.  On histories without timing information the model
     coincides with SC exactly (a property the test suite checks). *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

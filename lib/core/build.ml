@@ -18,17 +18,6 @@ let view_ops h operations proc =
   | `All_ops -> History.all_ops_set h
   | `Writes_of_others -> History.view_ops_writes h proc
 
-let write_po h w1 w2 =
-  let o1 = History.op h w1 and o2 = History.op h w2 in
-  Op.same_proc o1 o2 && o1.Op.index < o2.Op.index
-
-let chain_rel nops order =
-  let rel = Rel.create nops in
-  for i = 0 to Array.length order - 2 do
-    Rel.add rel order.(i) order.(i + 1)
-  done;
-  rel
-
 let witness ~operations ~mutual ~orderings h =
   let nops = History.nops h in
   let nprocs = History.nprocs h in
@@ -151,10 +140,11 @@ let witness ~operations ~mutual ~orderings h =
         let writes = Array.of_list (History.writes h) in
         Reads_from.iter h ~f:(fun rf ->
             let rf_rel = Engine.rf_edges h ~rf in
-            Perm.iter_constrained writes ~precedes:(write_po h) ~f:(fun worder ->
+            Perm.iter_constrained writes ~precedes:(Coherence.default_respect h)
+              ~f:(fun worder ->
                 Stats.count_co ();
                 let co = Coherence.of_write_order h worder in
-                engine_a ~rf ~co ~rf_rel ~extra:(chain_rel nops worder)))
+                engine_a ~rf ~co ~rf_rel ~extra:(Orders.chain nops worder)))
   in
   !found
 
@@ -163,6 +153,10 @@ let make ~key ~name ?description ~operations ~mutual ~orderings () =
     invalid_arg "Build.make: total agreement requires all operations in views";
   if List.mem `Semi_causal orderings && mutual = `No_agreement then
     invalid_arg "Build.make: semi-causality needs a coherence witness";
+  if List.mem `Own_po orderings && mutual = `Total_agreement then
+    invalid_arg
+      "Build.make: own-po needs per-processor views, and total agreement \
+       has one shared view";
   let description =
     match description with
     | Some d -> d

@@ -51,8 +51,9 @@ val make :
 (** Compose a model.  The view ordering requirement is the union of
     [orderings].
     @raise Invalid_argument when [`Total_agreement] is combined with
-    [`Writes_of_others], or [`Semi_causal] with [`No_agreement] (the
-    remote reads-before order needs a coherence witness). *)
+    [`Writes_of_others] or [`Own_po] (its one shared view has no
+    owner), or [`Semi_causal] with [`No_agreement] (the remote
+    reads-before order needs a coherence witness). *)
 
 val parse_operations : string -> (operations, string) result
 val parse_mutual : string -> (mutual, string) result

@@ -1,51 +1,12 @@
-module Rel = Smem_relation.Rel
-
-let views_for h ~order =
-  let rec go p acc =
-    if p = History.nprocs h then Some (List.rev acc)
-    else
-      match
-        View.exists h ~ops:(History.view_ops_writes h p) ~order
-          ~legality:View.By_value
-      with
-      | None -> None
-      | Some seq -> go (p + 1) ((p, seq) :: acc)
-  in
-  go 0 []
-
-let witness h =
-  let po = Orders.po h in
-  let found = ref None in
-  let _ : bool =
-    Reads_from.iter h ~f:(fun rf ->
-        let causal = Orders.causal_with h ~po ~rf in
-        Rel.irreflexive causal
-        &&
-        match views_for h ~order:causal with
-        | None -> false
-        | Some views ->
-            let note = Format.asprintf "writes-before: %a" (Reads_from.pp h) rf in
-            found :=
-              Some
-                (Witness.per_proc ~rf:(Reads_from.pairs h rf) views
-                   ~notes:[ note ]);
-            true)
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"causal" ~name:"Causal Memory"
+  Enum.model ~key:"causal" ~name:"Causal Memory"
     ~description:
       "Independent per-processor views of own operations plus all writes, \
        respecting the causal order (program order + writes-before, \
        transitively); no mutual consistency."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Causal_order;
-        mutual = Model.No_mutual;
-        legality = Model.Value_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Causal_order;
+      mutual = Model.No_mutual;
+      legality = Model.Value_legal;
+    }

@@ -8,13 +8,4 @@
     induced causal order must be a partial order and every processor
     must admit a legal view respecting it. *)
 
-val views_for :
-  History.t -> order:Smem_relation.Rel.t -> (int * int list) list option
-(** One legal [By_value] view per processor (own operations plus all
-    writes) respecting [order], or [None] when some processor has none.
-    Exposed for the constraint-propagation engine's identical leaf
-    check. *)
-
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

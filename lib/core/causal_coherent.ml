@@ -1,50 +1,12 @@
-module Rel = Smem_relation.Rel
-
-let witness h =
-  let found = ref None in
-  let _ : bool =
-    Reads_from.iter h ~f:(fun rf ->
-        let causal = Orders.causal h ~rf in
-        Rel.irreflexive causal
-        && Coherence.iter h ~f:(fun co ->
-               let order =
-                 Rel.transitive_closure (Rel.union causal (Coherence.to_rel co))
-               in
-               Rel.irreflexive order
-               &&
-               let rec go p acc =
-                 if p = History.nprocs h then begin
-                   found :=
-                     Some
-                       (Witness.per_proc ~rf:(Reads_from.pairs h rf)
-                          (List.rev acc) ~notes:[]);
-                   true
-                 end
-                 else
-                   match
-                     View.exists h ~ops:(History.view_ops_writes h p) ~order
-                       ~legality:View.By_value
-                   with
-                   | None -> false
-                   | Some seq -> go (p + 1) ((p, seq) :: acc)
-               in
-               go 0 []))
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"causal-coh" ~name:"Coherent Causal Memory"
+  Enum.model ~key:"causal-coh" ~name:"Coherent Causal Memory"
     ~description:
       "Causal memory plus coherence (the new memory suggested in the \
        paper's concluding remarks): views respect causal order and agree \
        on a per-location write serialization."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Causal_plus_coherence;
-        mutual = Model.Coherence_agreement;
-        legality = Model.Value_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Causal_plus_coherence;
+      mutual = Model.Coherence_agreement;
+      legality = Model.Value_legal;
+    }

@@ -4,6 +4,4 @@
     {e and} a per-location write serialization shared by all
     processors. *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

@@ -35,6 +35,11 @@ val of_write_order : History.t -> int array -> t
     checker, whose mutual-consistency witness is a single global write
     serialization). *)
 
+val default_respect : History.t -> int -> int -> bool
+(** [default_respect h w1 w2]: [w1] is program-order-before [w2] on the
+    same processor — the pruning of {!iter} and of global write orders
+    (every view respects at least that much of program order). *)
+
 val iter :
   ?respect:(int -> int -> bool) -> History.t -> f:(t -> bool) -> bool
 (** Enumerate coherence orders as the product of per-location

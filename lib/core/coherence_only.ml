@@ -1,52 +1,12 @@
-module Bitset = Smem_relation.Bitset
-module Rel = Smem_relation.Rel
-
-(* One "view" per location containing every access to it; the ordering
-   requirement is program order, which restricted to a single location
-   is exactly po_loc. *)
-let witness h =
-  let nops = History.nops h in
-  let po = Orders.po h in
-  let empty = Rel.create nops in
-  let loc_views =
-    List.init (History.nlocs h) (fun l ->
-        let ops = Bitset.create nops in
-        Array.iter
-          (fun (o : Op.t) -> if o.Op.loc = l then Bitset.add ops o.Op.id)
-          (History.ops h);
-        { Engine.proc = -1; ops; order = po })
-  in
-  let found = ref None in
-  let _ : bool =
-    Reads_from.iter h ~f:(fun rf ->
-        Coherence.iter h ~f:(fun co ->
-            match Engine.check h ~rf ~co ~extra:empty ~views:loc_views with
-            | Some w ->
-                found :=
-                  Some
-                    {
-                      w with
-                      Witness.notes =
-                        "one serialization per location" :: w.Witness.notes;
-                    };
-                true
-            | None -> false))
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"coh" ~name:"Coherence"
+  Enum.model ~key:"coh" ~name:"Coherence"
     ~description:
       "Each location is sequentially consistent in isolation: a single \
        serialization of all accesses per location, respecting per-location \
        program order."
-    ~params:
-      {
-        Model.population = Model.Per_location;
-        ordering = Model.Program_order;
-        mutual = Model.No_mutual;
-        legality = Model.Writer_legal;
-      }
-    witness
+    {
+      Model.population = Model.Per_location;
+      ordering = Model.Program_order;
+      mutual = Model.No_mutual;
+      legality = Model.Writer_legal;
+    }

@@ -3,6 +3,4 @@
     of PC and RC taken alone (§2, parameter 2), and a useful baseline in
     the lattice. *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

@@ -1,7 +1,8 @@
-(** Engine A: the acyclicity engine.
+(** Engine A: the acyclicity engine, the {!Leaf} back-end for
+    writer-legal views.
 
-    For memory models whose mutual-consistency requirement pins down a
-    write serialization (a coherence order, a global write order, a
+    When the views commit to a reads-from map and a write
+    serialization (a coherence order or a global write order, plus any
     labeled-operation order), checking a candidate witness reduces to a
     cycle check: build, per processor view, the digraph of all ordering
     obligations — the model's ordering relation, the serialization

@@ -1,0 +1,33 @@
+(** The enumeration engine: one search for every model with a parameter
+    quadruple, over the variables the quadruple implies.
+
+    It picks a reads-from map ({!Reads_from.iter}), then a total order
+    on the labeled operations ({!Smem_relation.Rel.linear_extensions}
+    of program order), then a coherence order ({!Coherence.iter}) or a
+    global write order (constrained permutations of all writes), and
+    asks {!Leaf} about each candidate at the stage it completes — so
+    everything a stage fixes is computed once, and a stage that refutes
+    skips every candidate below it.  The first accepted candidate's
+    witness is returned. *)
+
+type co_mode = Co_none | Co_per_loc | Co_global
+
+val rf_needed : Model.params -> bool
+(** Writer legality and the causal orderings commit to a reads-from
+    map. *)
+
+val sync_needed : Model.params -> bool
+(** RC_sc and weak ordering commit to a labeled order. *)
+
+val co_mode : Model.params -> co_mode
+(** A global write order (TSO); a coherence order when views agree on
+    one or writer legality needs one for from-read edges — except for
+    session views, which may serialize writes oppositely; otherwise
+    none. *)
+
+val witness : Model.params -> History.t -> Witness.t option
+
+val model :
+  key:string -> name:string -> description:string -> Model.params -> Model.t
+(** The model a quadruple defines, with {!witness} as its [Enum]
+    engine. *)

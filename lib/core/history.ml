@@ -164,6 +164,21 @@ let view_ops_writes t p =
     t.ops;
   set
 
+let block_views t ~block_of ~blocks =
+  List.concat_map
+    (fun p ->
+      List.filter_map
+        (fun b ->
+          let set = Bitset.create (nops t) in
+          Array.iter
+            (fun (o : Op.t) ->
+              if block_of o.Op.loc = b && (o.Op.proc = p || Op.is_write o) then
+                Bitset.add set o.Op.id)
+            t.ops;
+          if Bitset.is_empty set then None else Some (p, set))
+        (List.init blocks Fun.id))
+    (List.init t.nprocs Fun.id)
+
 let pp ppf t =
   let loc_name l = t.loc_names.(l) in
   Format.fprintf ppf "@[<v>";

@@ -92,6 +92,16 @@ val view_ops_writes : t -> int -> Smem_relation.Bitset.t
     of other processors — the standard view population of TSO, PC, RC,
     PRAM and causal memory. *)
 
+val block_views :
+  t ->
+  block_of:(int -> int) ->
+  blocks:int ->
+  (int * Smem_relation.Bitset.t) list
+(** The partition-consistency population: for each processor [p] and
+    block [b] in turn, [p]'s own operations on the locations [l] with
+    [block_of l = b] plus every write to them, as [(p, operations)];
+    empty views are omitted. *)
+
 (** {1 Printing} *)
 
 val pp : Format.formatter -> t -> unit

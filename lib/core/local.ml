@@ -1,28 +1,11 @@
-let witness h =
-  let rec go p acc =
-    if p = History.nprocs h then Some (Witness.per_proc (List.rev acc) ~notes:[])
-    else
-      match
-        View.exists h ~ops:(History.view_ops_writes h p)
-          ~order:(Orders.po_of_proc h p) ~legality:View.By_value
-      with
-      | None -> None
-      | Some seq -> go (p + 1) ((p, seq) :: acc)
-  in
-  go 0 []
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"local" ~name:"Local Consistency"
+  Enum.model ~key:"local" ~name:"Local Consistency"
     ~description:
       "Independent views respecting only the owner's program order; other \
        processors' writes may be observed in any order."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Own_program_order;
-        mutual = Model.No_mutual;
-        legality = Model.Value_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Own_program_order;
+      mutual = Model.No_mutual;
+      legality = Model.Value_legal;
+    }

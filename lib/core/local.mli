@@ -3,6 +3,4 @@
     processor's own program order; other processors' writes may appear
     in any order whatsoever.  A floor for the lattice. *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

@@ -43,8 +43,8 @@ type t = {
   witness : History.t -> Witness.t option;
 }
 
-let make ~key ~name ~description ?params witness =
-  { key; name; description; params; witness }
+let make ~key ~name ~description witness =
+  { key; name; description; params = None; witness }
 
 let population_to_string = function
   | Shared_all -> "shared-all"

@@ -3,14 +3,15 @@
     membership and, when the history is allowed, exhibits the processor
     views that demonstrate it.
 
-    A model may additionally declare its {e parameter triple} (§2 of the
-    paper): the view population, the ordering requirement, and the
+    A model may instead be defined by its {e parameter triple} (§2 of
+    the paper): the view population, the ordering requirement, and the
     mutual-consistency requirement, plus the legality discipline its
-    views satisfy.  The triple is pure data; the certificate checking
-    kernel ({!Smem_cert.Kernel}) re-derives every obligation it names
-    from a history alone, without calling the search engine.  A model
-    without a triple (the operational TSO replay, composed {!Build}
-    models) cannot be certified. *)
+    views satisfy.  The triple is pure data: the enumerator ([Enum])
+    decides membership from it, and the certificate checking kernel
+    ({!Smem_cert.Kernel}) re-derives every obligation it names from a
+    history alone, without calling the search engine.  A model without
+    a triple (the operational TSO replay, composed {!Build} models)
+    brings its own witness function and cannot be certified. *)
 
 type population =
   | Shared_all  (** one view containing every operation (SC, atomic) *)
@@ -105,15 +106,18 @@ type t = {
           it (drives certificate checking); [None] for operational or
           ad-hoc models *)
   witness : History.t -> Witness.t option;
+      (** the [Enum] engine: for a model with [params], the enumerator
+          over the quadruple ([Enum.witness]) *)
 }
 
 val make :
   key:string ->
   name:string ->
   description:string ->
-  ?params:params ->
   (History.t -> Witness.t option) ->
   t
+(** A model without parameters, decided by its own witness function.
+    A model with parameters is built from them alone, by [Enum.model]. *)
 
 (** {1 Parameter rendering}
 
@@ -137,13 +141,14 @@ val check : t -> History.t -> bool
 
 (** {1 Engine selection}
 
-    Two interchangeable witness searches exist: the models' own
-    enumeration of rf × co candidates ([Enum], the baseline), and the
+    Two interchangeable witness searches exist over the same
+    per-candidate check ([Leaf]): the enumerator of the candidates the
+    quadruple implies ([Enum], the default), and the
     constraint-propagation engine in [Smem_solve] ([Solve]).  The mode
     is process-global and must be set before worker domains spawn; the
     solver registers itself via {!register_solver} (this library cannot
-    depend on it).  Models without a parameter triple always fall back
-    to their own witness function. *)
+    depend on it).  Models without a parameter triple always use their
+    own witness function. *)
 
 type engine = Enum | Solve
 
@@ -157,4 +162,4 @@ val register_solver : (t -> History.t -> Witness.t option) -> unit
 val witness_of : t -> History.t -> Witness.t option
 (** The model's witness through the selected engine: the registered
     solver when the mode is [Solve] and the model has a parameter
-    triple, the model's own enumeration otherwise. *)
+    triple, its [witness] otherwise. *)

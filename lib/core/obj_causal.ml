@@ -1,121 +1,5 @@
-module Rel = Smem_relation.Rel
-module Bitset = Smem_relation.Bitset
-
-let is_update h (o : Op.t) =
-  Op.is_write o
-  || (Op.is_read o && Sort.of_loc h o.Op.loc = Sort.Queue)
-
-let view_ops_updates h p =
-  let ops = Bitset.create (History.nops h) in
-  Array.iter
-    (fun (o : Op.t) ->
-      if o.Op.proc = p || is_update h o then Bitset.add ops o.Op.id)
-    (History.ops h);
-  ops
-
-(* Counter reads return a count, not a written value, so no write is
-   their "writer": they are excluded from the reads-from product and
-   mapped to {!History.init} (contributing no writes-before edge). *)
-let iter_rf h ~f =
-  let rfable =
-    List.filter
-      (fun r -> Sort.of_loc h (History.op h r).Op.loc <> Sort.Counter)
-      (History.reads h)
-  in
-  let cands = List.map (fun r -> (r, Reads_from.candidates h r)) rfable in
-  if List.exists (fun (_, cs) -> cs = []) cands then false
-  else begin
-    let writer = Array.make (max (History.nops h) 1) History.init in
-    let rec go = function
-      | [] -> f (Reads_from.make h ~writer:(fun r -> writer.(r)))
-      | (r, cs) :: rest ->
-          List.exists
-            (fun w ->
-              writer.(r) <- w;
-              go rest)
-            cs
-    in
-    go cands
-  end
-
-let object_view_exists h ~ops ~order =
-  let nops = History.nops h in
-  if nops >= Sys.int_size then
-    raise (View.Too_large { nops; limit = Sys.int_size - 1 });
-  let sorts = Array.init (History.nlocs h) (fun l -> Sort.of_loc h l) in
-  let member = Array.make nops false in
-  Bitset.iter (fun i -> member.(i) <- true) ops;
-  let total = Bitset.cardinal ops in
-  let preds = Array.make nops [] in
-  Rel.iter_pairs
-    (fun a b ->
-      if a <> b && member.(a) && member.(b) then preds.(b) <- a :: preds.(b))
-    order;
-  let elems = Bitset.elements ops in
-  let init_states =
-    Array.init (History.nlocs h) (fun l -> Sort.initial sorts.(l))
-  in
-  let failed = Hashtbl.create 64 in
-  let rec go placed seq count states =
-    if count = total then Some (List.rev seq)
-    else if Hashtbl.mem failed (placed, states) then None
-    else begin
-      let result = ref None in
-      let try_op id =
-        !result = None && member.(id)
-        && placed land (1 lsl id) = 0
-        && List.for_all (fun p -> placed land (1 lsl p) <> 0) preds.(id)
-        &&
-        let o = History.op h id in
-        match Sort.step sorts.(o.Op.loc) states.(o.Op.loc) o with
-        | None -> false
-        | Some st ->
-            let states' = Array.copy states in
-            states'.(o.Op.loc) <- st;
-            (match go (placed lor (1 lsl id)) (id :: seq) (count + 1) states' with
-            | Some _ as r ->
-                result := r;
-                true
-            | None -> false)
-      in
-      let _ : bool = List.exists try_op elems in
-      if !result = None then Hashtbl.replace failed (placed, states) ();
-      !result
-    end
-  in
-  go 0 [] 0 init_states
-
-let views_for h ~order =
-  let rec go p acc =
-    if p = History.nprocs h then Some (List.rev acc)
-    else
-      match object_view_exists h ~ops:(view_ops_updates h p) ~order with
-      | None -> None
-      | Some seq -> go (p + 1) ((p, seq) :: acc)
-  in
-  go 0 []
-
-let witness h =
-  let po = Orders.po h in
-  let found = ref None in
-  let _ : bool =
-    iter_rf h ~f:(fun rf ->
-        let causal = Orders.causal_with h ~po ~rf in
-        Rel.irreflexive causal
-        &&
-        match views_for h ~order:causal with
-        | None -> false
-        | Some views ->
-            found :=
-              Some
-                (Witness.per_proc ~rf:(Reads_from.pairs h rf) views
-                   ~notes:[ "views replay queues FIFO and counters by count" ]);
-            true)
-  in
-  !found
-
 let model =
-  Model.make ~key:"causal-obj" ~name:"Object Causal Memory"
+  Enum.model ~key:"causal-obj" ~name:"Object Causal Memory"
     ~description:
       "Causal consistency over sequential-spec objects \
        (Mostefaoui-Perrin-Raynal): queues (q:*) and counters (c:*) as \
@@ -123,11 +7,9 @@ let model =
        all updates respect the causal order and replay as legal \
        sequential object histories; coincides with causal memory on \
        register-only histories."
-    ~params:
-      {
-        Model.population = Model.Own_plus_updates;
-        ordering = Model.Causal_order;
-        mutual = Model.No_mutual;
-        legality = Model.Object_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_updates;
+      ordering = Model.Causal_order;
+      mutual = Model.No_mutual;
+      legality = Model.Object_legal;
+    }

@@ -12,24 +12,4 @@
     history of every object.  On register-only histories this model
     coincides extensionally with causal memory. *)
 
-val view_ops_updates : History.t -> int -> Smem_relation.Bitset.t
-(** Processor [p]'s own operations plus every update of the history
-    (all writes, plus queue dequeues by any processor). *)
-
-val iter_rf : History.t -> f:(Reads_from.t -> bool) -> bool
-(** Enumerate reads-from maps over the {e rf-able} reads only
-    (registers and queues); counter reads are assigned
-    {!History.init} and contribute no writes-before edge.  Same
-    early-stop contract as {!Reads_from.iter}. *)
-
-val object_view_exists :
-  History.t ->
-  ops:Smem_relation.Bitset.t ->
-  order:Smem_relation.Rel.t ->
-  int list option
-(** A linear extension of [order] restricted to [ops] that replays as
-    a legal sequential object history, or [None].  Memoizes failed
-    (placed-set, object-states) pairs, like {!View.exists}.
-    @raise View.Too_large as {!View.exists}. *)
-
 val model : Model.t

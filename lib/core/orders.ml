@@ -144,3 +144,103 @@ let sem h ~rf ~co = sem_with h ~ppo:(ppo h) ~rf ~co
 
 let sem_within h ~members ~rf ~co =
   sem_of h ~ppo:(ppo_within h ~members) ~rf ~co ~member:(Bitset.mem members)
+
+(* Same-processor program-order pairs with a labeled endpoint. *)
+let fences h =
+  let rel = Rel.create (History.nops h) in
+  for q = 0 to History.nprocs h - 1 do
+    let row = History.proc_ops h q in
+    let n = Array.length row in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if
+          Op.is_labeled (History.op h row.(i))
+          || Op.is_labeled (History.op h row.(j))
+        then Rel.add rel row.(i) row.(j)
+      done
+    done
+  done;
+  rel
+
+let release_brackets h =
+  let rel = Rel.create (History.nops h) in
+  for q = 0 to History.nprocs h - 1 do
+    let row = History.proc_ops h q in
+    Array.iteri
+      (fun i id ->
+        if Op.is_release (History.op h id) then
+          for j = 0 to i - 1 do
+            if Op.is_ordinary (History.op h row.(j)) then Rel.add rel row.(j) id
+          done)
+      row
+  done;
+  rel
+
+let acquire_brackets h ~rf =
+  let rel = Rel.create (History.nops h) in
+  for q = 0 to History.nprocs h - 1 do
+    let row = History.proc_ops h q in
+    Array.iteri
+      (fun i id ->
+        if Op.is_acquire (History.op h id) then
+          let w = Reads_from.writer rf id in
+          if w <> History.init then
+            for j = i + 1 to Array.length row - 1 do
+              if Op.is_ordinary (History.op h row.(j)) then Rel.add rel w row.(j)
+            done)
+      row
+  done;
+  rel
+
+(* The guarantees are pairwise axioms over (transitive) program order,
+   so every ordered pair of the right kinds contributes an edge — not
+   just adjacent ones. *)
+let session h ~ryw ~mr ~mw ~wfr =
+  let r = Rel.create (History.nops h) in
+  for p = 0 to History.nprocs h - 1 do
+    let ops = History.proc_ops h p in
+    let n = Array.length ops in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        let o1 = History.op h ops.(i) and o2 = History.op h ops.(j) in
+        if
+          (ryw && Op.is_write o1 && Op.is_read o2)
+          || (mr && Op.is_read o1 && Op.is_read o2)
+          || (mw && Op.is_write o1 && Op.is_write o2)
+        then Rel.add r o1.Op.id o2.Op.id
+      done
+    done
+  done;
+  Option.iter
+    (fun rf ->
+      List.iter
+        (fun rd ->
+          let w = Reads_from.writer rf rd in
+          if w <> History.init then
+            let ro = History.op h rd in
+            Array.iter
+              (fun id ->
+                let o' = History.op h id in
+                if o'.Op.index > ro.Op.index && Op.is_write o' then
+                  Rel.add r w o'.Op.id)
+              (History.proc_ops h ro.Op.proc))
+        (History.reads h))
+    wfr;
+  r
+
+let chain nops seq =
+  let rel = Rel.create nops in
+  for i = 0 to Array.length seq - 2 do
+    Rel.add rel seq.(i) seq.(i + 1)
+  done;
+  rel
+
+let total_order nops seq =
+  let rel = Rel.create nops in
+  let n = Array.length seq in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      Rel.add rel seq.(i) seq.(j)
+    done
+  done;
+  rel

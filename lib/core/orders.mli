@@ -66,3 +66,38 @@ val sem_within :
   History.t -> members:Bitset.t -> rf:Reads_from.t -> co:Coherence.t -> Rel.t
 (** Semi-causality of the subhistory induced by [members]; reads-from
     edges are considered only when both endpoints are members. *)
+
+(** {1 The selective-synchronization and session orders} *)
+
+val fences : History.t -> Rel.t
+(** Weak ordering's two-way fences: every same-processor program-order
+    pair with a labeled endpoint. *)
+
+val release_brackets : History.t -> Rel.t
+(** The static half of release consistency's §3.4 bracketing: each
+    ordinary operation precedes every later release of its processor. *)
+
+val acquire_brackets : History.t -> rf:Reads_from.t -> Rel.t
+(** The reads-from half: an acquire's (non-initial) writer precedes
+    every later ordinary operation of the acquiring processor. *)
+
+val session :
+  History.t ->
+  ryw:bool ->
+  mr:bool ->
+  mw:bool ->
+  wfr:Reads_from.t option ->
+  Rel.t
+(** The session guarantees' program-order projections, not closed:
+    [ryw] each processor's write→read pairs, [mr] its read→read pairs,
+    [mw] its write→write pairs.  With [~wfr:(Some rf)] also each read's
+    writer before the reader's later writes (writes-follow-reads). *)
+
+val chain : int -> int array -> Rel.t
+(** [chain nops seq]: consecutive pairs of [seq].  Enough for a total
+    order that every view holds in full (a global write order). *)
+
+val total_order : int -> int array -> Rel.t
+(** [total_order nops seq]: every (earlier, later) pair of [seq] — not
+    just consecutive ones, so a view that omits an intermediate element
+    (another processor's labeled read) still orders the rest. *)

@@ -1,45 +1,12 @@
-module Rel = Smem_relation.Rel
-
-let witness h =
-  let nops = History.nops h in
-  let empty = Rel.create nops in
-  (* ppo and the view populations are candidate-independent; only the
-     semi-causal augmentation varies with (rf, co). *)
-  let ppo = Orders.ppo h in
-  let view_ops =
-    Array.init (History.nprocs h) (fun p -> History.view_ops_writes h p)
-  in
-  let found = ref None in
-  let _ : bool =
-    Reads_from.iter h ~f:(fun rf ->
-        let rf_rel = Engine.rf_edges h ~rf in
-        Coherence.iter h ~f:(fun co ->
-            let sem = Orders.sem_with h ~ppo ~rf ~co in
-            let views =
-              List.init (History.nprocs h) (fun p ->
-                  { Engine.proc = p; ops = view_ops.(p); order = sem })
-            in
-            match Engine.check h ~rf_rel ~rf ~co ~extra:empty ~views with
-            | Some w ->
-                found := Some w;
-                true
-            | None -> false))
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"pc" ~name:"Processor Consistency (DASH)"
+  Enum.model ~key:"pc" ~name:"Processor Consistency (DASH)"
     ~description:
       "Per-processor views of own operations plus all writes; coherence as \
        mutual consistency; semi-causality (ppo + remote writes-before + \
        remote reads-before) as the ordering requirement."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Semi_causal;
-        mutual = Model.Coherence_agreement;
-        legality = Model.Writer_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Semi_causal;
+      mutual = Model.Coherence_agreement;
+      legality = Model.Writer_legal;
+    }

@@ -6,6 +6,4 @@
     total write order shared by all views); the ordering requirement is
     the {e semi-causality} relation [→sem = (ppo ∪ rwb ∪ rrb)+]. *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

@@ -1,43 +1,12 @@
-module Rel = Smem_relation.Rel
-
-let witness h =
-  let po = Orders.po h in
-  let found = ref None in
-  let _ : bool =
-    Coherence.iter h ~f:(fun co ->
-        let order = Rel.union po (Coherence.to_rel co) in
-        Rel.acyclic order
-        &&
-        let rec go p acc =
-          if p = History.nprocs h then begin
-            found := Some (Witness.per_proc (List.rev acc) ~notes:[]);
-            true
-          end
-          else
-            match
-              View.exists h ~ops:(History.view_ops_writes h p) ~order
-                ~legality:View.By_value
-            with
-            | None -> false
-            | Some seq -> go (p + 1) ((p, seq) :: acc)
-        in
-        go 0 [])
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"pc-g" ~name:"Processor Consistency (Goodman)"
+  Enum.model ~key:"pc-g" ~name:"Processor Consistency (Goodman)"
     ~description:
       "PRAM plus coherence: per-processor views respecting program order \
        that agree on a per-location write serialization (Goodman 1989, as \
        formalized by Ahamad et al. 1992)."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Program_order;
-        mutual = Model.Coherence_agreement;
-        legality = Model.Value_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Program_order;
+      mutual = Model.Coherence_agreement;
+      legality = Model.Value_legal;
+    }

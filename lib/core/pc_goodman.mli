@@ -4,6 +4,4 @@
     incomparable; we provide both so the lattice module can verify
     that. *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

@@ -1,20 +1,7 @@
 module Rel = Smem_relation.Rel
-module Bitset = Smem_relation.Bitset
 
-let block_of_loc ~blocks l = l mod blocks
-
-(* Processor [p]'s view of one partition block: own operations on the
-   block's locations plus every write to them. *)
-let view_ops h ~in_block p =
-  let ops = Bitset.create (History.nops h) in
-  Array.iter
-    (fun (o : Op.t) ->
-      if in_block o.Op.loc && (o.Op.proc = p || Op.is_write o) then
-        Bitset.add ops o.Op.id)
-    (History.ops h);
-  ops
-
-(* The PC-G search specialized per block: one coherence order shared by
+(* The named-partition instances carry no quadruple, so they keep the
+   PC-G search specialized per block: one coherence order shared by
    every view (the mutual-consistency requirement), then an independent
    value-legal view per (processor, block).  Deliberately {e no} global
    acyclic(po ∪ co) pre-check — for one block that check is redundant
@@ -23,38 +10,30 @@ let view_ops h ~in_block p =
    singleton-blocks ≡ coherence extreme. *)
 let witness_with h ~block_of ~nblocks =
   let po = Orders.po h in
+  let views = History.block_views h ~block_of ~blocks:nblocks in
   let found = ref None in
   let _ : bool =
     Coherence.iter h ~f:(fun co ->
         let order = Rel.union po (Coherence.to_rel co) in
-        let rec go p b acc =
-          if p = History.nprocs h then begin
-            found :=
-              Some
-                (Witness.per_proc (List.rev acc)
-                   ~notes:
-                     [ Printf.sprintf "one view per processor per block" ]);
-            true
-          end
-          else if b = nblocks then go (p + 1) 0 acc
-          else
-            let ops = view_ops h ~in_block:(fun l -> block_of l = b) p in
-            if Bitset.is_empty ops then go p (b + 1) acc
-            else
+        let rec go acc = function
+          | [] ->
+              found :=
+                Some
+                  (Witness.per_proc (List.rev acc)
+                     ~notes:[ "one view per processor per block" ]);
+              true
+          | (p, ops) :: rest -> (
               match View.exists h ~ops ~order ~legality:View.By_value with
               | None -> false
-              | Some seq -> go p (b + 1) ((p, seq) :: acc)
+              | Some seq -> go ((p, seq) :: acc) rest)
         in
-        go 0 0 [])
+        go [] views)
   in
   !found
 
-let witness ~blocks h =
-  witness_with h ~block_of:(block_of_loc ~blocks) ~nblocks:blocks
-
 let instantiate ~blocks =
   if blocks < 1 then invalid_arg "Pc_part.instantiate: blocks must be >= 1";
-  Model.make
+  Enum.model
     ~key:(Printf.sprintf "pc-part(blocks=%d)" blocks)
     ~name:(Printf.sprintf "Partition Consistency (%d blocks)" blocks)
     ~description:
@@ -65,14 +44,12 @@ let instantiate ~blocks =
           on a per-location write serialization (Cheng-Higham-Kawash). \
           One block is PC-G; singleton blocks are coherence."
          blocks)
-    ~params:
-      {
-        Model.population = Model.Per_proc_block { blocks };
-        ordering = Model.Program_order;
-        mutual = Model.Coherence_agreement;
-        legality = Model.Value_legal;
-      }
-    (witness ~blocks)
+    {
+      Model.population = Model.Per_proc_block { blocks };
+      ordering = Model.Program_order;
+      mutual = Model.Coherence_agreement;
+      legality = Model.Value_legal;
+    }
 
 let pp_partition blocks =
   String.concat "|" (List.map (String.concat ".") blocks)

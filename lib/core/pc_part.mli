@@ -28,15 +28,6 @@ val instantiate_named : partition:string list list -> Model.t
 (** The explicit-partition instance; each inner list is one block of
     location names. *)
 
-val block_of_loc : blocks:int -> int -> int
-(** The block of an interned location id under [blocks=k]. *)
-
-val view_ops :
-  History.t -> in_block:(int -> bool) -> int -> Smem_relation.Bitset.t
-(** Processor [p]'s view population for one block: its own operations
-    on the block's locations plus every write to them.  Shared with
-    the constraint solver's view construction and leaf check. *)
-
 val exemplar_2 : Model.t
 (** [pc-part(blocks=2)] — the catalogued exemplar. *)
 

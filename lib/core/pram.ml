@@ -1,30 +1,11 @@
-let witness h =
-  let po = Orders.po h in
-  let rec views p acc =
-    if p = History.nprocs h then
-      Some (Witness.per_proc (List.rev acc) ~notes:[])
-    else
-      match
-        View.exists h ~ops:(History.view_ops_writes h p) ~order:po
-          ~legality:View.By_value
-      with
-      | None -> None
-      | Some seq -> views (p + 1) ((p, seq) :: acc)
-  in
-  views 0 []
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"pram" ~name:"Pipelined RAM"
+  Enum.model ~key:"pram" ~name:"Pipelined RAM"
     ~description:
       "Independent per-processor views of own operations plus all writes, \
        respecting program order only; no mutual consistency."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Program_order;
-        mutual = Model.No_mutual;
-        legality = Model.Value_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Program_order;
+      mutual = Model.No_mutual;
+      legality = Model.Value_legal;
+    }

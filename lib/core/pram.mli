@@ -5,6 +5,4 @@
     requirement is program order.  Operationally: replicated memory with
     reliable, per-sender FIFO update broadcast. *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

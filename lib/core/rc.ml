@@ -1,167 +1,23 @@
-module Bitset = Smem_relation.Bitset
-module Rel = Smem_relation.Rel
-
-type flavor = Rc_sc | Rc_pc
-
-(* §3.4's two bracketing conditions, as edges added to every view (the
-   restriction to a view's operations implements "in all histories in
-   which they both appear"). *)
-let bracket_edges h ~rf =
-  let rel = Rel.create (History.nops h) in
-  for q = 0 to History.nprocs h - 1 do
-    let row = History.proc_ops h q in
-    let n = Array.length row in
-    for i = 0 to n - 1 do
-      let op = History.op h row.(i) in
-      if Op.is_acquire op then begin
-        let w = Reads_from.writer rf row.(i) in
-        if w <> History.init then
-          for j = i + 1 to n - 1 do
-            if Op.is_ordinary (History.op h row.(j)) then Rel.add rel w row.(j)
-          done
-      end;
-      if Op.is_release op then
-        for j = 0 to i - 1 do
-          if Op.is_ordinary (History.op h row.(j)) then Rel.add rel row.(j) row.(i)
-        done
-    done
-  done;
-  rel
-
-(* Reject reads-from maps in which an acquire reads an ordinary write to
-   a location that also carries labeled writes: no legal labeled
-   subhistory could explain the value. *)
-let acquire_rf_ok h rf =
-  List.for_all
-    (fun r ->
-      let op = History.op h r in
-      (not (Op.is_acquire op))
-      ||
-      let w = Reads_from.writer rf r in
-      w = History.init
-      || Op.is_labeled (History.op h w)
-      || List.for_all
-           (fun w' -> Op.is_ordinary (History.op h w'))
-           (History.writes_to h op.Op.loc))
-    (History.reads h)
-
-(* Legality of a candidate total order on the labeled operations,
-   relative to a reads-from map: an acquire reading a labeled write must
-   have it as the most recent labeled write to the location; an acquire
-   reading the initial value must see no earlier labeled write; an
-   acquire whose writer is an ordinary write is exempt (its value comes
-   from outside the labeled subhistory — acquire_rf_ok has already
-   checked the location carries no labeled writes at all). *)
-let labeled_seq_legal h ~rf seq =
-  let last = Array.make (max 1 (History.nlocs h)) History.init in
-  Array.for_all
-    (fun id ->
-      let op = History.op h id in
-      if Op.is_write op then begin
-        last.(op.Op.loc) <- id;
-        true
-      end
-      else
-        let w = Reads_from.writer rf id in
-        if w = History.init then last.(op.Op.loc) = History.init
-        else if Op.is_labeled (History.op h w) then last.(op.Op.loc) = w
-        else true)
-    seq
-
-let total_order_rel nops seq =
-  (* All (earlier, later) pairs — NOT just consecutive ones: a view that
-     omits an intermediate operation (another processor's labeled read)
-     must still order the operations around it. *)
-  let rel = Rel.create nops in
-  let n = Array.length seq in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      Rel.add rel seq.(i) seq.(j)
-    done
-  done;
-  rel
-
-let base_views h =
-  List.init (History.nprocs h) (fun p ->
-      {
-        Engine.proc = p;
-        ops = History.view_ops_writes h p;
-        order = Orders.ppo_of_proc h p;
-      })
-
-let witness flavor h =
-  let nops = History.nops h in
-  let labeled = History.labeled h in
-  let labeled_set = Bitset.of_list nops labeled in
-  let views = base_views h in
-  let found = ref None in
-  let run_candidate ~rf ~co ~extra ?sync ~notes () =
-    match Engine.check h ~rf ~co ~extra ~views with
-    | Some w ->
-        found :=
-          Some { w with Witness.sync; notes = notes @ w.Witness.notes };
-        true
-    | None -> false
-  in
-  let _ : bool =
-    match flavor with
-    | Rc_sc ->
-        let po = Orders.po h in
-        Reads_from.iter h ~f:(fun rf ->
-            acquire_rf_ok h rf
-            &&
-            let bracket = bracket_edges h ~rf in
-            Rel.linear_extensions ~universe:labeled_set po ~f:(fun t_seq ->
-                labeled_seq_legal h ~rf t_seq
-                &&
-                let t_seq = Array.copy t_seq in
-                let t_rel = total_order_rel nops t_seq in
-                let extra = Rel.union t_rel bracket in
-                Coherence.iter h ~f:(fun co ->
-                    let note =
-                      Format.asprintf "labeled order: %a" (History.pp_ops h)
-                        (Array.to_list t_seq)
-                    in
-                    run_candidate ~rf ~co ~extra
-                      ~sync:(Array.to_list t_seq) ~notes:[ note ] ())))
-    | Rc_pc ->
-        Reads_from.iter h ~f:(fun rf ->
-            acquire_rf_ok h rf
-            &&
-            let bracket = bracket_edges h ~rf in
-            Coherence.iter h ~f:(fun co ->
-                let sem_l = Orders.sem_within h ~members:labeled_set ~rf ~co in
-                let extra = Rel.union sem_l bracket in
-                run_candidate ~rf ~co ~extra ~notes:[] ()))
-  in
-  !found
-
-let check flavor h = Option.is_some (witness flavor h)
-
 let rc_sc =
-  Model.make ~key:"rc-sc" ~name:"Release Consistency (RC_sc)"
+  Enum.model ~key:"rc-sc" ~name:"Release Consistency (RC_sc)"
     ~description:
       "Release consistency with sequentially consistent labeled \
        (synchronization) operations, as in the DASH architecture."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Own_ppo_bracketed;
-        mutual = Model.Labeled_sc;
-        legality = Model.Writer_legal;
-      }
-    (witness Rc_sc)
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Own_ppo_bracketed;
+      mutual = Model.Labeled_sc;
+      legality = Model.Writer_legal;
+    }
 
 let rc_pc =
-  Model.make ~key:"rc-pc" ~name:"Release Consistency (RC_pc)"
+  Enum.model ~key:"rc-pc" ~name:"Release Consistency (RC_pc)"
     ~description:
       "Release consistency with processor consistent labeled \
        (synchronization) operations, as in the DASH architecture."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Own_ppo_bracketed;
-        mutual = Model.Labeled_pc;
-        legality = Model.Writer_legal;
-      }
-    (witness Rc_pc)
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Own_ppo_bracketed;
+      mutual = Model.Labeled_pc;
+      legality = Model.Writer_legal;
+    }

@@ -27,37 +27,5 @@
     subhistory could not be legal); properly-labeled programs never do
     this. *)
 
-type flavor = Rc_sc | Rc_pc
-
-(** {1 Candidate-space ingredients}
-
-    Exposed so the constraint-propagation engine ([Smem_solve]) builds
-    its leaf checks from the {e same} code the enumerator uses — the
-    differential guarantee "solver verdict ≡ enumerator verdict" then
-    rests on shared definitions rather than a reimplementation. *)
-
-val bracket_edges : History.t -> rf:Reads_from.t -> Smem_relation.Rel.t
-(** The §3.4 bracketing edges for a committed reads-from map. *)
-
-val acquire_rf_ok : History.t -> Reads_from.t -> bool
-(** Reject maps in which an acquire reads an ordinary write to a
-    location that also carries labeled writes. *)
-
-val labeled_seq_legal : History.t -> rf:Reads_from.t -> int array -> bool
-(** Legality of a candidate total order on the labeled operations,
-    relative to a reads-from map.  Prefix-checkable: the condition at
-    each element depends only on the elements before it. *)
-
-val total_order_rel : int -> int array -> Smem_relation.Rel.t
-(** All (earlier, later) pairs of a sequence, as a relation over [nops]
-    operations. *)
-
-val base_views : History.t -> Engine.view_spec list
-(** One view per processor: own operations plus all writes, ordered by
-    the owner's partial program order. *)
-
-val witness : flavor -> History.t -> Witness.t option
-val check : flavor -> History.t -> bool
-
 val rc_sc : Model.t
 val rc_pc : Model.t

@@ -21,9 +21,10 @@ let candidates h r =
   in
   if op.Op.value = 0 then History.init :: writes else writes
 
-let iter h ~f =
+let iter ?(skip = fun _ -> false) h ~f =
   Smem_obs.Trace.span ~cat:"search" "search/rf-enumeration" @@ fun () ->
-  let reads = Array.of_list (History.reads h) in
+  let skipped, reads = List.partition skip (History.reads h) in
+  let reads = Array.of_list reads in
   let nreads = Array.length reads in
   (* Hoisted: the candidate writers of each read depend only on the
      history, so compute them once here instead of once per enumeration
@@ -55,6 +56,7 @@ let iter h ~f =
   end
   else begin
     let writer = Array.make (History.nops h) no_writer in
+    List.iter (fun r -> writer.(r) <- History.init) skipped;
     let rec go i =
       if i = nreads then begin
         Stats.count_rf ();

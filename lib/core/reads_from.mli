@@ -29,12 +29,14 @@ val make : History.t -> writer:(int -> int) -> t
     constraint-propagation engine, which decides writers one at a time
     instead of enumerating whole maps. *)
 
-val iter : History.t -> f:(t -> bool) -> bool
+val iter : ?skip:(int -> bool) -> History.t -> f:(t -> bool) -> bool
 (** Enumerate every reads-from map of the history (the cartesian
     product of per-read candidates), calling [f] on each.  Returns
     [true] — stopping early — as soon as [f] accepts, [false] when no
     map is accepted (including when some read has no candidate, i.e.
-    the history reads a value nobody wrote). *)
+    the history reads a value nobody wrote).  Reads for which [skip]
+    holds are not enumerated: every map sends them to {!History.init}
+    (counter reads return a count, not a written value). *)
 
 val pairs : History.t -> t -> (int * int) list
 (** [(read, writer)] for every read, ascending by read id; the form

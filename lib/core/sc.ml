@@ -1,39 +1,11 @@
-module Rel = Smem_relation.Rel
-
-let witness h =
-  let po = Orders.po h in
-  let all = History.all_ops_set h in
-  let empty = Rel.create (History.nops h) in
-  let found = ref None in
-  let accept w =
-    found := Some w;
-    true
-  in
-  let views = [ { Engine.proc = -1; ops = all; order = po } ] in
-  let _ : bool =
-    Reads_from.iter h ~f:(fun rf ->
-        (* rf edges depend only on the reads-from map: hoist them out
-           of the coherence enumeration. *)
-        let rf_rel = Engine.rf_edges h ~rf in
-        Coherence.iter h ~f:(fun co ->
-            match Engine.check h ~rf_rel ~rf ~co ~extra:empty ~views with
-            | Some w -> accept w
-            | None -> false))
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"sc" ~name:"Sequential Consistency"
+  Enum.model ~key:"sc" ~name:"Sequential Consistency"
     ~description:
       "One legal interleaving of all operations, respecting program order, \
        shared by all processors (Lamport 1979)."
-    ~params:
-      {
-        Model.population = Model.Shared_all;
-        ordering = Model.Program_order;
-        mutual = Model.No_mutual;
-        legality = Model.Writer_legal;
-      }
-    witness
+    {
+      Model.population = Model.Shared_all;
+      ordering = Model.Program_order;
+      mutual = Model.No_mutual;
+      legality = Model.Writer_legal;
+    }

@@ -5,6 +5,4 @@
     order, serves as every processor's view ([δ_p = a], mutual
     consistency is total agreement, ordering is [po]). *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

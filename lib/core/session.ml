@@ -1,5 +1,3 @@
-module Rel = Smem_relation.Rel
-
 type flags = { ryw : bool; mr : bool; mw : bool; wfr : bool }
 
 let all_flags = { ryw = true; mr = true; mw = true; wfr = true }
@@ -13,79 +11,6 @@ let key_of { ryw; mr; mw; wfr } =
   in
   "session(" ^ String.concat "," enabled ^ ")"
 
-(* The guarantees are pairwise axioms over (transitive) program order,
-   so every ordered pair of the right kinds contributes an edge — not
-   just adjacent ones. *)
-let edges h { ryw; mr; mw; wfr } ~rf =
-  let r = Rel.create (History.nops h) in
-  for p = 0 to History.nprocs h - 1 do
-    let ops = History.proc_ops h p in
-    let n = Array.length ops in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        let o1 = History.op h ops.(i) and o2 = History.op h ops.(j) in
-        if
-          (ryw && Op.is_write o1 && Op.is_read o2)
-          || (mr && Op.is_read o1 && Op.is_read o2)
-          || (mw && Op.is_write o1 && Op.is_write o2)
-        then Rel.add r o1.Op.id o2.Op.id
-      done
-    done
-  done;
-  (match (wfr, rf) with
-  | true, Some rf ->
-      List.iter
-        (fun rd ->
-          let w = Reads_from.writer rf rd in
-          if w <> History.init then
-            let ro = History.op h rd in
-            Array.iter
-              (fun id ->
-                let o' = History.op h id in
-                if o'.Op.index > ro.Op.index && Op.is_write o' then
-                  Rel.add r w o'.Op.id)
-              (History.proc_ops h ro.Op.proc))
-        (History.reads h)
-  | _ -> ());
-  r
-
-let views_for h ~order ~legality =
-  let rec go p acc =
-    if p = History.nprocs h then Some (List.rev acc)
-    else
-      match
-        View.exists h ~ops:(History.view_ops_writes h p) ~order ~legality
-      with
-      | None -> None
-      | Some seq -> go (p + 1) ((p, seq) :: acc)
-  in
-  go 0 []
-
-let witness flags h =
-  if flags.wfr then begin
-    let found = ref None in
-    let _ : bool =
-      Reads_from.iter h ~f:(fun rf ->
-          let order = edges h flags ~rf:(Some rf) in
-          Rel.irreflexive order
-          &&
-          match views_for h ~order ~legality:(View.By_writer rf) with
-          | None -> false
-          | Some views ->
-              found :=
-                Some
-                  (Witness.per_proc ~rf:(Reads_from.pairs h rf) views
-                     ~notes:[ "session guarantees incl. writes-follow-reads" ]);
-              true)
-    in
-    !found
-  end
-  else
-    let order = edges h flags ~rf:None in
-    match views_for h ~order ~legality:View.By_value with
-    | None -> None
-    | Some views -> Some (Witness.per_proc views ~notes:[])
-
 let describe { ryw; mr; mw; wfr } =
   let on b = if b then "on" else "off" in
   Printf.sprintf
@@ -96,24 +21,17 @@ let describe { ryw; mr; mw; wfr } =
     (on ryw) (on mr) (on mw) (on wfr)
 
 let instantiate flags =
-  Model.make ~key:(key_of flags)
+  Enum.model ~key:(key_of flags)
     ~name:("Session Guarantees " ^ key_of flags)
     ~description:(describe flags)
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering =
-          Model.Session
-            {
-              ryw = flags.ryw;
-              mr = flags.mr;
-              mw = flags.mw;
-              wfr = flags.wfr;
-            };
-        mutual = Model.No_mutual;
-        legality = (if flags.wfr then Model.Writer_legal else Model.Value_legal);
-      }
-    (witness flags)
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering =
+        Model.Session
+          { ryw = flags.ryw; mr = flags.mr; mw = flags.mw; wfr = flags.wfr };
+      mutual = Model.No_mutual;
+      legality = (if flags.wfr then Model.Writer_legal else Model.Value_legal);
+    }
 
 let exemplar_rm = instantiate { no_flags with ryw = true; mr = true }
 let exemplar_all = instantiate all_flags

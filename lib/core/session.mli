@@ -26,12 +26,6 @@ val key_of : flags -> string
 (** Canonical key: enabled guarantees in [ryw,mr,mw,wfr] order, e.g.
     ["session(ryw,mr)"]; ["session()"] when none. *)
 
-val edges :
-  History.t -> flags -> rf:Reads_from.t option -> Smem_relation.Rel.t
-(** The ordering requirement induced by the guarantees: the union of
-    the selected projections ([wfr] edges only when [rf] is given).
-    Shared by the witness search and the solver. *)
-
 val instantiate : flags -> Model.t
 
 val exemplar_rm : Model.t

@@ -1,32 +1,11 @@
-module Rel = Smem_relation.Rel
-
-let witness h =
-  let po_loc = Orders.po_loc h in
-  let rec go p acc =
-    if p = History.nprocs h then Some (Witness.per_proc (List.rev acc) ~notes:[])
-    else
-      let order = Rel.union (Orders.po_of_proc h p) po_loc in
-      match
-        View.exists h ~ops:(History.view_ops_writes h p) ~order
-          ~legality:View.By_value
-      with
-      | None -> None
-      | Some seq -> go (p + 1) ((p, seq) :: acc)
-  in
-  go 0 []
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"slow" ~name:"Slow Memory"
+  Enum.model ~key:"slow" ~name:"Slow Memory"
     ~description:
       "Independent views respecting the owner's program order and each \
        processor's per-location write order only (Hutto and Ahamad)."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Own_po_plus_po_loc;
-        mutual = Model.No_mutual;
-        legality = Model.Value_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Own_po_plus_po_loc;
+      mutual = Model.No_mutual;
+      legality = Model.Value_legal;
+    }

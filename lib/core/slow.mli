@@ -4,6 +4,4 @@
     order.  Weaker than PRAM; included as a lattice extension (§7 of the
     paper invites identifying further memories in the framework). *)
 
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

@@ -38,7 +38,7 @@ val has_objects : History.t -> bool
 (** {1 Sequential replay}
 
     The incremental object-state machine shared by the witness search
-    ({!Obj_causal}) and the certificate kernel: both replay a candidate
+    ({!View.exists} with [By_object]) and the certificate kernel: both replay a candidate
     view one operation at a time and ask whether the next operation is
     a legal transition. *)
 

@@ -1,65 +1,12 @@
-module Rel = Smem_relation.Rel
-module Perm = Smem_relation.Perm
-
-(* The global write serialization must agree with each processor's
-   program order on its own writes (ppo orders same-processor writes, so
-   a disagreeing serialization cycles in that processor's view): prune
-   the enumeration accordingly. *)
-let write_po h w1 w2 =
-  let o1 = History.op h w1 and o2 = History.op h w2 in
-  Op.same_proc o1 o2 && o1.Op.index < o2.Op.index
-
-(* Consecutive-pair edges suffice here (unlike the labeled orders of
-   RC_sc / weak ordering): every write appears in every view, so no
-   intermediate element of the serialization is ever absent. *)
-let chain_rel nops order =
-  let rel = Rel.create nops in
-  for i = 0 to Array.length order - 2 do
-    Rel.add rel order.(i) order.(i + 1)
-  done;
-  rel
-
-let witness h =
-  let nops = History.nops h in
-  let ppo = Orders.ppo h in
-  let views =
-    List.init (History.nprocs h) (fun p ->
-        { Engine.proc = p; ops = History.view_ops_writes h p; order = ppo })
-  in
-  let writes = Array.of_list (History.writes h) in
-  let found = ref None in
-  let _ : bool =
-    Reads_from.iter h ~f:(fun rf ->
-        let rf_rel = Engine.rf_edges h ~rf in
-        Perm.iter_constrained writes ~precedes:(write_po h) ~f:(fun worder ->
-            Stats.count_co ();
-            let co = Coherence.of_write_order h worder in
-            let extra = chain_rel nops worder in
-            match Engine.check h ~rf_rel ~rf ~co ~extra ~views with
-            | Some w ->
-                let note =
-                  Format.asprintf "write order: %a" (History.pp_ops h)
-                    (Array.to_list worder)
-                in
-                found := Some { w with Witness.notes = note :: w.Witness.notes };
-                true
-            | None -> false))
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"tso" ~name:"Total Store Ordering"
+  Enum.model ~key:"tso" ~name:"Total Store Ordering"
     ~description:
       "Per-processor views of own operations plus all writes; a single \
        global write order shared by all views; partial program order \
        (reads may bypass earlier writes to other locations)."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Partial_program_order;
-        mutual = Model.Global_write_order;
-        legality = Model.Writer_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Partial_program_order;
+      mutual = Model.Global_write_order;
+      legality = Model.Writer_legal;
+    }

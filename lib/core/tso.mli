@@ -7,17 +7,4 @@
     requirement is the partial program order [ppo] (a read may bypass a
     program-order-earlier write to a different location). *)
 
-val write_po : History.t -> int -> int -> bool
-(** Same-processor program order on writes: the constraint every
-    candidate global write serialization must respect.  Exposed for the
-    constraint-propagation engine, which enumerates the same candidate
-    space. *)
-
-val chain_rel : int -> int array -> Smem_relation.Rel.t
-(** Consecutive-pair edges of a serialization (sufficient here: every
-    write appears in every view, so no intermediate element is ever
-    restricted away). *)
-
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

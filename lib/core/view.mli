@@ -1,9 +1,11 @@
-(** Engine B: direct construction of legal views by memoized search.
+(** Engine B: direct construction of legal views by memoized search,
+    the {!Leaf} back-end for every view that is not writer-legal under
+    a coherence choice.
 
-    For memory models with {e no} mutual-consistency requirement (PRAM,
-    causal memory, local and slow memory) each processor's view is
-    independent, so the checker searches directly for a legal sequence
-    of the view's operations that respects a required partial order.
+    Once the shared choices are fixed (or when there are none: PRAM,
+    causal memory, local and slow memory) each view is independent, so
+    the checker searches directly for a legal sequence of the view's
+    operations that respects a required partial order.
     The search appends one operation at a time, maintaining the memory
     contents implied by the prefix; a read is appendable only if it is
     legal at that point.  Failed (placed-set, memory) states are
@@ -28,6 +30,10 @@ type legality =
       (** A read is legal when the most recent write to its location is
           exactly the read's assigned writer ({!History.init} meaning
           "no write yet"). *)
+  | By_object
+      (** Each location replays its {!Sort}'s sequential specification:
+          registers return the most recent write, queues are FIFO,
+          counters return the number of prior increments. *)
 
 exception Too_large of { nops : int; limit : int }
 (** Raised by {!exists} when the history exceeds the word-encoded
@@ -47,6 +53,7 @@ val exists :
     Returns the sequence found, or [None].
 
     [memoize] (default [true]) records failed (placed-set, memory)
-    states; disabling it degrades the search to plain backtracking over
-    interleavings — exposed only so the ablation benchmark can measure
+    states; disabling it degrades the register search to plain
+    backtracking over interleavings (the object replay always
+    memoizes) — exposed only so the ablation benchmark can measure
     what the memoization buys (see bench/main.ml). *)

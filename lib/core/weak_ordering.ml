@@ -1,85 +1,13 @@
-module Bitset = Smem_relation.Bitset
-module Rel = Smem_relation.Rel
-
-(* Same-processor program-order pairs with a labeled endpoint: the
-   two-way fence semantics of a synchronizing access. *)
-let fence_edges h =
-  let rel = Rel.create (History.nops h) in
-  for q = 0 to History.nprocs h - 1 do
-    let row = History.proc_ops h q in
-    let n = Array.length row in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        if
-          Op.is_labeled (History.op h row.(i))
-          || Op.is_labeled (History.op h row.(j))
-        then Rel.add rel row.(i) row.(j)
-      done
-    done
-  done;
-  rel
-
-let total_order_rel nops seq =
-  (* All (earlier, later) pairs — NOT just consecutive ones: a view that
-     omits an intermediate operation (another processor's labeled read)
-     must still order the operations around it. *)
-  let rel = Rel.create nops in
-  let n = Array.length seq in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      Rel.add rel seq.(i) seq.(j)
-    done
-  done;
-  rel
-
-let witness h =
-  let nops = History.nops h in
-  let labeled_set = Bitset.of_list nops (History.labeled h) in
-  let po = Orders.po h in
-  let fence = Rel.union (fence_edges h) (Orders.po_loc h) in
-  let found = ref None in
-  let _ : bool =
-    Rel.linear_extensions ~universe:labeled_set po ~f:(fun t_seq ->
-        let order = Rel.union fence (total_order_rel nops t_seq) in
-        let note =
-          Format.asprintf "synchronization order: %a" (History.pp_ops h)
-            (Array.to_list t_seq)
-        in
-        let rec go p acc =
-          if p = History.nprocs h then begin
-            found :=
-              Some
-                (Witness.per_proc
-                   ~sync:(Array.to_list t_seq)
-                   (List.rev acc) ~notes:[ note ]);
-            true
-          end
-          else
-            match
-              View.exists h ~ops:(History.view_ops_writes h p) ~order
-                ~legality:View.By_value
-            with
-            | None -> false
-            | Some seq -> go (p + 1) ((p, seq) :: acc)
-        in
-        go 0 [])
-  in
-  !found
-
-let check h = Option.is_some (witness h)
-
 let model =
-  Model.make ~key:"wo" ~name:"Weak Ordering"
+  Enum.model ~key:"wo" ~name:"Weak Ordering"
     ~description:
       "Selective synchronization with two-way fences: one global legal \
        order on labeled (synchronizing) accesses, every operation ordered \
        across each of its processor's synchronization points (Dubois, \
        Scheurich, Briggs 1988)."
-    ~params:
-      {
-        Model.population = Model.Own_plus_writes;
-        ordering = Model.Sync_fences;
-        mutual = Model.Labeled_total;
-        legality = Model.Value_legal;
-      }
-    witness
+    {
+      Model.population = Model.Own_plus_writes;
+      ordering = Model.Sync_fences;
+      mutual = Model.Labeled_total;
+      legality = Model.Value_legal;
+    }

@@ -28,15 +28,4 @@
     IRIW histories just as RC_sc does — the test suite checks all of
     this. *)
 
-val fence_edges : History.t -> Smem_relation.Rel.t
-(** Same-processor program-order pairs with a labeled endpoint (the
-    two-way fence semantics).  Exposed for the constraint-propagation
-    engine's identical leaf check. *)
-
-val total_order_rel : int -> int array -> Smem_relation.Rel.t
-(** All (earlier, later) pairs of a sequence, as a relation over [nops]
-    operations. *)
-
-val witness : History.t -> Witness.t option
-val check : History.t -> bool
 val model : Model.t

@@ -30,7 +30,7 @@ type config = {
           machine each [lang_every]-th case; [0] disables *)
   engines : bool;
       (** also differential-test the constraint-propagation engine
-          against each model's own enumeration ({!Oracle.engines}) on
+          against the enumerator ({!Oracle.engines}) on
           every history the case checks *)
   corpus : Smem_litmus.Test.t list;
       (** standard load: case [i] additionally replays the history of

@@ -152,8 +152,8 @@ let lattice ?service ?pairs ~case h =
     pairs
 
 (* The engines differential: for every model with a parameter triple,
-   the constraint-propagation engine and the model's own enumeration
-   must return the same verdict.  Deliberately bypasses the service
+   the constraint-propagation engine and the enumerator must return
+   the same verdict.  Deliberately bypasses the service
    cache and {!Model.witness_of} dispatch — the point is to run BOTH
    engines on the same history, whatever the process-global mode. *)
 let engines ~case h =

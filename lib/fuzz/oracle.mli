@@ -26,9 +26,8 @@ type kind =
   | Containment of { stronger : string; weaker : string }
       (** a history allowed by [stronger] but rejected by [weaker] *)
   | Engine_mismatch of { model : string; enum : bool; solve : bool }
-      (** the model's own enumeration and the constraint-propagation
-          engine ([Smem_solve]) disagree on the verdict ([true] =
-          allowed) *)
+      (** the enumerator and the constraint-propagation engine
+          ([Smem_solve]) disagree on the verdict ([true] = allowed) *)
 
 type violation = {
   kind : kind;
@@ -80,8 +79,8 @@ val lattice :
 
 val engines : case:int -> Smem_core.History.t -> violation list
 (** Differential-test the two witness engines: for every model with a
-    parameter triple ({!Smem_core.Registry.certifiable}), the model's
-    own enumeration and [Smem_solve.Solve.witness] must agree on
+    parameter triple ({!Smem_core.Registry.certifiable}), the
+    enumerator and [Smem_solve.Solve.witness] must agree on
     whether the history is allowed.  Queries both engines directly
     (no service cache — a cached verdict would mask a disagreement);
     mismatches are shrunk under "the engines still disagree" and carry

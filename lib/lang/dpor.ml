@@ -59,8 +59,6 @@ let initial_threads program =
     (fun code -> { env = Exec.Env.empty; cont = code; in_cs = false; finished = false })
     program.Ast.threads
 
-(* Kept in sync with Explore.describe_action (Explore depends on this
-   module, so the copy lives here). *)
 let describe_action thread_id = function
   | Exec.A_load { reg; loc; labeled } ->
       Printf.sprintf "t%d: %s <- load loc%d%s" thread_id reg loc

@@ -51,6 +51,10 @@ val digest_key : 'a -> Digest.t
     digesting the whole value keeps lookups O(1).  Only sound for keys
     compared structurally (no functions, no cycles). *)
 
+val describe_action : int -> Exec.action -> string
+(** [describe_action thread a]: one human-readable line of a violation
+    trace, e.g. ["t0: store loc1 := 1 (labeled)"]. *)
+
 val check_mutex_stats :
   ?max_states:int ->
   ?max_transitions:int ->

@@ -10,117 +10,9 @@ let initial_threads program =
     (fun code -> { env = Exec.Env.empty; cont = code; in_cs = false; finished = false })
     program.Ast.threads
 
-let describe_action thread_id = function
-  | Exec.A_load { reg; loc; labeled } ->
-      Printf.sprintf "t%d: %s <- load loc%d%s" thread_id reg loc
-        (if labeled then " (labeled)" else "")
-  | Exec.A_store { loc; value; labeled } ->
-      Printf.sprintf "t%d: store loc%d := %d%s" thread_id loc value
-        (if labeled then " (labeled)" else "")
-  | Exec.A_tas { reg; loc } ->
-      Printf.sprintf "t%d: %s <- test-and-set loc%d" thread_id reg loc
-  | Exec.A_enter -> Printf.sprintf "t%d: enter critical section" thread_id
-  | Exec.A_exit -> Printf.sprintf "t%d: exit critical section" thread_id
-
-exception Found of string list
-
-(* The unreduced explorer: every enabled transition of every reachable
-   state.  Kept as the differential oracle for the DPOR-backed
-   {!check_mutex} and for the pinned state/transition-count regression
-   tests; [max_transitions] bounds the work so that [State_limit]
-   accounts for explored transitions, not just distinct states. *)
-let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
-    ?(fuel = 10_000) (module M : Smem_machine.Machine_sig.MACHINE) program =
-  let layout = Ast.layout program in
-  let nthreads = Array.length program.Ast.threads in
-  let visited = Hashtbl.create 65_537 in
-  let states = ref 0 in
-  let transitions = ref 0 in
-  let limit_hit = ref false in
-  let rec explore machine threads path =
-    incr transitions;
-    let key =
-      (* Digest the deep state: [Hashtbl.hash] only samples a bounded
-         prefix of the structure, which degenerates into mass collisions
-         (and quadratic bucket scans) on big machine states. *)
-      Dpor.digest_key (machine, Array.map (fun t -> (t.env, t.cont, t.in_cs)) threads)
-    in
-    if Hashtbl.mem visited key || !limit_hit then ()
-    else begin
-      incr states;
-      if !states > max_states || !transitions > max_transitions then
-        limit_hit := true
-      else begin
-        Hashtbl.add visited key ();
-        let step_thread i =
-          let t = threads.(i) in
-          if t.finished then ()
-          else
-            match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-            | Exec.Out_of_fuel ->
-                (* A thread exceeded its local computation budget: stop
-                   expanding this branch and report a bounded verdict
-                   instead of crashing the whole exploration. *)
-                limit_hit := true
-            | Exec.Finished env ->
-                let threads' = Array.copy threads in
-                threads'.(i) <- { t with env; finished = true };
-                explore machine threads' path
-            | Exec.At_action (action, env, cont) -> (
-                let path' = describe_action i action :: path in
-                match action with
-                | Exec.A_load { reg; loc; labeled } ->
-                    let v, machine' = M.read machine ~proc:i ~loc ~labeled in
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env = Exec.Env.set env reg v; cont };
-                    explore machine' threads' path'
-                | Exec.A_store { loc; value; labeled } ->
-                    let machine' = M.write machine ~proc:i ~loc ~value ~labeled in
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env; cont };
-                    explore machine' threads' path'
-                | Exec.A_tas { reg; loc } ->
-                    let old, machine' = M.test_and_set machine ~proc:i ~loc in
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env = Exec.Env.set env reg old; cont };
-                    explore machine' threads' path'
-                | Exec.A_enter ->
-                    let others_in =
-                      Array.exists (fun (u : thread) -> u.in_cs) threads
-                    in
-                    if others_in then raise (Found (List.rev path'))
-                    else begin
-                      let threads' = Array.copy threads in
-                      threads'.(i) <- { t with env; cont; in_cs = true };
-                      explore machine threads' path'
-                    end
-                | Exec.A_exit ->
-                    let threads' = Array.copy threads in
-                    threads'.(i) <- { t with env; cont; in_cs = false };
-                    explore machine threads' path')
-        in
-        for i = 0 to nthreads - 1 do
-          step_thread i
-        done;
-        List.iter
-          (fun machine' -> explore machine' threads (".: internal step" :: path))
-          (M.internal machine)
-      end
-    end
-  in
-  let verdict =
-    try
-      explore
-        (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-        (initial_threads program) [];
-      if !limit_hit then State_limit else Safe !states
-    with Found trace -> Violation trace
-  in
-  (verdict, !transitions)
-
-(* The production checker is DPOR-backed (ample singletons + sleep sets
-   + covering memoization, see {!Dpor}); the naive enumerator above
-   stays as its differential oracle. *)
+(* The checker is DPOR-backed (ample singletons + sleep sets + covering
+   memoization, see {!Dpor}); the test suite keeps an unreduced
+   enumerator as its differential oracle. *)
 let check_mutex ?max_states ?max_transitions ?fuel m program =
   let verdict, _stats = Dpor.check_mutex_stats ?max_states ?max_transitions ?fuel m program in
   match verdict with

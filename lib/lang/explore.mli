@@ -26,8 +26,9 @@ val check_mutex :
   Ast.program ->
   verdict
 (** Exhaustive check, backed by the partial-order-reduced explorer
-    ({!Dpor.check_mutex_stats}); the verdict matches the naive
-    enumeration but [Safe] reports the (much smaller) reduced state
+    ({!Dpor.check_mutex_stats}); the verdict matches an unreduced
+    enumeration of every interleaving (the test suite's differential
+    oracle), but [Safe] reports the (much smaller) reduced state
     count.  [max_states] defaults to 2_000_000, [max_transitions] to
     20_000_000; [fuel] bounds local computation per scheduling step
     (default 10_000).  A thread that runs out of local fuel (a
@@ -42,22 +43,6 @@ val check_mutex_stats :
   Ast.program ->
   verdict * Dpor.stats
 (** {!check_mutex} plus the reduction counters ([smem mutex --stats]). *)
-
-val check_mutex_naive :
-  ?max_states:int ->
-  ?max_transitions:int ->
-  ?fuel:int ->
-  Smem_machine.Machine_sig.machine ->
-  Ast.program ->
-  verdict * int
-(** The unreduced enumerator: every enabled transition of every
-    reachable state, memoized on states.  Returns the verdict and the
-    number of explored transitions (edges traversed, revisits
-    included) — the differential oracle for {!check_mutex} and the
-    anchor for the pinned state/transition-count regression tests.
-    [State_limit] now also fires when [max_transitions] edges have been
-    traversed, so the budget accounts for work done, not just distinct
-    states. *)
 
 type liveness =
   | Deadlock_free of int

@@ -11,24 +11,15 @@
 type t = {
   index : (int * int, (int * int) array list ref) Hashtbl.t;
   seen : ((int * int) array, unit) Hashtbl.t;
-  mutable count : int;
 }
 
-let create () = { index = Hashtbl.create 64; seen = Hashtbl.create 64; count = 0 }
-
-let clear t =
-  Hashtbl.reset t.index;
-  Hashtbl.reset t.seen;
-  t.count <- 0
-
-let size t = t.count
+let create () = { index = Hashtbl.create 64; seen = Hashtbl.create 64 }
 
 let learn t pairs =
   let ng = Array.of_list (List.sort_uniq compare pairs) in
   if Array.length ng = 0 || Hashtbl.mem t.seen ng then false
   else begin
     Hashtbl.add t.seen ng ();
-    t.count <- t.count + 1;
     Array.iter
       (fun p ->
         match Hashtbl.find_opt t.index p with

@@ -2,23 +2,13 @@
     assignments that are jointly infeasible.
 
     Nogoods are extracted from conflict cycles during the rf phase of
-    the constraint search.  Because every edge of such a cycle is either
-    static program-order structure (which persists when a history is
-    extended by appended operations) or induced by one of the named
-    assignments, a learned nogood stays valid both for the rest of the
-    current search {e and} for any extension of the history that leaves
-    the existing operations unchanged — which is what makes the
-    incremental mode's store reuse sound. *)
+    the constraint search.  Every edge of such a cycle is either static
+    program-order structure or induced by one of the named assignments,
+    so a learned nogood stays valid for the rest of the search. *)
 
 type t
 
 val create : unit -> t
-
-val clear : t -> unit
-(** Drop every nogood (used when an incremental store's history is
-    replaced rather than extended). *)
-
-val size : t -> int
 
 val learn : t -> (int * int) list -> bool
 (** Record a nogood; returns [true] when it was new (duplicates are

@@ -2,27 +2,25 @@
 
    The enumerator answers "is there a legal view?" by walking the full
    cartesian product of reads-from maps and coherence orders and running
-   the acyclicity/legality check on every complete candidate.  This
-   engine searches the same candidate space one variable at a time —
-   first a writer per read, then (where the model requires them) a
+   the per-candidate check on every complete candidate.  This engine
+   searches the same candidate space one variable at a time — first a
+   writer per read, then (where the parameters require them) a
    synchronization order and per-location/global write orders — and
    after every decision propagates its consequences into incrementally
    closed view graphs (Smem_relation.Closure).  A cycle in a view graph
    refutes the whole subtree under the current partial assignment, so
    conflicts prune exponentially many complete candidates at once;
    conflicts found during the rf phase are additionally distilled into
-   nogoods (Nogood) reused across the rest of the search and, in the
-   incremental mode, across appended-history re-checks.
+   nogoods (Nogood) reused across the rest of the search.
 
    Correctness strategy: propagation only ever *prunes* — every edge it
    inserts is implied, for every completion of the current partial
-   assignment, by the model's own candidate check (or by a sibling
-   candidate's rejection, see the forced-coherence argument below) — and
-   each fully assigned candidate is validated by a leaf check that is
-   the model's own per-candidate code, sharing its definitions
-   (Engine.check, View.exists, Rc.bracket_edges, ...).  Sound pruning
-   over the same exhaustively searched space, with the same acceptance
-   test at the leaves, gives verdict equivalence with the enumerator by
+   assignment, by the per-candidate check (or by a sibling candidate's
+   rejection, see the forced-coherence argument below) — and each fully
+   assigned candidate is validated by that same check, Smem_core.Leaf,
+   staged exactly as the enumerator stages it.  Sound pruning over the
+   same exhaustively searched space, with the same acceptance test at
+   the leaves, gives verdict equivalence with the enumerator by
    construction; the differential fuzz oracle then tests what the
    argument claims. *)
 
@@ -35,50 +33,12 @@ module Op = Smem_core.Op
 module Model = Smem_core.Model
 module Orders = Smem_core.Orders
 module Engine = Smem_core.Engine
-module View = Smem_core.View
+module Enum = Smem_core.Enum
+module Leaf = Smem_core.Leaf
 module Witness = Smem_core.Witness
 module Reads_from = Smem_core.Reads_from
 module Coherence = Smem_core.Coherence
 module Stats = Smem_core.Stats
-
-exception Unsupported
-(* A parameter triple no registered model carries; the caller falls
-   back to the model's own witness function. *)
-
-(* ------------------------------------------------------------------ *)
-(* What the parameter triple implies about the variable space          *)
-
-type co_mode = Co_none | Co_per_loc | Co_global
-
-let rf_needed (p : Model.params) =
-  p.Model.legality = Model.Writer_legal
-  || p.Model.ordering = Model.Causal_order
-  || p.Model.ordering = Model.Causal_plus_coherence
-
-let sync_needed (p : Model.params) =
-  match p.Model.mutual with
-  | Model.Labeled_sc | Model.Labeled_total -> true
-  | _ -> false
-
-let co_mode (p : Model.params) =
-  match p.Model.mutual with
-  | Model.Global_write_order -> Co_global
-  | _ -> (
-      match p.Model.ordering with
-      | Model.Session _ ->
-          (* Session views need not agree on any write order — two views
-             may serialize the same writes oppositely.  Enumerating a
-             shared order and propagating its chain into every view
-             graph would refute exactly those legitimate disagreements,
-             so the coherence phase is skipped outright (the leaf check
-             never consults it). *)
-          Co_none
-      | _ ->
-          if
-            p.Model.legality = Model.Writer_legal
-            || p.Model.mutual = Model.Coherence_agreement
-          then Co_per_loc
-          else Co_none)
 
 (* Models whose candidate filter is a *global* acyclicity/irreflexivity
    condition (causal, coherent causal, PC-Goodman) propagate into one
@@ -98,49 +58,6 @@ let global_scope (p : Model.params) =
 (* ------------------------------------------------------------------ *)
 (* Static structure                                                    *)
 
-(* The static (release) half of the RC bracket edges: ordinary
-   operations program-order-before a release precede it.  The acquire
-   half depends on the reads-from map and is propagated per decision. *)
-let release_brackets h =
-  let rel = Rel.create (H.nops h) in
-  for q = 0 to H.nprocs h - 1 do
-    let row = H.proc_ops h q in
-    Array.iteri
-      (fun i id ->
-        if Op.is_release (H.op h id) then
-          for j = 0 to i - 1 do
-            if Op.is_ordinary (H.op h row.(j)) then Rel.add rel row.(j) id
-          done)
-      row
-  done;
-  rel
-
-(* The rf-independent part of each view's required order — an
-   under-approximation of the leaf order wherever the full order
-   depends on the candidate (sem, causal, brackets), which is exactly
-   what sound pruning needs. *)
-let static_order h (p : Model.params) ~proc =
-  match p.Model.ordering with
-  | Model.Program_order -> Orders.po h
-  | Model.Po_plus_real_time -> Rel.union (Orders.po h) (Orders.real_time h)
-  | Model.Partial_program_order -> Orders.ppo h
-  | Model.Own_program_order -> Orders.po_of_proc h proc
-  | Model.Own_po_plus_po_loc ->
-      Rel.union (Orders.po_of_proc h proc) (Orders.po_loc h)
-  | Model.Semi_causal -> Orders.ppo h
-  | Model.Own_ppo_bracketed ->
-      Rel.union (Orders.ppo_of_proc h proc) (release_brackets h)
-  | Model.Sync_fences ->
-      Rel.union (Smem_core.Weak_ordering.fence_edges h) (Orders.po_loc h)
-  | Model.Causal_order | Model.Causal_plus_coherence -> Orders.po h
-  | Model.Session { ryw; mr; mw; wfr } ->
-      (* The wfr half depends on the reads-from map; dropping it keeps
-         this an under-approximation of the leaf order, which is all
-         sound pruning needs. *)
-      Smem_core.Session.edges h
-        { Smem_core.Session.ryw; mr; mw; wfr }
-        ~rf:None
-
 type gview = {
   vproc : int;
   vops : Bitset.t;
@@ -148,46 +65,22 @@ type gview = {
   cl : Closure.t; (* transitive closure of [base] *)
 }
 
-let make_gview h p ~proc ~ops =
-  let base = Rel.restrict (static_order h p ~proc) ops in
+let make_gview ~proc ~ops ~order =
+  let base = Rel.restrict order ops in
   { vproc = proc; vops = ops; base; cl = Closure.of_rel base }
 
-let prop_views h (p : Model.params) =
-  let nops = H.nops h in
+(* The leaf's static per-view orders: an under-approximation of every
+   candidate's order, which is exactly what sound pruning needs. *)
+let prop_views h (p : Model.params) leaf =
   if global_scope p then
-    [| make_gview h p ~proc:(-1) ~ops:(H.all_ops_set h) |]
+    [|
+      make_gview ~proc:(-1) ~ops:(H.all_ops_set h) ~order:(Leaf.static leaf);
+    |]
   else
-    match p.Model.population with
-    | Model.Shared_all ->
-        [| make_gview h p ~proc:(-1) ~ops:(H.all_ops_set h) |]
-    | Model.Per_location ->
-        Array.init (H.nlocs h) (fun l ->
-            let ops = Bitset.create nops in
-            Array.iter
-              (fun (o : Op.t) -> if o.Op.loc = l then Bitset.add ops o.Op.id)
-              (H.ops h);
-            make_gview h p ~proc:(-1) ~ops)
-    | Model.Own_plus_writes ->
-        Array.init (H.nprocs h) (fun q ->
-            make_gview h p ~proc:q ~ops:(H.view_ops_writes h q))
-    | Model.Per_proc_block { blocks } ->
-        let views = ref [] in
-        for q = H.nprocs h - 1 downto 0 do
-          for b = blocks - 1 downto 0 do
-            let ops =
-              Smem_core.Pc_part.view_ops h
-                ~in_block:(fun l -> l mod blocks = b)
-                q
-            in
-            if not (Bitset.is_empty ops) then
-              views := make_gview h p ~proc:q ~ops :: !views
-          done
-        done;
-        Array.of_list !views
-    | Model.Own_plus_updates ->
-        (* Only object-legal models use this population, and those are
-           rejected upfront ({!witness_params}). *)
-        raise Unsupported
+    Array.of_list
+      (List.map
+         (fun { Engine.proc; ops; order } -> make_gview ~proc ~ops ~order)
+         (Leaf.views leaf))
 
 (* ------------------------------------------------------------------ *)
 (* Search state                                                        *)
@@ -203,6 +96,7 @@ type frame = {
 type ctx = {
   h : H.t;
   params : Model.params;
+  leaf : Leaf.t;
   views : gview array;
   support : (int * int * int, int * int) Hashtbl.t;
   store : Nogood.t;
@@ -312,8 +206,8 @@ let forced_static h (p : Model.params) views =
   let rel = Rel.create (H.nops h) in
   let writes = Array.of_list (H.writes h) in
   let relevant w1 w2 =
-    match co_mode p with
-    | Co_global -> true
+    match Enum.co_mode p with
+    | Enum.Co_global -> true
     | _ -> Op.same_loc (H.op h w1) (H.op h w2)
   in
   Array.iter
@@ -335,312 +229,6 @@ let forced_static h (p : Model.params) views =
   rel
 
 (* ------------------------------------------------------------------ *)
-(* Leaf checks: the models' own per-candidate code                     *)
-
-type co_choice = No_co | Per_loc of int array array | Global of int array
-
-let coherence_of h = function
-  | No_co -> invalid_arg "Solve: coherence required"
-  | Per_loc rows -> Coherence.of_write_order h (Array.concat (Array.to_list rows))
-  | Global worder -> Coherence.of_write_order h worder
-
-let by_value_views h ~order =
-  let rec go q acc =
-    if q = H.nprocs h then Some (List.rev acc)
-    else
-      match
-        View.exists h ~ops:(H.view_ops_writes h q) ~order
-          ~legality:View.By_value
-      with
-      | None -> None
-      | Some seq -> go (q + 1) ((q, seq) :: acc)
-  in
-  go 0 []
-
-let leaf_check h (p : Model.params) ~rf ~sync ~co =
-  Stats.count_solve_leaf ();
-  let nops = H.nops h in
-  let empty = Rel.create nops in
-  let get_rf () =
-    match rf with Some rf -> rf | None -> invalid_arg "Solve: rf required"
-  in
-  let own_views ~order =
-    List.init (H.nprocs h) (fun q ->
-        { Engine.proc = q; ops = H.view_ops_writes h q; order })
-  in
-  match
-    ( p.Model.population,
-      p.Model.ordering,
-      p.Model.mutual,
-      p.Model.legality )
-  with
-  | Model.Shared_all, Model.Program_order, Model.No_mutual, Model.Writer_legal
-    ->
-      (* sc *)
-      Engine.check h ~rf:(get_rf ()) ~co:(coherence_of h co) ~extra:empty
-        ~views:
-          [ { Engine.proc = -1; ops = H.all_ops_set h; order = Orders.po h } ]
-  | ( Model.Shared_all,
-      Model.Po_plus_real_time,
-      Model.No_mutual,
-      Model.Writer_legal ) ->
-      (* atomic *)
-      let order = Rel.union (Orders.po h) (Orders.real_time h) in
-      Engine.check h ~rf:(get_rf ()) ~co:(coherence_of h co) ~extra:empty
-        ~views:[ { Engine.proc = -1; ops = H.all_ops_set h; order } ]
-  | Model.Per_location, Model.Program_order, Model.No_mutual, Model.Writer_legal
-    ->
-      (* coh *)
-      let po = Orders.po h in
-      let loc_views =
-        List.init (H.nlocs h) (fun l ->
-            let ops = Bitset.create nops in
-            Array.iter
-              (fun (o : Op.t) -> if o.Op.loc = l then Bitset.add ops o.Op.id)
-              (H.ops h);
-            { Engine.proc = -1; ops; order = po })
-      in
-      Option.map
-        (fun w ->
-          {
-            w with
-            Witness.notes = "one serialization per location" :: w.Witness.notes;
-          })
-        (Engine.check h ~rf:(get_rf ()) ~co:(coherence_of h co) ~extra:empty
-           ~views:loc_views)
-  | ( Model.Own_plus_writes,
-      Model.Partial_program_order,
-      Model.Global_write_order,
-      Model.Writer_legal ) ->
-      (* tso *)
-      let worder =
-        match co with Global w -> w | _ -> invalid_arg "Solve: tso co"
-      in
-      let extra = Smem_core.Tso.chain_rel nops worder in
-      Option.map
-        (fun w ->
-          let note =
-            Format.asprintf "write order: %a" (H.pp_ops h)
-              (Array.to_list worder)
-          in
-          { w with Witness.notes = note :: w.Witness.notes })
-        (Engine.check h ~rf:(get_rf ()) ~co:(coherence_of h co) ~extra
-           ~views:(own_views ~order:(Orders.ppo h)))
-  | ( Model.Own_plus_writes,
-      Model.Semi_causal,
-      Model.Coherence_agreement,
-      Model.Writer_legal ) ->
-      (* pc *)
-      let rf = get_rf () in
-      let co = coherence_of h co in
-      let sem = Orders.sem_with h ~ppo:(Orders.ppo h) ~rf ~co in
-      Engine.check h ~rf ~co ~extra:empty ~views:(own_views ~order:sem)
-  | ( Model.Own_plus_writes,
-      Model.Own_ppo_bracketed,
-      (Model.Labeled_sc | Model.Labeled_pc),
-      Model.Writer_legal ) ->
-      (* rc-sc / rc-pc *)
-      let rf = get_rf () in
-      let co = coherence_of h co in
-      let bracket = Smem_core.Rc.bracket_edges h ~rf in
-      let views = Smem_core.Rc.base_views h in
-      let extra, sync, notes =
-        match p.Model.mutual with
-        | Model.Labeled_sc ->
-            let t_seq =
-              match sync with
-              | Some s -> s
-              | None -> invalid_arg "Solve: rc-sc sync"
-            in
-            let note =
-              Format.asprintf "labeled order: %a" (H.pp_ops h)
-                (Array.to_list t_seq)
-            in
-            ( Rel.union (Smem_core.Rc.total_order_rel nops t_seq) bracket,
-              Some (Array.to_list t_seq),
-              [ note ] )
-        | _ ->
-            let labeled_set = Bitset.of_list nops (H.labeled h) in
-            let sem_l = Orders.sem_within h ~members:labeled_set ~rf ~co in
-            (Rel.union sem_l bracket, None, [])
-      in
-      Option.map
-        (fun w -> { w with Witness.sync; notes = notes @ w.Witness.notes })
-        (Engine.check h ~rf ~co ~extra ~views)
-  | ( Model.Own_plus_writes,
-      Model.Sync_fences,
-      Model.Labeled_total,
-      Model.Value_legal ) ->
-      (* wo *)
-      let t_seq =
-        match sync with Some s -> s | None -> invalid_arg "Solve: wo sync"
-      in
-      let fence =
-        Rel.union (Smem_core.Weak_ordering.fence_edges h) (Orders.po_loc h)
-      in
-      let order =
-        Rel.union fence (Smem_core.Weak_ordering.total_order_rel nops t_seq)
-      in
-      Option.map
-        (fun views ->
-          let note =
-            Format.asprintf "synchronization order: %a" (H.pp_ops h)
-              (Array.to_list t_seq)
-          in
-          Witness.per_proc ~sync:(Array.to_list t_seq) views ~notes:[ note ])
-        (by_value_views h ~order)
-  | ( Model.Own_plus_writes,
-      Model.Program_order,
-      Model.Coherence_agreement,
-      Model.Value_legal ) ->
-      (* pc-g *)
-      let order = Rel.union (Orders.po h) (Coherence.to_rel (coherence_of h co)) in
-      if not (Rel.acyclic order) then None
-      else
-        Option.map
-          (fun views -> Witness.per_proc views ~notes:[])
-          (by_value_views h ~order)
-  | Model.Own_plus_writes, Model.Causal_order, Model.No_mutual, Model.Value_legal
-    ->
-      (* causal *)
-      let rf = get_rf () in
-      let causal = Orders.causal_with h ~po:(Orders.po h) ~rf in
-      if not (Rel.irreflexive causal) then None
-      else
-        Option.map
-          (fun views ->
-            let note =
-              Format.asprintf "writes-before: %a" (Reads_from.pp h) rf
-            in
-            Witness.per_proc ~rf:(Reads_from.pairs h rf) views ~notes:[ note ])
-          (Smem_core.Causal.views_for h ~order:causal)
-  | ( Model.Own_plus_writes,
-      Model.Causal_plus_coherence,
-      Model.Coherence_agreement,
-      Model.Value_legal ) ->
-      (* causal-coh *)
-      let rf = get_rf () in
-      let causal = Orders.causal h ~rf in
-      if not (Rel.irreflexive causal) then None
-      else
-        let order =
-          Rel.transitive_closure
-            (Rel.union causal (Coherence.to_rel (coherence_of h co)))
-        in
-        if not (Rel.irreflexive order) then None
-        else
-          Option.map
-            (fun views ->
-              Witness.per_proc ~rf:(Reads_from.pairs h rf) views ~notes:[])
-            (by_value_views h ~order)
-  | Model.Own_plus_writes, Model.Program_order, Model.No_mutual, Model.Value_legal
-    ->
-      (* pram *)
-      Option.map
-        (fun views -> Witness.per_proc views ~notes:[])
-        (by_value_views h ~order:(Orders.po h))
-  | ( Model.Own_plus_writes,
-      Model.Own_po_plus_po_loc,
-      Model.No_mutual,
-      Model.Value_legal ) ->
-      (* slow *)
-      let po_loc = Orders.po_loc h in
-      let rec go q acc =
-        if q = H.nprocs h then
-          Some (Witness.per_proc (List.rev acc) ~notes:[])
-        else
-          let order = Rel.union (Orders.po_of_proc h q) po_loc in
-          match
-            View.exists h ~ops:(H.view_ops_writes h q) ~order
-              ~legality:View.By_value
-          with
-          | None -> None
-          | Some seq -> go (q + 1) ((q, seq) :: acc)
-      in
-      go 0 []
-  | ( Model.Per_proc_block { blocks },
-      Model.Program_order,
-      Model.Coherence_agreement,
-      Model.Value_legal ) ->
-      (* pc-part(blocks=k); deliberately no global acyclicity check,
-         mirroring Pc_part.witness_with *)
-      let order =
-        Rel.union (Orders.po h) (Coherence.to_rel (coherence_of h co))
-      in
-      let rec go q b acc =
-        if q = H.nprocs h then
-          Some
-            (Witness.per_proc (List.rev acc)
-               ~notes:[ "one view per processor per block" ])
-        else if b = blocks then go (q + 1) 0 acc
-        else
-          let ops =
-            Smem_core.Pc_part.view_ops h
-              ~in_block:(fun l -> l mod blocks = b)
-              q
-          in
-          if Smem_relation.Bitset.is_empty ops then go q (b + 1) acc
-          else
-            match View.exists h ~ops ~order ~legality:View.By_value with
-            | None -> None
-            | Some seq -> go q (b + 1) ((q, seq) :: acc)
-      in
-      go 0 0 []
-  | ( Model.Own_plus_writes,
-      Model.Session { ryw; mr; mw; wfr },
-      Model.No_mutual,
-      legality )
-    when legality = (if wfr then Model.Writer_legal else Model.Value_legal) ->
-      (* session(...) *)
-      let flags = { Smem_core.Session.ryw; mr; mw; wfr } in
-      if wfr then begin
-        let rf = get_rf () in
-        let order = Smem_core.Session.edges h flags ~rf:(Some rf) in
-        if not (Rel.irreflexive order) then None
-        else
-          let rec go q acc =
-            if q = H.nprocs h then Some (List.rev acc)
-            else
-              match
-                View.exists h ~ops:(H.view_ops_writes h q) ~order
-                  ~legality:(View.By_writer rf)
-              with
-              | None -> None
-              | Some seq -> go (q + 1) ((q, seq) :: acc)
-          in
-          Option.map
-            (fun views ->
-              Witness.per_proc
-                ~rf:(Reads_from.pairs h rf)
-                views
-                ~notes:[ "session guarantees incl. writes-follow-reads" ])
-            (go 0 [])
-      end
-      else
-        let order = Smem_core.Session.edges h flags ~rf:None in
-        Option.map
-          (fun views -> Witness.per_proc views ~notes:[])
-          (by_value_views h ~order)
-  | ( Model.Own_plus_writes,
-      Model.Own_program_order,
-      Model.No_mutual,
-      Model.Value_legal ) ->
-      (* local *)
-      let rec go q acc =
-        if q = H.nprocs h then
-          Some (Witness.per_proc (List.rev acc) ~notes:[])
-        else
-          match
-            View.exists h ~ops:(H.view_ops_writes h q)
-              ~order:(Orders.po_of_proc h q) ~legality:View.By_value
-          with
-          | None -> None
-          | Some seq -> go (q + 1) ((q, seq) :: acc)
-      in
-      go 0 []
-  | _ -> raise Unsupported
-
-(* ------------------------------------------------------------------ *)
 (* The search                                                          *)
 
 let run ctx =
@@ -649,18 +237,14 @@ let run ctx =
   let nops = H.nops h in
   let writer_legal = p.Model.legality = Model.Writer_legal in
   let assigned r w = ctx.writer.(r) = w in
-  let accept w =
-    ctx.found <- Some w;
-    true
-  in
-  let leaf ~sync ~co =
-    let rf =
-      if rf_needed p then
-        Some (Reads_from.make h ~writer:(fun r -> ctx.writer.(r)))
-      else None
-    in
-    match leaf_check h p ~rf ~sync ~co with
-    | Some w -> accept w
+  (* The reads-from stage is built lazily: most complete rf assignments
+     die in the later phases' propagation, before any leaf. *)
+  let leaf stage co =
+    Stats.count_solve_leaf ();
+    match Option.bind (Lazy.force stage) (fun st -> Leaf.check st co) with
+    | Some _ as w ->
+        ctx.found <- w;
+        true
     | None -> false
   in
   (* -------- coherence phase -------- *)
@@ -711,14 +295,14 @@ let run ctx =
     !conflict
   in
   let co_precedes a b =
-    Smem_core.Tso.write_po h a b
+    Coherence.default_respect h a b
     || Rel.mem ctx.forced0 a b
     || reaches_any ctx a b
   in
-  let co_phase ~sync =
-    match co_mode p with
-    | Co_none -> leaf ~sync ~co:No_co
-    | Co_global ->
+  let co_phase stage =
+    match Enum.co_mode p with
+    | Enum.Co_none -> leaf stage Leaf.No_co
+    | Enum.Co_global ->
         let writes = Array.of_list (H.writes h) in
         Perm.iter_constrained writes ~precedes:co_precedes ~f:(fun worder ->
             Stats.count_solve_decision ();
@@ -739,17 +323,21 @@ let run ctx =
                 pop ctx;
                 false
             | None ->
-                let ok = leaf ~sync ~co:(Global (Array.copy worder)) in
+                let ok = leaf stage (Leaf.Write_order worder) in
                 if not ok then pop ctx;
                 ok)
-    | Co_per_loc ->
+    | Enum.Co_per_loc ->
         let nlocs = H.nlocs h in
         let per_loc =
           Array.init nlocs (fun l -> Array.of_list (H.writes_to h l))
         in
         let chosen = Array.make (max 1 nlocs) [||] in
         let rec go l =
-          if l = nlocs then leaf ~sync ~co:(Per_loc chosen)
+          if l = nlocs then
+            leaf stage
+              (Leaf.Co
+                 (Coherence.of_write_order h
+                    (Array.concat (Array.to_list chosen))))
           else
             Perm.iter_constrained per_loc.(l) ~precedes:co_precedes
               ~f:(fun ord ->
@@ -774,30 +362,22 @@ let run ctx =
         go 0
   in
   (* -------- synchronization phase -------- *)
-  let sync_phase () =
-    if not (sync_needed p) then co_phase ~sync:None
+  let sync_phase ~rf stage =
+    if not (Enum.sync_needed p) then co_phase stage
     else begin
       let labeled = Array.of_list (H.labeled h) in
       let m = Array.length labeled in
       let po = Orders.po h in
       let used = Array.make (max 1 nops) false in
       let seq = Array.make (max 1 m) (-1) in
-      let last = Array.make (max 1 (H.nlocs h)) H.init in
-      (* Prefix legality of the labeled order under Labeled_sc —
-         exactly Rc.labeled_seq_legal, checked as the sequence grows. *)
-      let prefix_ok l =
-        p.Model.mutual <> Model.Labeled_sc
-        ||
-        let op = H.op h l in
-        Op.is_write op
-        ||
-        let w = ctx.writer.(l) in
-        if w = H.init then last.(op.Op.loc) = H.init
-        else if Op.is_labeled (H.op h w) then last.(op.Op.loc) = w
-        else true
-      in
       let rec go depth =
-        if depth = m then co_phase ~sync:(Some (Array.sub seq 0 m))
+        if depth = m then
+          match Lazy.force stage with
+          | None -> false
+          | Some st -> (
+              match Leaf.with_sync st (Array.sub seq 0 m) with
+              | Some st -> co_phase (Lazy.from_val (Some st))
+              | None -> false)
         else begin
           let ok = ref false in
           Array.iter
@@ -810,14 +390,15 @@ let run ctx =
                       || not (Rel.mem po l' l || reaches_any ctx l' l))
                     labeled
                 in
-                if available && prefix_ok l then begin
+                seq.(depth) <- l;
+                if
+                  available
+                  && Leaf.labeled_legal ctx.leaf ~rf:(Lazy.force rf)
+                       (Array.sub seq 0 (depth + 1))
+                then begin
                   Stats.count_solve_decision ();
                   let fr = push ctx in
                   used.(l) <- true;
-                  seq.(depth) <- l;
-                  let lop = H.op h l in
-                  let saved = last.(lop.Op.loc) in
-                  if Op.is_write lop then last.(lop.Op.loc) <- l;
                   let conflict = ref None in
                   for i = 0 to depth - 1 do
                     if !conflict = None then
@@ -828,7 +409,6 @@ let run ctx =
                   | None -> if go (depth + 1) then ok := true);
                   if not !ok then begin
                     used.(l) <- false;
-                    last.(lop.Op.loc) <- saved;
                     pop ctx
                   end
                 end
@@ -841,7 +421,8 @@ let run ctx =
     end
   in
   (* -------- reads-from phase -------- *)
-  if not (rf_needed p) then sync_phase ()
+  if not (Enum.rf_needed p) then
+    sync_phase ~rf:(Lazy.from_val None) (Lazy.from_val (Some ctx.leaf))
   else begin
     let reads = Array.of_list (H.reads h) in
     let cands =
@@ -861,15 +442,6 @@ let run ctx =
         (fun i j -> compare (Array.length cands.(i)) (Array.length cands.(j)))
         order;
       let bracketed = p.Model.ordering = Model.Own_ppo_bracketed in
-      let acquire_ok r w =
-        (not bracketed)
-        || (not (Op.is_acquire (H.op h r)))
-        || w = H.init
-        || Op.is_labeled (H.op h w)
-        || List.for_all
-             (fun w' -> Op.is_ordinary (H.op h w'))
-             (H.writes_to h (H.op h r).Op.loc)
-      in
       let propagate_rf fr r w =
         let sup = (r, w) in
         let conflict = ref None in
@@ -898,7 +470,12 @@ let run ctx =
         !conflict
       in
       let rec assign k =
-        if k = Array.length order then sync_phase ()
+        if k = Array.length order then
+          (* Forced only while this assignment is still in [writer]. *)
+          let rf = lazy (Reads_from.make h ~writer:(fun r -> ctx.writer.(r))) in
+          sync_phase
+            ~rf:(lazy (Some (Lazy.force rf)))
+            (lazy (Leaf.with_rf ctx.leaf (Lazy.force rf)))
         else begin
           let r = reads.(order.(k)) in
           let cs = cands.(order.(k)) in
@@ -907,7 +484,7 @@ let run ctx =
           while (not !ok) && !j < Array.length cs do
             let w = cs.(!j) in
             incr j;
-            if acquire_ok r w then
+            if (not bracketed) || Leaf.acquire_ok h r w then
               if Nogood.blocks ctx.store ~assigned (r, w) then
                 Stats.count_solve_nogood_hit ()
               else begin
@@ -936,25 +513,21 @@ let run ctx =
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
 
-let witness_params ?(store : Nogood.t option) (p : Model.params) h =
-  (* Object legality replays sequential object specifications; the
-     propagation graphs and from-read rules here are register-minded
-     (a queue dequeue consumes state, so value-match pruning does not
-     transfer).  Punt to the model's own witness search. *)
-  if p.Model.legality = Model.Object_legal then raise Unsupported;
-  let store = match store with Some s -> s | None -> Nogood.create () in
-  let views = prop_views h p in
+let witness_params (p : Model.params) h =
+  let leaf = Leaf.prepare p h in
+  let views = prop_views h p leaf in
   let ctx =
     {
       h;
       params = p;
+      leaf;
       views;
       support = Hashtbl.create 64;
-      store;
+      store = Nogood.create ();
       writer = Array.make (max 1 (H.nops h)) unassigned;
       forced0 =
-        (match co_mode p with
-        | Co_none -> Rel.create (H.nops h)
+        (match Enum.co_mode p with
+        | Enum.Co_none -> Rel.create (H.nops h)
         | _ -> forced_static h p views);
       frames = [];
       found = None;
@@ -963,10 +536,13 @@ let witness_params ?(store : Nogood.t option) (p : Model.params) h =
   let (_ : bool) = run ctx in
   ctx.found
 
-let witness_with ?store (m : Model.t) h =
+let witness (m : Model.t) h =
   match m.Model.params with
-  | None -> m.Model.witness h
-  | Some p -> (
+  (* Object legality replays sequential object specifications; the
+     propagation graphs and from-read rules here are register-minded (a
+     queue dequeue consumes state, so value-match pruning does not
+     transfer): the enumerator decides those. *)
+  | Some p when p.Model.legality <> Model.Object_legal ->
       Smem_obs.Trace.span ~cat:"solve"
         ~args:
           [
@@ -974,60 +550,8 @@ let witness_with ?store (m : Model.t) h =
             ("nops", Smem_obs.Json.Int (H.nops h));
           ]
         ("solve/" ^ m.Model.key)
-      @@ fun () ->
-      try witness_params ?store p h with Unsupported -> m.Model.witness h)
+      @@ fun () -> witness_params p h
+  | _ -> m.Model.witness h
 
-let witness m h = witness_with m h
 let check m h = Option.is_some (witness m h)
 let install () = Model.register_solver witness
-
-(* ------------------------------------------------------------------ *)
-(* Incremental re-checking                                             *)
-
-module Inc = struct
-  type t = {
-    model : Model.t;
-    store : Nogood.t;
-    mutable prev : H.t option;
-    mutable reused : int;
-  }
-
-  let create model = { model; store = Nogood.create (); prev = None; reused = 0 }
-
-  (* [h] extends [prev] when every existing operation is unchanged —
-     same processor, index, kind, value, attribute, and location name.
-     History.make numbers operations row-major, so appending operations
-     to the last processor or adding processors preserves existing ids,
-     which is what keeps stored nogoods meaningful.  Timing is excluded:
-     real-time edges between old operations could change. *)
-  let extends ~prev h =
-    H.nops h >= H.nops prev
-    && H.nprocs h >= H.nprocs prev
-    && (not (H.has_timing prev))
-    && (not (H.has_timing h))
-    &&
-    try
-      for id = 0 to H.nops prev - 1 do
-        let a = H.op prev id and b = H.op h id in
-        if
-          not
-            (a.Op.proc = b.Op.proc && a.Op.index = b.Op.index
-           && a.Op.kind = b.Op.kind && a.Op.value = b.Op.value
-           && a.Op.attr = b.Op.attr
-            && String.equal (H.loc_name prev a.Op.loc) (H.loc_name h b.Op.loc))
-        then raise Exit
-      done;
-      true
-    with Exit -> false
-
-  let witness t h =
-    (match t.prev with
-    | Some prev when extends ~prev h -> t.reused <- t.reused + 1
-    | _ -> Nogood.clear t.store);
-    t.prev <- Some h;
-    witness_with ~store:t.store t.model h
-
-  let check t h = Option.is_some (witness t h)
-  let nogoods t = Nogood.size t.store
-  let reuses t = t.reused
-end

@@ -370,6 +370,104 @@ let violation_trace_structure () =
       check Alcotest.bool "two entries" true (List.length enters >= 2)
   | _ -> Alcotest.fail "expected a violation"
 
+(* ---------------- the unreduced explorer ---------------- *)
+
+(* Every enabled transition of every reachable state, memoized on
+   states: the differential oracle for the DPOR-backed
+   {!Explore.check_mutex} and the anchor of the pinned state/transition
+   counts.  Returns the verdict and the transitions traversed (revisits
+   included); [max_transitions] bounds the work, so [State_limit]
+   accounts for explored transitions, not just distinct states. *)
+
+type thread = {
+  env : Exec.Env.t;
+  cont : Ast.stmt list;
+  in_cs : bool;
+  finished : bool;
+}
+
+exception Found of string list
+
+let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
+    ?(fuel = 10_000) (module M : Smem_machine.Machine_sig.MACHINE) program =
+  let layout = Ast.layout program in
+  let nthreads = Array.length program.Ast.threads in
+  let visited = Hashtbl.create 65_537 in
+  let states = ref 0 in
+  let transitions = ref 0 in
+  let limit_hit = ref false in
+  let rec explore machine threads path =
+    incr transitions;
+    let key =
+      Smem_lang.Dpor.digest_key
+        (machine, Array.map (fun t -> (t.env, t.cont, t.in_cs)) threads)
+    in
+    if Hashtbl.mem visited key || !limit_hit then ()
+    else begin
+      incr states;
+      if !states > max_states || !transitions > max_transitions then
+        limit_hit := true
+      else begin
+        Hashtbl.add visited key ();
+        let step_thread i =
+          let t = threads.(i) in
+          if not t.finished then
+            match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
+            | Exec.Out_of_fuel -> limit_hit := true
+            | Exec.Finished env ->
+                let threads' = Array.copy threads in
+                threads'.(i) <- { t with env; finished = true };
+                explore machine threads' path
+            | Exec.At_action (action, env, cont) -> (
+                let path' = Smem_lang.Dpor.describe_action i action :: path in
+                let next machine' t' =
+                  let threads' = Array.copy threads in
+                  threads'.(i) <- t';
+                  explore machine' threads' path'
+                in
+                match action with
+                | Exec.A_load { reg; loc; labeled } ->
+                    let v, machine' = M.read machine ~proc:i ~loc ~labeled in
+                    next machine' { t with env = Exec.Env.set env reg v; cont }
+                | Exec.A_store { loc; value; labeled } ->
+                    next
+                      (M.write machine ~proc:i ~loc ~value ~labeled)
+                      { t with env; cont }
+                | Exec.A_tas { reg; loc } ->
+                    let old, machine' = M.test_and_set machine ~proc:i ~loc in
+                    let env = Exec.Env.set env reg old in
+                    next machine' { t with env; cont }
+                | Exec.A_enter ->
+                    if Array.exists (fun u -> u.in_cs) threads then
+                      raise (Found (List.rev path'))
+                    else next machine { t with env; cont; in_cs = true }
+                | Exec.A_exit ->
+                    next machine { t with env; cont; in_cs = false })
+        in
+        for i = 0 to nthreads - 1 do
+          step_thread i
+        done;
+        List.iter
+          (fun machine' ->
+            explore machine' threads (".: internal step" :: path))
+          (M.internal machine)
+      end
+    end
+  in
+  let threads =
+    Array.map
+      (fun cont ->
+        { env = Exec.Env.empty; cont; in_cs = false; finished = false })
+      program.Ast.threads
+  in
+  let verdict =
+    try
+      explore (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout)) threads [];
+      if !limit_hit then Explore.State_limit else Explore.Safe !states
+    with Found trace -> Explore.Violation trace
+  in
+  (verdict, !transitions)
+
 (* ---------------- DPOR vs. naive enumeration ---------------- *)
 
 (* The two differential oracles for the reduced explorer.  fold_traces
@@ -427,7 +525,7 @@ let dpor_mutex_matrix () =
     (fun (name, p) ->
       List.iter
         (fun m ->
-          let naive, _ = Explore.check_mutex_naive m p in
+          let naive, _ = check_mutex_naive m p in
           let reduced = Explore.check_mutex m p in
           check Alcotest.bool
             (Printf.sprintf "%s on %s: DPOR verdict = naive" name
@@ -450,7 +548,7 @@ let dpor_mutex_matrix () =
 let dpor_reduction_ratio () =
   let m = machine "local" in
   let p = Programs.bakery ~n:2 () in
-  let _, naive_tr = Explore.check_mutex_naive m p in
+  let _, naive_tr = check_mutex_naive m p in
   let _, stats = Explore.check_mutex_stats m p in
   let reduced_tr = max 1 stats.Smem_lang.Dpor.transitions in
   check Alcotest.bool
@@ -487,7 +585,7 @@ let pinned_counts () =
     (fun (name, p, cells) ->
       List.iter
         (fun (key, states, transitions) ->
-          let verdict, tr = Explore.check_mutex_naive (machine key) p in
+          let verdict, tr = check_mutex_naive (machine key) p in
           (match verdict with
           | Explore.Safe n ->
               check Alcotest.int

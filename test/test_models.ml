@@ -47,7 +47,7 @@ let corpus_cases =
    must produce views with the same write order in every view. *)
 let tso_views_share_write_order () =
   let h = Corpus.fig1_tso.Test.history in
-  match Smem_core.Tso.witness h with
+  match Model.witness_of Smem_core.Tso.model h with
   | None -> Alcotest.fail "fig1 must be TSO"
   | Some w ->
       let write_projection (_, seq) =
@@ -65,7 +65,7 @@ let tso_views_share_write_order () =
 (* Witnesses of engine-B models are independently validated. *)
 let pram_witness_valid () =
   let h = Corpus.fig3_pram_not_tso.Test.history in
-  match Smem_core.Pram.witness h with
+  match Model.witness_of Smem_core.Pram.model h with
   | None -> Alcotest.fail "fig3 must be PRAM"
   | Some w ->
       List.iter
@@ -79,7 +79,7 @@ let pram_witness_valid () =
 
 let causal_witness_valid () =
   let h = Corpus.fig4_causal_not_tso.Test.history in
-  match Smem_core.Causal.witness h with
+  match Model.witness_of Smem_core.Causal.model h with
   | None -> Alcotest.fail "fig4 must be causal"
   | Some w ->
       List.iter
@@ -101,7 +101,8 @@ let tso_forwarding_divergence () =
     | Some t -> t.Test.history
     | None -> Alcotest.fail "sb+rfi missing from corpus"
   in
-  check Alcotest.bool "view-based TSO forbids" false (Smem_core.Tso.check h);
+  check Alcotest.bool "view-based TSO forbids" false
+    (Model.check Smem_core.Tso.model h);
   check Alcotest.bool "operational TSO allows" true
     (Smem_core.Tso_operational.check h)
 
@@ -206,7 +207,7 @@ let family_extremes_props =
 let prop_pram_witness =
   QCheck.Test.make ~name:"PRAM witnesses are valid" ~count:200
     (Helpers.arb_history ()) (fun h ->
-      match Smem_core.Pram.witness h with
+      match Model.witness_of Smem_core.Pram.model h with
       | None -> true
       | Some w ->
           List.for_all
@@ -220,7 +221,7 @@ let prop_pram_witness =
 let prop_sc_witness =
   QCheck.Test.make ~name:"SC witnesses are valid" ~count:200
     (Helpers.arb_history ()) (fun h ->
-      match Smem_core.Sc.witness h with
+      match Model.witness_of Smem_core.Sc.model h with
       | None -> true
       | Some w -> (
           match w.Smem_core.Witness.views with
@@ -250,16 +251,19 @@ let sc_reference h =
 let prop_atomic_is_sc_untimed =
   QCheck.Test.make ~name:"Atomic = SC on untimed histories" ~count:200
     (Helpers.arb_history ()) (fun h ->
-      Smem_core.Atomic.check h = Smem_core.Sc.check h)
+      Model.check Smem_core.Atomic.model h = Model.check Smem_core.Sc.model h)
 
 let prop_atomic_subset_sc_timed =
   QCheck.Test.make ~name:"Atomic ⊆ SC on timed histories" ~count:200
     (Helpers.arb_timed_history ()) (fun h ->
-      if Smem_core.Atomic.check h then Smem_core.Sc.check h else true)
+      if Model.check Smem_core.Atomic.model h then
+        Model.check Smem_core.Sc.model h
+      else true)
 
 let prop_sc_reference =
   QCheck.Test.make ~name:"SC checker = brute-force interleavings" ~count:200
-    (Helpers.arb_history ()) (fun h -> Smem_core.Sc.check h = sc_reference h)
+    (Helpers.arb_history ())
+    (fun h -> Model.check Smem_core.Sc.model h = sc_reference h)
 
 (* The view-based TSO is equivalent to the operational machine on
    histories without same-location read-back (the divergence is
@@ -324,6 +328,14 @@ let build_validation () =
       ignore
         (B.make ~key:"x" ~name:"x" ~operations:`Writes_of_others
            ~mutual:`No_agreement ~orderings:[ `Semi_causal ] ()));
+  Alcotest.check_raises "own-po needs per-processor views"
+    (Invalid_argument
+       "Build.make: own-po needs per-processor views, and total agreement \
+        has one shared view")
+    (fun () ->
+      ignore
+        (B.make ~key:"x" ~name:"x" ~operations:`All_ops
+           ~mutual:`Total_agreement ~orderings:[ `Own_po ] ()));
   check Alcotest.bool "parsers accept CLI spellings" true
     (B.parse_operations "writes" = Ok `Writes_of_others
     && B.parse_mutual "global-writes" = Ok `Global_write_order

@@ -233,11 +233,13 @@ let naive_pram h =
 
 let prop_pruned_sc_matches_naive =
   QCheck.Test.make ~count:150 ~name:"pruned SC search == naive reference"
-    (Helpers.arb_history ()) (fun h -> Smem_core.Sc.check h = naive_sc h)
+    (Helpers.arb_history ())
+    (fun h -> Model.check Smem_core.Sc.model h = naive_sc h)
 
 let prop_pruned_pram_matches_naive =
   QCheck.Test.make ~count:150 ~name:"pruned PRAM search == naive reference"
-    (Helpers.arb_history ()) (fun h -> Smem_core.Pram.check h = naive_pram h)
+    (Helpers.arb_history ())
+    (fun h -> Model.check Smem_core.Pram.model h = naive_pram h)
 
 let prop_parallel_check_matches_serial =
   (* Every registry model, random histories: fanning the checks over a

@@ -1,21 +1,17 @@
 (* Tests of the constraint-propagation witness engine (lib/solve):
 
-   - verdict equivalence with each model's own rf × co enumeration,
-     over the built-in litmus corpus, a 500-test generated
-     smem-corpus/1 load, and qcheck random histories (shrunk on
-     failure) — the engine replicates every model's leaf predicate
-     exactly, and these suites pin that down;
+   - verdict equivalence with the enumerator (Smem_core.Enum) over the
+     built-in litmus corpus, a 500-test generated smem-corpus/1 load,
+     and qcheck random histories (shrunk on failure) — both engines
+     accept candidates through the same leaf (Smem_core.Leaf), and these
+     suites pin down that the solver's pruning never drops one;
    - the co-pump family the bench section measures: forbidden under SC
      for every k >= 2, allowed at k = 1;
    - witness reusability: a solver witness re-checks under the
      enumeration engine's kernel, and certificates emitted while the
-     solve engine is selected still verify;
-   - incremental mode: rechecking a history extended one operation at
-     a time agrees with solving each prefix from scratch, and actually
-     reuses the nogood store along the chain. *)
+     solve engine is selected still verify. *)
 
 module H = Smem_core.History
-module Op = Smem_core.Op
 module Model = Smem_core.Model
 module Registry = Smem_core.Registry
 module Witness = Smem_core.Witness
@@ -34,8 +30,8 @@ let model key =
   | Some m -> m
   | None -> Alcotest.failf "unknown model %s" key
 
-(* The engines under comparison: the model's own enumeration on one
-   side, the propagation engine on the other. *)
+(* The engines under comparison: the enumerator on one side, the
+   propagation engine on the other. *)
 let enum_allows (m : Model.t) h = Option.is_some (m.Model.witness h)
 let solve_allows (m : Model.t) h = Solve.check m h
 
@@ -138,80 +134,6 @@ let solver_certificates_verify () =
         Corpus.all;
       check Alcotest.bool "matrix is non-trivial" true (!n > 100))
 
-(* ---------------- incremental mode ---------------- *)
-
-(* Rebuild the event of an operation (loc names survive re-interning;
-   arb histories are untimed, as Inc requires). *)
-let event_of h (o : Op.t) =
-  let labeled = Op.is_labeled o in
-  let loc = H.loc_name h o.Op.loc in
-  match o.Op.kind with
-  | Op.Read -> H.read ~labeled loc o.Op.value
-  | Op.Write -> H.write ~labeled loc o.Op.value
-
-(* The extension chain of a history: first processor's first operation,
-   then one more operation per step (finishing a processor before
-   starting the next), ending at the full history.  Every step appends
-   to the last row or adds a row, so ids stay stable — exactly the
-   shape [Inc.extends] accepts. *)
-let prefix_chain h =
-  let rows =
-    List.init (H.nprocs h) (fun p ->
-        Array.to_list (H.proc_ops h p) |> List.map (fun id -> event_of h (H.op h id)))
-  in
-  let chain = ref [] in
-  let done_rows = ref [] in
-  List.iter
-    (fun row ->
-      let partial = ref [] in
-      List.iter
-        (fun ev ->
-          partial := !partial @ [ ev ];
-          chain := (List.rev !done_rows @ [ !partial ]) :: !chain)
-        row;
-      done_rows := !partial :: !done_rows)
-    rows;
-  List.rev_map H.make !chain
-
-let prop_incremental =
-  QCheck.Test.make ~name:"incremental recheck = from-scratch" ~count:60
-    (Helpers.arb_history ~labeled_allowed:`Mixed ~max_procs:3 ~max_ops:3 ())
-    (fun h ->
-      List.iter
-        (fun (m : Model.t) ->
-          let inc = Solve.Inc.create m in
-          let steps = ref 0 in
-          List.iter
-            (fun prefix ->
-              incr steps;
-              let inc_v = Solve.Inc.check inc prefix in
-              let scratch = Solve.check m prefix in
-              let enum = enum_allows m prefix in
-              if inc_v <> scratch || scratch <> enum then
-                Alcotest.failf
-                  "%s: step %d disagrees (inc %b, scratch %b, enum %b) on:\n%s"
-                  m.Model.key !steps inc_v scratch enum
-                  (Format.asprintf "%a" H.pp prefix))
-            (prefix_chain h);
-          (* Every step after the first extends its predecessor. *)
-          check Alcotest.int
-            (m.Model.key ^ " store reuses")
-            (!steps - 1) (Solve.Inc.reuses inc))
-        [ model "sc"; model "tso"; model "pc"; model "causal"; model "rc-sc" ];
-      true)
-
-let inc_restarts_on_unrelated_history () =
-  let inc = Solve.Inc.create (model "sc") in
-  let h1 = H.make [ [ H.write "x" 1 ]; [ H.read "x" 1 ] ] in
-  let h2 = H.make [ [ H.write "y" 2; H.write "y" 3 ]; [ H.read "y" 9 ] ] in
-  check Alcotest.bool "h1" true (Solve.Inc.check inc h1);
-  (* h2 does not extend h1 (op 0 differs), so the store must reset and
-     the verdict must still be the from-scratch one. *)
-  check Alcotest.bool "h2" (Solve.check (model "sc") h2)
-    (Solve.Inc.check inc h2);
-  check Alcotest.int "no reuse across unrelated histories" 0
-    (Solve.Inc.reuses inc)
-
 let () =
   Alcotest.run "solve"
     [
@@ -226,7 +148,4 @@ let () =
       ( "certificates",
         [ tc "solver-engine certificates verify" solver_certificates_verify ]
       );
-      ( "incremental",
-        tc "unrelated history resets the store" inc_restarts_on_unrelated_history
-        :: List.map QCheck_alcotest.to_alcotest [ prop_incremental ] );
     ]
