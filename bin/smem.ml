@@ -951,7 +951,8 @@ let outcomes_cmd =
   Cmd.v
     (Cmd.info "outcomes"
        ~doc:
-         "Enumerate every read-value outcome each machine can produce for a           litmus test's program skeleton.")
+         "Enumerate every read-value outcome each machine can produce for a \
+          litmus test's program skeleton.")
     Term.(const run $ source $ machines_arg)
 
 let generate_cmd =

@@ -2,7 +2,6 @@ module H = Smem_core.History
 module Canon = Smem_core.Canon
 module Test = Smem_litmus.Test
 module Programs = Smem_lang.Programs
-module Dpor = Smem_lang.Dpor
 module Explore = Smem_lang.Explore
 module Machines = Smem_machine.Machines
 
@@ -111,19 +110,23 @@ let generate ?(seed = 42) ?(count = 1000) ?(max_ops = 12) ?(expect = []) () =
   in
   let machines = Machines.all in
   (try
-     (* Exhaustive trace classes of the loop-free shapes, one
-        representative interleaving each, on every machine: these carry
-        the model-separating outcomes (stale reads, torn seqlock
+     (* Every outcome of the loop-free shapes on every machine: these
+        carry the model-separating outcomes (stale reads, torn seqlock
         snapshots) and seed the corpus with the classic weak-memory
-        behaviors. *)
+        behaviors.  A fold error here would silently drop some of them,
+        so it is fatal. *)
      List.iter
        (fun (pname, p) ->
          List.iter
            (fun m ->
              let doc = Printf.sprintf "%s/%s" pname (Machines.name m) in
-             ignore
-               (Dpor.fold_traces ~max_transitions:50_000 m p ~init:()
-                  ~f:(fun () (h, _envs) -> add acc ~doc h)))
+             match
+               Explore.fold_traces ~max_transitions:50_000 m p ~init:()
+                 ~f:(fun () (h, _envs) -> add acc ~doc h)
+             with
+             | Ok () -> ()
+             | Error msg ->
+                 failwith (Printf.sprintf "Corpus.generate: %s: %s" doc msg))
            machines)
        (loop_free_sources ());
      (* Two unbounded sources, interleaved in rounds until the target
@@ -164,12 +167,14 @@ let generate ?(seed = 42) ?(count = 1000) ?(max_ops = 12) ?(expect = []) () =
          let p = Programs.random ~rand ~nprocs ~nlocs ~len ~labels () in
          (* Programs that cannot complete within [max_ops] accesses are
             skipped before exploration, so saturated sweeps stay
-            cheap. *)
+            cheap.  A program over the transition budget keeps the
+            outcomes found so far and is otherwise skipped: unlike the
+            fixed shapes above, no one random program is load-bearing. *)
          if static_accesses p <= max_ops + 2 then begin
            let m = List.nth machines (i mod nmachines) in
            let doc = Printf.sprintf "rand=%d/%s" i (Machines.name m) in
            ignore
-             (Dpor.fold_traces ~max_transitions:10_000 m p ~init:()
+             (Explore.fold_traces ~max_transitions:10_000 m p ~init:()
                 ~f:(fun () (h, _envs) -> add acc ~doc h))
          end
        done;

@@ -5,9 +5,8 @@
     shapes, and seeded {!Smem_lang.Programs.random} programs — across
     every machine in the catalogue, extracts candidate histories from
     their executions, canonicalizes each with {!Smem_core.Canon} and
-    deduplicates on the content digest.  Loop-free programs are
-    enumerated exhaustively, one representative interleaving per
-    Mazurkiewicz trace class, with {!Smem_lang.Dpor.fold_traces};
+    deduplicates on the content digest.  Loop-free programs contribute
+    every outcome, enumerated with {!Smem_lang.Explore.fold_traces};
     cyclic programs contribute seeded random schedules, from which
     down-closed prefixes are carved so that even the Bakery algorithm's
     long runs yield checkable small tests.

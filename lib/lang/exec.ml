@@ -1,3 +1,5 @@
+module Op = Smem_core.Op
+
 module Env = struct
   type t = (string * int) list  (* sorted by register name *)
 
@@ -83,3 +85,57 @@ let step_to_action layout ~env ~cont ~fuel =
           | Ast.Cs_exit -> At_action (A_exit, env, rest))
   in
   go env cont fuel
+
+type thread = {
+  env : Env.t;
+  cont : Ast.stmt list;
+  in_cs : bool;
+  finished : bool;
+}
+
+let initial_threads program =
+  Array.map
+    (fun cont -> { env = Env.empty; cont; in_cs = false; finished = false })
+    program.Ast.threads
+
+type event = { kind : Op.kind; loc : int; value : int; labeled : bool }
+
+let perform (type m)
+    (module M : Smem_machine.Machine_sig.MACHINE with type t = m)
+    (machine : m) ~proc t action env cont =
+  let t = { t with env; cont } in
+  match action with
+  | A_load { reg; loc; labeled } ->
+      let value, machine = M.read machine ~proc ~loc ~labeled in
+      ( machine,
+        { t with env = Env.set env reg value },
+        Some { kind = Op.Read; loc; value; labeled } )
+  | A_store { loc; value; labeled } ->
+      ( M.write machine ~proc ~loc ~value ~labeled,
+        t,
+        Some { kind = Op.Write; loc; value; labeled } )
+  | A_tas { reg; loc } ->
+      let old, machine = M.test_and_set machine ~proc ~loc in
+      ( machine,
+        { t with env = Env.set env reg old },
+        Some { kind = Op.Write; loc; value = 1; labeled = true } )
+  | A_enter -> (machine, { t with in_cs = true }, None)
+  | A_exit -> (machine, { t with in_cs = false }, None)
+
+let history layout ~nthreads events =
+  let next_index = Array.make nthreads 0 in
+  let op id (proc, { kind; loc; value; labeled }) =
+    let index = next_index.(proc) in
+    next_index.(proc) <- index + 1;
+    let attr = if labeled then Op.Labeled else Op.Ordinary in
+    { Op.id; proc; index; kind; loc; value; attr }
+  in
+  Smem_core.History.of_ops ~nprocs:nthreads ~loc_names:(Ast.loc_names layout)
+    (List.mapi op events)
+
+(* Hashing the structure directly degenerates badly: [Hashtbl.hash]
+   only looks at a bounded prefix of a value, so the deep (machine,
+   threads) tuples of the channel machines collide en masse and bucket
+   scans fall back to full structural equality — quadratic overall.
+   Digest keys make both hashing and equality O(state size). *)
+let digest_key v = Digest.string (Marshal.to_string v [ Marshal.No_sharing ])

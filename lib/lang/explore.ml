@@ -1,34 +1,12 @@
-module H = Smem_core.History
-module Op = Smem_core.Op
+type verdict = Dpor.verdict =
+  | Safe of int
+  | Violation of string list
+  | State_limit
 
-type verdict = Safe of int | Violation of string list | State_limit
-
-type thread = { env : Exec.Env.t; cont : Ast.stmt list; in_cs : bool; finished : bool }
-
-let initial_threads program =
-  Array.map
-    (fun code -> { env = Exec.Env.empty; cont = code; in_cs = false; finished = false })
-    program.Ast.threads
-
-(* The checker is DPOR-backed (ample singletons + sleep sets + covering
-   memoization, see {!Dpor}); the test suite keeps an unreduced
-   enumerator as its differential oracle. *)
 let check_mutex ?max_states ?max_transitions ?fuel m program =
-  let verdict, _stats = Dpor.check_mutex_stats ?max_states ?max_transitions ?fuel m program in
-  match verdict with
-  | Dpor.Safe n -> Safe n
-  | Dpor.Violation trace -> Violation trace
-  | Dpor.State_limit -> State_limit
+  fst (Dpor.check_mutex_stats ?max_states ?max_transitions ?fuel m program)
 
-let check_mutex_stats ?max_states ?max_transitions ?fuel m program =
-  let verdict, stats = Dpor.check_mutex_stats ?max_states ?max_transitions ?fuel m program in
-  let verdict =
-    match verdict with
-    | Dpor.Safe n -> Safe n
-    | Dpor.Violation trace -> Violation trace
-    | Dpor.State_limit -> State_limit
-  in
-  (verdict, stats)
+let check_mutex_stats = Dpor.check_mutex_stats
 
 type liveness = Deadlock_free of int | Stuck of int | Liveness_state_limit
 
@@ -39,8 +17,10 @@ let check_deadlock_freedom ?(max_states = 2_000_000) ?(fuel = 10_000)
   (* Forward pass: build the reachable state graph.  A state is keyed by
      the machine plus each thread's (env, cont, finished). *)
   let key_of machine threads =
-    Dpor.digest_key
-      (machine, Array.map (fun t -> (t.env, t.cont, t.finished)) threads)
+    Exec.digest_key
+      ( machine,
+        Array.map (fun (t : Exec.thread) -> (t.env, t.cont, t.finished)) threads
+      )
   in
   let successors = Hashtbl.create 65_537 in
   let terminal = Hashtbl.create 97 in
@@ -56,51 +36,37 @@ let check_deadlock_freedom ?(max_states = 2_000_000) ?(fuel = 10_000)
         explore m' t'
       in
       Hashtbl.add successors key [];
-      let step_thread i =
-        let t = threads.(i) in
-        if t.finished then ()
-        else
+      let step_thread i (t : Exec.thread) =
+        if not t.finished then
+          let next machine' t' =
+            let threads' = Array.copy threads in
+            threads'.(i) <- t';
+            push machine' threads'
+          in
           match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
           | Exec.Out_of_fuel ->
               (* Same graceful degradation as check_mutex: a fuel-bound
                  branch makes the exploration bounded, not an error. *)
               limit := true
-          | Exec.Finished env ->
-              let threads' = Array.copy threads in
-              threads'.(i) <- { t with env; finished = true };
-              push machine threads'
-          | Exec.At_action (action, env, cont) -> (
-              let with_thread env' = 
-                let threads' = Array.copy threads in
-                threads'.(i) <- { t with env = env'; cont };
-                threads'
+          | Exec.Finished env -> next machine { t with env; finished = true }
+          | Exec.At_action (action, env, cont) ->
+              (* in_cs is not part of the key: it is irrelevant to
+                 termination *)
+              let machine', t', _ =
+                Exec.perform (module M) machine ~proc:i t action env cont
               in
-              match action with
-              | Exec.A_load { reg; loc; labeled } ->
-                  let v, m' = M.read machine ~proc:i ~loc ~labeled in
-                  push m' (with_thread (Exec.Env.set env reg v))
-              | Exec.A_store { loc; value; labeled } ->
-                  push (M.write machine ~proc:i ~loc ~value ~labeled) (with_thread env)
-              | Exec.A_tas { reg; loc } ->
-                  let old, m' = M.test_and_set machine ~proc:i ~loc in
-                  push m' (with_thread (Exec.Env.set env reg old))
-              | Exec.A_enter | Exec.A_exit ->
-                  (* CS markers do not touch memory; in_cs is irrelevant
-                     to termination, so leave it unchanged. *)
-                  push machine (with_thread env))
+              next machine' t'
       in
-      for i = 0 to nthreads - 1 do
-        step_thread i
-      done;
+      Array.iteri step_thread threads;
       List.iter (fun m' -> push m' threads) (M.internal machine);
       Hashtbl.replace successors key !succs;
-      if Array.for_all (fun t -> t.finished) threads then
+      if Array.for_all (fun (t : Exec.thread) -> t.finished) threads then
         Hashtbl.replace terminal key ()
     end
   in
   explore
     (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-    (initial_threads program);
+    (Exec.initial_threads program);
   if !limit then Liveness_state_limit
   else begin
     (* Backward pass: which states can reach a terminal state?  Build
@@ -135,43 +101,135 @@ let check_deadlock_freedom ?(max_states = 2_000_000) ?(fuel = 10_000)
     if stuck = 0 then Deadlock_free (Hashtbl.length successors) else Stuck stuck
   end
 
+(* ------------------------------------------------------------------ *)
+(* Exhaustive outcomes of loop-free programs                           *)
+(* ------------------------------------------------------------------ *)
+
+let rec stmt_loop_free = function
+  | Ast.While _ -> false
+  | Ast.If (_, a, b) ->
+      List.for_all stmt_loop_free a && List.for_all stmt_loop_free b
+  | Ast.For { body; _ } -> List.for_all stmt_loop_free body
+  | Ast.Assign _ | Ast.Load _ | Ast.Store _ | Ast.Tas _ | Ast.Cs_enter
+  | Ast.Cs_exit ->
+      true
+
+let loop_free program =
+  Array.for_all (List.for_all stmt_loop_free) program.Ast.threads
+
+(* A depth-first walk of the (machine, threads, per-thread operations)
+   graph that expands every state once.  Loop-free programs make that
+   graph a DAG whose sinks are the all-finished states, so every
+   outcome is reached with no dependence reasoning at all; memoization
+   merges the interleavings that meet in one state. *)
+let fold_traces ?(max_transitions = 2_000_000) ?(fuel = 10_000)
+    (module M : Smem_machine.Machine_sig.MACHINE) program ~init ~f =
+  if not (loop_free program) then
+    Error "Explore.fold_traces: program has unbounded loops"
+  else begin
+    let layout = Ast.layout program in
+    let nthreads = Array.length program.Ast.threads in
+    let expanded = Hashtbl.create 4_096 in
+    let emitted = Hashtbl.create 256 in
+    let transitions = ref 0 in
+    let acc = ref init in
+    let exception Abort of string in
+    (* [ops.(i)] holds thread [i]'s operations so far, newest first.  It
+       is part of the state: a register overwritten since does not
+       remember the value a load returned. *)
+    let rec visit machine threads ops =
+      let key = Exec.digest_key (machine, threads, ops) in
+      if not (Hashtbl.mem expanded key) then begin
+        Hashtbl.add expanded key ();
+        if Array.for_all (fun (t : Exec.thread) -> t.finished) threads then
+          emit threads ops
+        else begin
+          Array.iteri (step machine threads ops) threads;
+          List.iter (fun m' -> take m' threads ops) (M.internal machine)
+        end
+      end
+    and emit threads ops =
+      (* Draining the remaining internal work cannot change the outcome,
+         so final states that differ only in their machine share it. *)
+      let envs = Array.map (fun (t : Exec.thread) -> t.env) threads in
+      let outcome = Exec.digest_key (ops, envs) in
+      if not (Hashtbl.mem emitted outcome) then begin
+        Hashtbl.add emitted outcome ();
+        let events =
+          List.concat
+            (List.mapi
+               (fun i l -> List.rev_map (fun e -> (i, e)) l)
+               (Array.to_list ops))
+        in
+        acc := f !acc (Exec.history layout ~nthreads events, envs)
+      end
+    and step machine threads ops i (t : Exec.thread) =
+      let replace a x =
+        let a = Array.copy a in
+        a.(i) <- x;
+        a
+      in
+      if not t.finished then
+        match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
+        | Exec.Out_of_fuel ->
+            raise (Abort "Explore.fold_traces: thread ran out of local fuel")
+        | Exec.Finished env ->
+            take machine (replace threads { t with env; finished = true }) ops
+        | Exec.At_action (action, env, cont) ->
+            let machine', t', event =
+              Exec.perform (module M) machine ~proc:i t action env cont
+            in
+            let ops =
+              match event with
+              | Some e -> replace ops (e :: ops.(i))
+              | None -> ops
+            in
+            take machine' (replace threads t') ops
+    and take machine threads ops =
+      incr transitions;
+      if !transitions > max_transitions then
+        raise (Abort "Explore.fold_traces: transition budget exhausted");
+      visit machine threads ops
+    in
+    match
+      visit
+        (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
+        (Exec.initial_threads program)
+        (Array.make nthreads [])
+    with
+    | () -> Ok !acc
+    | exception Abort msg -> Error msg
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Random schedules                                                    *)
+(* ------------------------------------------------------------------ *)
+
 let run_random ?(fuel = 10_000) ?(max_steps = 100_000)
     (module M : Smem_machine.Machine_sig.MACHINE) program ~rand =
   let layout = Ast.layout program in
   let nthreads = Array.length program.Ast.threads in
   let machine = ref (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout)) in
-  let threads = initial_threads program in
+  let threads = Exec.initial_threads program in
   let violated = ref false in
   let trace = ref [] in
-  let record proc kind loc value labeled =
-    trace := (proc, kind, loc, value, labeled) :: !trace
-  in
   let step_thread i =
     let t = threads.(i) in
     match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-    | Exec.Out_of_fuel -> invalid_arg "Explore.run_random: thread ran out of fuel"
+    | Exec.Out_of_fuel ->
+        invalid_arg "Explore.run_random: thread ran out of fuel"
     | Exec.Finished env -> threads.(i) <- { t with env; finished = true }
-    | Exec.At_action (action, env, cont) -> (
-        match action with
-        | Exec.A_load { reg; loc; labeled } ->
-            let v, m' = M.read !machine ~proc:i ~loc ~labeled in
-            machine := m';
-            record i Op.Read loc v labeled;
-            threads.(i) <- { t with env = Exec.Env.set env reg v; cont }
-        | Exec.A_store { loc; value; labeled } ->
-            machine := M.write !machine ~proc:i ~loc ~value ~labeled;
-            record i Op.Write loc value labeled;
-            threads.(i) <- { t with env; cont }
-        | Exec.A_tas { reg; loc } ->
-            let old, m' = M.test_and_set !machine ~proc:i ~loc in
-            machine := m';
-            (* recorded as the write it performs (paper footnote 4) *)
-            record i Op.Write loc 1 true;
-            threads.(i) <- { t with env = Exec.Env.set env reg old; cont }
-        | Exec.A_enter ->
-            if Array.exists (fun (u : thread) -> u.in_cs) threads then violated := true;
-            threads.(i) <- { t with env; cont; in_cs = true }
-        | Exec.A_exit -> threads.(i) <- { t with env; cont; in_cs = false })
+    | Exec.At_action (action, env, cont) ->
+        if
+          action = Exec.A_enter
+          && Array.exists (fun (u : Exec.thread) -> u.in_cs) threads
+        then violated := true;
+        let machine', t', event =
+          Exec.perform (module M) !machine ~proc:i t action env cont
+        in
+        machine := machine';
+        threads.(i) <- t';
+        Option.iter (fun e -> trace := (i, e) :: !trace) event
   in
   let rec loop steps =
     (* [max_steps] also guards against livelock: a cyclic program can
@@ -196,26 +254,8 @@ let run_random ?(fuel = 10_000) ?(max_steps = 100_000)
       end
   in
   loop 0;
-  let next_index = Array.make nthreads 0 in
-  let ops =
-    List.rev !trace
-    |> List.mapi (fun id (proc, kind, loc, value, labeled) ->
-           let index = next_index.(proc) in
-           next_index.(proc) <- index + 1;
-           {
-             Op.id;
-             proc;
-             index;
-             kind;
-             loc;
-             value;
-             attr = (if labeled then Op.Labeled else Op.Ordinary);
-           })
-  in
-  let history =
-    H.of_ops ~nprocs:nthreads ~loc_names:(Ast.loc_names layout) ops
-  in
-  (history, !violated)
+  (* ids in execution order: the corpus carves prefixes from them *)
+  (Exec.history layout ~nthreads (List.rev !trace), !violated)
 
 let to_verdict ~machine ~subject = function
   | Safe states ->

@@ -1,14 +1,15 @@
-(** Running programs on machines: exhaustive state-space exploration
-    with a mutual-exclusion monitor, random scheduling, and history
-    recording.
+(** Running programs on machines: the mutual-exclusion check, deadlock
+    freedom, the exhaustive outcomes of loop-free programs, and random
+    schedules.
 
-    The exhaustive explorer interleaves thread steps (each advancing one
-    visible action) with machine-internal steps, memoizing visited
-    (machine, threads) states; it decides whether two threads can be in
-    their critical sections simultaneously — exactly the §5 question for
-    the Bakery algorithm. *)
+    Every explorer here, like {!Dpor} and {!Races}, steps threads with
+    {!Exec.perform} and keys visited states with {!Exec.digest_key};
+    each keeps its own choice of which thread fields the key includes.
+    The mutual-exclusion verdict is the §5 question for the Bakery
+    algorithm: can two threads be in their critical sections
+    simultaneously? *)
 
-type verdict =
+type verdict = Dpor.verdict =
   | Safe of int  (** mutual exclusion holds; states explored *)
   | Violation of string list
       (** a schedule reaching two threads in the critical section, as a
@@ -64,6 +65,28 @@ val check_deadlock_freedom :
     reachable state of the program × machine system can still reach the
     all-threads-finished state.  (Freedom from {e starvation} is a
     fairness property outside this explorer's scope.) *)
+
+val fold_traces :
+  ?max_transitions:int ->
+  ?fuel:int ->
+  Smem_machine.Machine_sig.machine ->
+  Ast.program ->
+  init:'a ->
+  f:('a -> Smem_core.History.t * Exec.Env.t array -> 'a) ->
+  ('a, string) result
+(** Fold [f] over the outcomes of a loop-free program on the given
+    machine: each distinct pair of the history an execution produces
+    (read-modify-writes recorded as the labeled writes they perform,
+    critical-section markers omitted, ids in thread-major order) and
+    the final register environments, once each.  The walk is a
+    depth-first search over (machine, threads, per-thread operations)
+    states that expands each state once — threads in index order, then
+    the machine's internal steps — so the order of the pairs is
+    deterministic, and since a loop-free program's state graph is
+    acyclic every outcome is reached.  [Error _] on programs with
+    [While] loops, on local-fuel exhaustion, and when more than
+    [max_transitions] (default 2_000_000) transitions have been
+    executed. *)
 
 val run_random :
   ?fuel:int ->

@@ -220,7 +220,7 @@ let random ~rand ?(nprocs = 2) ?(nlocs = 3) ?(len = 3) ?(labels = `Separated)
 (* Message passing: the handshake behind every producer/consumer
    protocol.  The data write is ordinary; the flag carries the
    synchronization (labeled by default).  Loop-free, so it doubles as a
-   corpus seed for {!Dpor.fold_traces} and as the anchor of the pinned
+   corpus seed for {!Explore.fold_traces} and as the anchor of the pinned
    explored-state regression tests. *)
 let mp ?(labeled = true) () =
   {

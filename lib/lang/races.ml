@@ -30,8 +30,6 @@ exception Found of access * access
    and reads are deterministic, so the product automaton is small. *)
 module M = Smem_machine.Sc_machine
 
-type thread_state = { env : Exec.Env.t; cont : Ast.stmt list; finished : bool }
-
 let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
   let layout = Ast.layout program in
   let nthreads = Array.length program.Ast.threads in
@@ -42,7 +40,7 @@ let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
   let pending_accesses threads =
     Array.to_list
       (Array.mapi
-         (fun i (t : thread_state) ->
+         (fun i (t : Exec.thread) ->
            if t.finished then None
            else
              match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
@@ -62,13 +60,8 @@ let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
   in
   let rec explore machine threads =
     let key =
-      (* constant-size key: Hashtbl.hash samples only a bounded prefix
-         of deep states, collapsing large buffered machines into a few
-         buckets (see {!Dpor.digest_key}) *)
-      Digest.string
-        (Marshal.to_string
-           (machine, Array.map (fun t -> (t.env, t.cont)) threads)
-           [ Marshal.No_sharing ])
+      Exec.digest_key
+        (machine, Array.map (fun (t : Exec.thread) -> (t.env, t.cont)) threads)
     in
     if Hashtbl.mem visited key || !limit_hit then ()
     else begin
@@ -79,31 +72,22 @@ let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
         check_for_race threads;
         let step i =
           let t = threads.(i) in
-          if t.finished then ()
+          if t.Exec.finished then ()
           else
-            match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
-            | Exec.Out_of_fuel ->
-                invalid_arg "Races.find_race: thread ran out of local fuel"
-            | Exec.Finished env ->
-                let threads' = Array.copy threads in
-                threads'.(i) <- { t with env; finished = true };
-                explore machine threads'
-            | Exec.At_action (action, env, cont) -> (
-                let continue_with env' machine' =
-                  let threads' = Array.copy threads in
-                  threads'.(i) <- { t with env = env'; cont };
-                  explore machine' threads'
-                in
-                match action with
-                | Exec.A_load { reg; loc; labeled } ->
-                    let v, m' = M.read machine ~proc:i ~loc ~labeled in
-                    continue_with (Exec.Env.set env reg v) m'
-                | Exec.A_store { loc; value; labeled } ->
-                    continue_with env (M.write machine ~proc:i ~loc ~value ~labeled)
-                | Exec.A_tas { reg; loc } ->
-                    let old, m' = M.test_and_set machine ~proc:i ~loc in
-                    continue_with (Exec.Env.set env reg old) m'
-                | Exec.A_enter | Exec.A_exit -> continue_with env machine)
+            let machine', t' =
+              match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
+              | Exec.Out_of_fuel ->
+                  invalid_arg "Races.find_race: thread ran out of local fuel"
+              | Exec.Finished env -> (machine, { t with env; finished = true })
+              | Exec.At_action (action, env, cont) ->
+                  let machine', t', _ =
+                    Exec.perform (module M) machine ~proc:i t action env cont
+                  in
+                  (machine', t')
+            in
+            let threads' = Array.copy threads in
+            threads'.(i) <- t';
+            explore machine' threads'
         in
         for i = 0 to nthreads - 1 do
           step i
@@ -114,9 +98,7 @@ let find_race ?(max_states = 2_000_000) ?(fuel = 10_000) program =
   try
     explore
       (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
-      (Array.map
-         (fun code -> { env = Exec.Env.empty; cont = code; finished = false })
-         program.Ast.threads);
+      (Exec.initial_threads program);
     if !limit_hit then State_limit else Race_free !states
   with Found (a, b) -> Race (a, b)
 

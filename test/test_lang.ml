@@ -379,13 +379,6 @@ let violation_trace_structure () =
    included); [max_transitions] bounds the work, so [State_limit]
    accounts for explored transitions, not just distinct states. *)
 
-type thread = {
-  env : Exec.Env.t;
-  cont : Ast.stmt list;
-  in_cs : bool;
-  finished : bool;
-}
-
 exception Found of string list
 
 let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
@@ -399,8 +392,8 @@ let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
   let rec explore machine threads path =
     incr transitions;
     let key =
-      Smem_lang.Dpor.digest_key
-        (machine, Array.map (fun t -> (t.env, t.cont, t.in_cs)) threads)
+      Exec.digest_key
+        (machine, Array.map (fun t -> Exec.(t.env, t.cont, t.in_cs)) threads)
     in
     if Hashtbl.mem visited key || !limit_hit then ()
     else begin
@@ -409,44 +402,28 @@ let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
         limit_hit := true
       else begin
         Hashtbl.add visited key ();
-        let step_thread i =
-          let t = threads.(i) in
+        let step_thread i (t : Exec.thread) =
           if not t.finished then
+            let next machine' t' path' =
+              let threads' = Array.copy threads in
+              threads'.(i) <- t';
+              explore machine' threads' path'
+            in
             match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
             | Exec.Out_of_fuel -> limit_hit := true
-            | Exec.Finished env ->
-                let threads' = Array.copy threads in
-                threads'.(i) <- { t with env; finished = true };
-                explore machine threads' path
-            | Exec.At_action (action, env, cont) -> (
+            | Exec.Finished env -> next machine { t with env; finished = true } path
+            | Exec.At_action (action, env, cont) ->
                 let path' = Smem_lang.Dpor.describe_action i action :: path in
-                let next machine' t' =
-                  let threads' = Array.copy threads in
-                  threads'.(i) <- t';
-                  explore machine' threads' path'
+                if
+                  action = Exec.A_enter
+                  && Array.exists (fun u -> u.Exec.in_cs) threads
+                then raise (Found (List.rev path'));
+                let machine', t', _ =
+                  Exec.perform (module M) machine ~proc:i t action env cont
                 in
-                match action with
-                | Exec.A_load { reg; loc; labeled } ->
-                    let v, machine' = M.read machine ~proc:i ~loc ~labeled in
-                    next machine' { t with env = Exec.Env.set env reg v; cont }
-                | Exec.A_store { loc; value; labeled } ->
-                    next
-                      (M.write machine ~proc:i ~loc ~value ~labeled)
-                      { t with env; cont }
-                | Exec.A_tas { reg; loc } ->
-                    let old, machine' = M.test_and_set machine ~proc:i ~loc in
-                    let env = Exec.Env.set env reg old in
-                    next machine' { t with env; cont }
-                | Exec.A_enter ->
-                    if Array.exists (fun u -> u.in_cs) threads then
-                      raise (Found (List.rev path'))
-                    else next machine { t with env; cont; in_cs = true }
-                | Exec.A_exit ->
-                    next machine { t with env; cont; in_cs = false })
+                next machine' t' path'
         in
-        for i = 0 to nthreads - 1 do
-          step_thread i
-        done;
+        Array.iteri step_thread threads;
         List.iter
           (fun machine' ->
             explore machine' threads (".: internal step" :: path))
@@ -454,41 +431,88 @@ let check_mutex_naive ?(max_states = 2_000_000) ?(max_transitions = 20_000_000)
       end
     end
   in
-  let threads =
-    Array.map
-      (fun cont ->
-        { env = Exec.Env.empty; cont; in_cs = false; finished = false })
-      program.Ast.threads
-  in
   let verdict =
     try
-      explore (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout)) threads [];
+      explore
+        (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
+        (Exec.initial_threads program)
+        [];
       if !limit_hit then Explore.State_limit else Explore.Safe !states
     with Found trace -> Explore.Violation trace
   in
   (verdict, !transitions)
 
-(* ---------------- DPOR vs. naive enumeration ---------------- *)
+(* ---------------- DPOR and the fold vs. naive enumeration ---------------- *)
 
-(* The two differential oracles for the reduced explorer.  fold_traces
-   must emit the same *set* of (history class, final registers) pairs
-   as the naive full-interleaving enumeration — the reduction may only
-   drop duplicates within a Mazurkiewicz trace class.  check_mutex
-   must return the same verdict as the unreduced enumerator on every
-   (program, machine) cell. *)
+(* The two differential oracles.  fold_traces must emit the same *set*
+   of (history class, final registers) pairs as the naive
+   full-interleaving enumeration below; check_mutex must return the
+   same verdict as the unreduced enumerator above on every (program,
+   machine) cell. *)
 
-let trace_set ~reduced m p =
-  let key (h, envs) =
-    ( Smem_core.Canon.digest h,
-      Array.to_list (Array.map Exec.Env.bindings envs) )
+let outcome_key (h, envs) =
+  (Smem_core.Canon.digest h, Array.to_list (Array.map Exec.Env.bindings envs))
+
+let fold_set ?(max_transitions = 100_000) m p =
+  Explore.fold_traces ~max_transitions m p ~init:[] ~f:(fun acc o ->
+      outcome_key o :: acc)
+  |> Result.map (List.sort_uniq compare)
+
+(* Every maximal interleaving of a loop-free program, with no
+   memoization: the set of their outcomes, or [None] once more than
+   [max_transitions] transitions have been executed. *)
+let naive_set ?(max_transitions = 100_000) ?(fuel = 10_000)
+    (module M : Smem_machine.Machine_sig.MACHINE) program =
+  let layout = Ast.layout program in
+  let nthreads = Array.length program.Ast.threads in
+  let transitions = ref 0 in
+  let outcomes = ref [] in
+  let exception Budget in
+  let rec explore machine threads trace =
+    if Array.for_all (fun t -> t.Exec.finished) threads then
+      let h = Exec.history layout ~nthreads (List.rev trace) in
+      let envs = Array.map (fun t -> t.Exec.env) threads in
+      outcomes := outcome_key (h, envs) :: !outcomes
+    else begin
+      let next machine' threads' trace' =
+        incr transitions;
+        if !transitions > max_transitions then raise Budget;
+        explore machine' threads' trace'
+      in
+      Array.iteri
+        (fun i (t : Exec.thread) ->
+          if not t.finished then
+            let threads' = Array.copy threads in
+            match Exec.step_to_action layout ~env:t.env ~cont:t.cont ~fuel with
+            | Exec.Out_of_fuel -> Alcotest.fail "naive_set: out of local fuel"
+            | Exec.Finished env ->
+                threads'.(i) <- { t with env; finished = true };
+                next machine threads' trace
+            | Exec.At_action (action, env, cont) ->
+                let machine', t', event =
+                  Exec.perform (module M) machine ~proc:i t action env cont
+                in
+                threads'.(i) <- t';
+                next machine' threads'
+                  (match event with Some e -> (i, e) :: trace | None -> trace))
+        threads;
+      List.iter (fun m' -> next m' threads trace) (M.internal machine)
+    end
   in
   match
-    Smem_lang.Dpor.fold_traces ~reduced ~max_transitions:100_000 m p
-      ~init:[]
-      ~f:(fun acc t -> key t :: acc)
+    explore
+      (M.create ~nprocs:nthreads ~nlocs:(Ast.nlocs layout))
+      (Exec.initial_threads program)
+      []
   with
-  | Ok l -> Some (List.sort_uniq compare l)
-  | Error _ -> None
+  | () -> Some (List.sort_uniq compare !outcomes)
+  | exception Budget -> None
+
+(* The property's program generator, shared with the pinned cases. *)
+let random_program (seed, len, nprocs) =
+  let rand = Random.State.make [| 2026; seed |] in
+  let labels = [| `No; `Mixed; `Separated |].(seed mod 3) in
+  Programs.random ~rand ~nprocs ~nlocs:2 ~len ~labels ()
 
 (* Shrinking happens on the scalar parameters (seed, size, machine
    index): QCheck walks them toward the range floors, so a failure
@@ -500,18 +524,47 @@ let dpor_traces_agree =
       quad (0 -- 10_000) (1 -- 2) (2 -- 3)
         (0 -- (List.length Machines.all - 1)))
     (fun (seed, len, nprocs, mi) ->
-      let rand = Random.State.make [| 2026; seed |] in
-      let labels = [| `No; `Mixed; `Separated |].(seed mod 3) in
-      let p = Programs.random ~rand ~nprocs ~nlocs:2 ~len ~labels () in
+      let p = random_program (seed, len, nprocs) in
       let m = List.nth Machines.all mi in
-      match trace_set ~reduced:false m p with
+      match naive_set m p with
       (* a case too big for the naive side is discarded, not failed:
          the comparison needs both enumerations to finish *)
       | None -> QCheck.assume_fail ()
       | Some naive ->
-          (* the reduced run does strictly less work, so its budget
-             cannot be the one that fails *)
-          trace_set ~reduced:true m p = Some naive)
+          (* the memoized fold never executes more transitions than
+             the naive walk, so its budget cannot be the one that fails *)
+          fold_set m p = Ok naive)
+
+(* Cases where a sleep-set reduction of the fold once dropped
+   outcomes.  The random programs are the property's own (seed, len,
+   nprocs) cases on sc, checked against the naive set and its size.
+   The seqlock cells once exhausted the corpus's 50_000-transition
+   budget; they must finish within it, with the naive outcome counts
+   (too slow to enumerate here). *)
+let fold_pinned () =
+  let count name expected = function
+    | Ok l -> check Alcotest.int (name ^ ": outcomes") expected (List.length l)
+    | Error e -> Alcotest.failf "%s: %s" name e
+  in
+  List.iter
+    (fun (seed, len, nprocs, expected) ->
+      let name = Printf.sprintf "random (%d, %d, %d) on sc" seed len nprocs in
+      let p = random_program (seed, len, nprocs) in
+      let fold = fold_set (machine "sc") p in
+      count name expected fold;
+      check Alcotest.bool (name ^ ": fold = naive") true
+        (Result.to_option fold = naive_set (machine "sc") p))
+    [ (0, 2, 3, 19); (13, 2, 3, 30); (105, 2, 3, 6); (3974, 2, 3, 22) ];
+  List.iter
+    (fun (name, p, key, expected) ->
+      count (name ^ " on " ^ key) expected
+        (fold_set ~max_transitions:50_000 (machine key) p))
+    [
+      ("seqlock", Programs.seqlock (), "slow", 24);
+      ("seqlock", Programs.seqlock (), "local", 28);
+      ("seqlock-u", Programs.seqlock ~labeled:false (), "slow", 24);
+      ("seqlock-u", Programs.seqlock ~labeled:false (), "local", 28);
+    ]
 
 let same_verdict a b =
   match (a, b) with
@@ -638,6 +691,7 @@ let () =
       ( "dpor",
         [
           QCheck_alcotest.to_alcotest dpor_traces_agree;
+          tc "fold_traces: pinned lost outcomes" fold_pinned;
           tc "mutex verdict matrix = naive" dpor_mutex_matrix;
           tc "bakery2 reduction >= 10x" dpor_reduction_ratio;
           tc "pinned mp/sb counts" pinned_counts;
