@@ -91,9 +91,13 @@ family-smoke: build
 	  -m pram -m 'session(ryw,mr)' -m 'session(ryw,mr,mw,wfr)' \
 	  -m causal -m causal-obj
 	dune exec bin/smem.exe -- check mp \
-	  -m 'pc-part(blocks=2)' -m 'pc-part(blocks=3)' -m 'session(ryw,mr)' \
-	  --certify _build/family-certs
+	  -m 'pc-part(blocks=2)' -m 'pc-part(blocks=3)' -m 'pc-part(partition=x|y)' \
+	  -m 'session(ryw,mr)' --certify _build/family-certs
 	dune exec bin/smem.exe -- cert verify _build/family-certs/*.cert
+	dune exec bin/smem.exe -- custom fig4 --ops writes --mutual none \
+	  --order causal | grep -q '^allowed'
+	dune exec bin/smem.exe -- custom fig4 --ops writes --mutual coherence \
+	  --order causal | grep -q '^forbidden'
 	dune exec bin/smem.exe -- fuzz --seed 42 --count 200 --no-machines --stats
 
 # Deterministic simulation of the serving stack: seeded schedules,

@@ -855,35 +855,39 @@ let custom_cmd =
       & pos 0 (some string) None
       & info [] ~docv:"TEST" ~doc:"Corpus test name or litmus file.")
   in
-  let conv_of parse =
+  let conv_of parse print =
     Arg.conv
       ( (fun s -> Result.map_error (fun m -> `Msg m) (parse s)),
-        fun ppf _ -> Format.pp_print_string ppf "<param>" )
+        fun ppf v -> Format.pp_print_string ppf (print v) )
   in
   let ops_arg =
     Arg.(
       value
-      & opt (conv_of B.parse_operations) `Writes_of_others
+      & opt
+          (conv_of B.parse_operations B.operations_to_string)
+          `Writes_of_others
       & info [ "ops" ] ~docv:"SET" ~doc:"View population: all | writes.")
   in
   let mutual_arg =
     Arg.(
       value
-      & opt (conv_of B.parse_mutual) `No_agreement
+      & opt (conv_of B.parse_mutual B.mutual_to_string) `No_agreement
       & info [ "mutual" ] ~docv:"REQ"
           ~doc:"Mutual consistency: none | coherence | global-writes | total.")
   in
   let order_arg =
     Arg.(
       value
-      & opt_all (conv_of B.parse_ordering) []
-      & info [ "order" ] ~docv:"ORD"
+      & opt_all
+          (conv_of B.parse_ordering Model.ordering_to_string)
+          [ Model.Program_order ]
+      & info [ "order" ] ~docv:"ORD" ~absent:"po"
           ~doc:
-            "Ordering requirement (repeatable; union): po | ppo | po-loc |              own-po | causal | semi-causal.")
+            "Ordering requirement (repeatable; union): po | ppo | po-loc | \
+             own-po | causal | semi-causal.")
   in
   let run source operations mutual orderings obs =
     setup_obs obs;
-    let orderings = match orderings with [] -> [ `Po ] | os -> os in
     let model =
       try
         B.make ~key:"custom" ~name:"Custom Model" ~operations ~mutual ~orderings
@@ -907,7 +911,8 @@ let custom_cmd =
   Cmd.v
     (Cmd.info "custom"
        ~doc:
-         "Check a test against a model composed from the paper's three           parameters (§2): view population, mutual consistency, ordering.")
+         "Check a test against a model composed from the paper's three \
+          parameters (§2): view population, mutual consistency, ordering.")
     Term.(const run $ source $ ops_arg $ mutual_arg $ order_arg $ obs_term)
 
 let outcomes_cmd =

@@ -3,9 +3,11 @@
    condition that requires coherence can be added to causal memory."
 
    This example does exactly that with the Build module: compose the
-   suggested memory from the three parameters, verify it against the
-   built-in implementation, place it in the lattice relative to its
-   neighbours, and exhibit separating histories.
+   suggested memory from the three parameters (Build names the
+   parameter quadruple they stand for, so the composed model runs on
+   both engines and certifies like a built-in one), verify it against
+   the catalogued coherent causal memory, place it in the lattice
+   relative to its neighbours, and exhibit separating histories.
 
    Run with: dune exec examples/compose_models.exe *)
 
@@ -22,8 +24,8 @@ let () =
   (* §7's new memory: causal + coherence, by composition. *)
   let coherent_causal =
     B.make ~key:"cc" ~name:"Coherent Causal (composed)"
-      ~operations:`Writes_of_others ~mutual:`Coherence ~orderings:[ `Causal ]
-      ()
+      ~operations:`Writes_of_others ~mutual:`Coherence
+      ~orderings:[ Model.Causal_order ] ()
   in
   Format.printf "composed: %s@.@." coherent_causal.Model.description;
 
@@ -59,7 +61,9 @@ let () =
   Format.printf "@.an ad-hoc variation (PRAM + po-loc):@.";
   let variant =
     B.make ~key:"v" ~name:"PRAM + po-loc" ~operations:`Writes_of_others
-      ~mutual:`No_agreement ~orderings:[ `Po; `Po_loc ] ()
+      ~mutual:`No_agreement
+      ~orderings:[ Model.Program_order; Model.Po_loc ]
+      ()
   in
   match Distinguish.compare ~a:variant ~b:(builtin "pram") scopes with
   | Distinguish.Equal ->

@@ -197,11 +197,20 @@ let add_co_rel h m co =
     done
   done
 
-let needs_co = function
+(* A write serialization: the views agree on one, or an ordering base
+   is built from one (a single shared view then derives it from
+   itself). *)
+let needs_co (params : Model.params) =
+  match params.Model.mutual with
   | Model.Coherence_agreement | Model.Global_write_order | Model.Labeled_sc
   | Model.Labeled_pc ->
       true
-  | Model.No_mutual | Model.Labeled_total -> false
+  | Model.No_mutual | Model.Labeled_total ->
+      List.exists
+        (function
+          | Model.Semi_causal | Model.Causal_plus_coherence -> true
+          | _ -> false)
+        params.Model.ordering
 
 (* ------------------------------------------------------------------ *)
 (* Semi-causality (PC's ordering, also RC_pc's labeled requirement)    *)
@@ -277,18 +286,21 @@ let labeled_seq_legal h ~writer seq =
 (* ------------------------------------------------------------------ *)
 (* The ordering requirement as a per-view relation                    *)
 
-let view_orders h (params : Model.params) ~writer ~sync ~co =
+(* A view's order is the union of the ordering set's base relations,
+   each built from its own inputs (semi-causality from ppo, the causal
+   order from po) in a matrix of its own, with no closure across
+   bases.  The set is decoded once per certificate; the result maps the
+   committed (writer, sync, co) to each view owner's order. *)
+let view_orders h (params : Model.params) =
   let n = History.nops h in
-  let co_exn () =
-    match co with
+  let co_exn = function
     | Some c -> c
     | None ->
         reject
           "inconsistent parameter triple: the ordering requirement needs a \
            coherence order the mutual-consistency requirement does not provide"
   in
-  let sync_exn () =
-    match sync with
+  let sync_exn = function
     | Some s -> s
     | None -> reject "inconsistent parameter triple: no sync order"
   in
@@ -297,109 +309,128 @@ let view_orders h (params : Model.params) ~writer ~sync ~co =
       reject "a per-owner ordering requirement needs processor views"
     else p
   in
-  let shared m = fun (_ : int) -> copy_rel m in
-  match params.Model.ordering with
-  | Model.Program_order ->
-      let m = fresh_rel n in
-      add_po h m;
-      shared m
-  | Model.Partial_program_order -> shared (ppo_all h)
-  | Model.Own_program_order ->
-      fun p ->
-        let m = fresh_rel n in
-        add_po_of_proc h m (proc_exn p);
-        m
-  | Model.Own_po_plus_po_loc ->
-      let base = fresh_rel n in
-      add_po_loc h base;
-      fun p ->
-        let m = copy_rel base in
-        add_po_of_proc h m (proc_exn p);
-        m
-  | Model.Po_plus_real_time ->
-      let m = fresh_rel n in
-      add_po h m;
-      add_real_time h m;
-      shared m
-  | Model.Causal_order ->
-      let m = fresh_rel n in
-      add_po h m;
-      add_wb h m ~writer;
-      closure m;
-      shared m
-  | Model.Causal_plus_coherence ->
-      let m = fresh_rel n in
-      add_po h m;
-      add_wb h m ~writer;
-      add_co_rel h m (co_exn ());
-      closure m;
-      shared m
-  | Model.Semi_causal ->
-      shared
-        (sem_matrix h ~ppo:(ppo_all h) ~writer ~co:(co_exn ())
-           ~member:(fun _ -> true))
-  | Model.Own_ppo_bracketed ->
-      let base = fresh_rel n in
-      add_bracket h base ~writer;
-      (match params.Model.mutual with
-      | Model.Labeled_sc -> add_total base (sync_exn ())
-      | Model.Labeled_pc ->
-          let labeled = Array.make (max 1 n) false in
-          List.iter (fun a -> labeled.(a) <- true) (History.labeled h);
-          let member a = labeled.(a) in
-          union_into base
-            (sem_matrix h ~ppo:(ppo_within h ~member) ~writer ~co:(co_exn ())
-               ~member)
-      | _ ->
-          reject
-            "inconsistent parameter triple: a bracketed ordering requires a \
-             labeled mutual-consistency requirement");
-      fun p ->
-        let m = copy_rel base in
-        union_into m (ppo_of_proc h (proc_exn p));
-        m
-  | Model.Sync_fences ->
-      let m = fresh_rel n in
-      add_fence h m;
-      add_po_loc h m;
-      add_total m (sync_exn ());
-      shared m
-  | Model.Session { ryw; mr; mw; wfr } ->
-      (* Pairwise projections of (transitive) program order, restated
-         from the guarantee definitions; wfr additionally orders each
-         read's writer before the reader's later writes.  The relation
-         is shared — restriction to each view happens in the ordering
-         check, exactly like the causal orders. *)
-      let m = fresh_rel n in
-      for p = 0 to History.nprocs h - 1 do
-        let row = History.proc_ops h p in
-        let k = Array.length row in
-        for i = 0 to k - 1 do
-          for j = i + 1 to k - 1 do
-            let a = History.op h row.(i) and b = History.op h row.(j) in
-            if
-              (ryw && Op.is_write a && Op.is_read b)
-              || (mr && Op.is_read a && Op.is_read b)
-              || (mw && Op.is_write a && Op.is_write b)
-            then m.(row.(i)).(row.(j)) <- true
-          done
-        done
-      done;
-      if wfr then
-        List.iter
-          (fun r ->
-            let w = writer.(r) in
-            if w <> History.init then begin
-              let ro = History.op h r in
-              Array.iter
-                (fun id ->
-                  let o' = History.op h id in
-                  if o'.Op.index > ro.Op.index && Op.is_write o' then
-                    m.(w).(id) <- true)
-                (History.proc_ops h ro.Op.proc)
-            end)
-          (History.reads h);
-      shared m
+  let matrix fill =
+    let m = fresh_rel n in
+    fill m;
+    m
+  in
+  (* What each base contributes: a shared relation of the committed
+     choices (built once when none enters it), and an owner's part. *)
+  let fixed m = `Shared (fun ~writer:_ ~sync:_ ~co:_ -> m) in
+  let decode = function
+    | Model.Program_order -> [ fixed (matrix (add_po h)) ]
+    | Model.Partial_program_order -> [ fixed (ppo_all h) ]
+    | Model.Own_program_order ->
+        [ `Owner (fun m p -> add_po_of_proc h m (proc_exn p)) ]
+    | Model.Po_loc -> [ fixed (matrix (add_po_loc h)) ]
+    | Model.Real_time -> [ fixed (matrix (add_real_time h)) ]
+    | (Model.Causal_order | Model.Causal_plus_coherence) as base ->
+        [
+          `Shared
+            (fun ~writer ~sync:_ ~co ->
+              matrix (fun m ->
+                  add_po h m;
+                  add_wb h m ~writer;
+                  if base = Model.Causal_plus_coherence then
+                    add_co_rel h m (co_exn co);
+                  closure m));
+        ]
+    | Model.Semi_causal ->
+        let ppo = ppo_all h in
+        [
+          `Shared
+            (fun ~writer ~sync:_ ~co ->
+              sem_matrix h ~ppo ~writer ~co:(co_exn co) ~member:(fun _ -> true));
+        ]
+    | Model.Own_ppo_bracketed ->
+        let labeled = Array.make (max 1 n) false in
+        List.iter (fun a -> labeled.(a) <- true) (History.labeled h);
+        let member a = labeled.(a) in
+        [
+          `Shared
+            (fun ~writer ~sync ~co ->
+              matrix (fun m ->
+                  add_bracket h m ~writer;
+                  match params.Model.mutual with
+                  | Model.Labeled_sc -> add_total m (sync_exn sync)
+                  | Model.Labeled_pc ->
+                      union_into m
+                        (sem_matrix h ~ppo:(ppo_within h ~member) ~writer
+                           ~co:(co_exn co) ~member)
+                  | _ ->
+                      reject
+                        "inconsistent parameter triple: a bracketed ordering \
+                         requires a labeled mutual-consistency requirement"));
+          `Owner (fun m p -> union_into m (ppo_of_proc h (proc_exn p)));
+        ]
+    | Model.Sync_fences ->
+        [
+          `Shared
+            (fun ~writer:_ ~sync ~co:_ ->
+              matrix (fun m ->
+                  add_fence h m;
+                  add_po_loc h m;
+                  add_total m (sync_exn sync)));
+        ]
+    | Model.Session { ryw; mr; mw; wfr } ->
+        (* Pairwise projections of (transitive) program order, restated
+           from the guarantee definitions; wfr additionally orders each
+           read's writer before the reader's later writes.  The
+           relation is shared — restriction to each view happens in the
+           ordering check, exactly like the causal orders. *)
+        [
+          `Shared
+            (fun ~writer ~sync:_ ~co:_ ->
+              matrix (fun m ->
+                  for p = 0 to History.nprocs h - 1 do
+                    let row = History.proc_ops h p in
+                    let k = Array.length row in
+                    for i = 0 to k - 1 do
+                      for j = i + 1 to k - 1 do
+                        let a = History.op h row.(i)
+                        and b = History.op h row.(j) in
+                        if
+                          (ryw && Op.is_write a && Op.is_read b)
+                          || (mr && Op.is_read a && Op.is_read b)
+                          || (mw && Op.is_write a && Op.is_write b)
+                        then m.(row.(i)).(row.(j)) <- true
+                      done
+                    done
+                  done;
+                  if wfr then
+                    List.iter
+                      (fun r ->
+                        let w = writer.(r) in
+                        if w <> History.init then begin
+                          let ro = History.op h r in
+                          Array.iter
+                            (fun id ->
+                              let o' = History.op h id in
+                              if o'.Op.index > ro.Op.index && Op.is_write o'
+                              then m.(w).(id) <- true)
+                            (History.proc_ops h ro.Op.proc)
+                        end)
+                      (History.reads h)));
+        ]
+  in
+  (* A union of one relation is that relation: no copy. *)
+  let union = function
+    | [] -> fresh_rel n
+    | [ m ] -> m
+    | m :: rest ->
+        let u = copy_rel m in
+        List.iter (union_into u) rest;
+        u
+  in
+  let parts = List.concat_map decode params.Model.ordering in
+  let shared = List.filter_map (function `Shared f -> Some f | _ -> None) parts in
+  let owned = List.filter_map (function `Owner f -> Some f | _ -> None) parts in
+  fun ~writer ~sync ~co ->
+    let shared = union (List.map (fun f -> f ~writer ~sync ~co) shared) in
+    fun p ->
+      let m = copy_rel shared in
+      List.iter (fun f -> f m p) owned;
+      m
 
 (* ------------------------------------------------------------------ *)
 (* Legality: replaying a view sequence against a location store        *)
@@ -471,6 +502,34 @@ let walk_legal h ~legality ~writer seq =
 (* ------------------------------------------------------------------ *)
 (* Structural view checks per population                              *)
 
+(* A partition's block per location, and the number of blocks: a
+   listed location takes the index of the block naming it; every
+   unlisted one gets a singleton block, numbered on from the listed
+   blocks in location-id order. *)
+let blocks_of h = function
+  | Model.Modulo k -> (Array.init (History.nlocs h) (fun l -> l mod k), k)
+  | Model.Named listed ->
+      let count = ref (List.length listed) in
+      let block =
+        Array.init (History.nlocs h) (fun l ->
+            match List.find_index (List.mem (History.loc_name h l)) listed with
+            | Some b -> b
+            | None ->
+                incr count;
+                !count - 1)
+      in
+      (block, !count)
+
+(* Besides its owner's operations, a per-processor view holds every
+   operation (per-proc-all), every write, or every update: the writes
+   plus queue dequeues by any processor (a dequeue mutates the queue,
+   so it appears in every view). *)
+let in_every_view h (params : Model.params) (o : Op.t) =
+  match params.Model.population with
+  | Model.Per_proc_all -> true
+  | Model.Own_plus_updates -> Op.is_write o || sort_of h o.Op.loc = Que
+  | _ -> Op.is_write o
+
 let check_views h (params : Model.params) views =
   let n = History.nops h in
   List.iter
@@ -496,7 +555,7 @@ let check_views h (params : Model.params) views =
           if p <> -1 then reject "the shared view must use processor -1";
           check_exact "the shared view" seq (Array.make (max 1 n) true)
       | _ -> reject "expected exactly one shared view")
-  | Model.Own_plus_writes ->
+  | Model.Own_plus_writes | Model.Per_proc_all | Model.Own_plus_updates ->
       if List.length views <> History.nprocs h then
         reject "expected one view per processor";
       let seen = Array.make (History.nprocs h) false in
@@ -507,8 +566,10 @@ let check_views h (params : Model.params) views =
           if seen.(p) then reject "duplicate view for processor %d" p;
           seen.(p) <- true;
           let expect = Array.make (max 1 n) false in
-          Array.iter (fun a -> expect.(a) <- true) (History.proc_ops h p);
-          List.iter (fun w -> expect.(w) <- true) (History.writes h);
+          Array.iter
+            (fun (o : Op.t) ->
+              expect.(o.Op.id) <- o.Op.proc = p || in_every_view h params o)
+            (History.ops h);
           check_exact (Printf.sprintf "the view of processor %d" p) seq expect)
         views
   | Model.Per_location ->
@@ -533,18 +594,19 @@ let check_views h (params : Model.params) views =
                 (Printf.sprintf "the view of location %s" (History.loc_name h l))
                 seq expect)
         views
-  | Model.Per_proc_block { blocks } ->
+  | Model.Per_proc_block partition ->
       (* One view per (processor, block) pair whose population — the
          owner's operations on the block's locations plus every write
          to them — is nonempty; empty pairs are omitted.  A view's
          block is recovered from its operations' locations (blocks
          partition the locations, so a nonempty view determines it). *)
+      let block, blocks = blocks_of h partition in
       let expect_of p b =
         let expect = Array.make (max 1 n) false in
         let any = ref false in
         Array.iter
           (fun (o : Op.t) ->
-            if o.Op.loc mod blocks = b && (o.Op.proc = p || Op.is_write o)
+            if block.(o.Op.loc) = b && (o.Op.proc = p || Op.is_write o)
             then begin
               expect.(o.Op.id) <- true;
               any := true
@@ -568,7 +630,7 @@ let check_views h (params : Model.params) views =
           match seq with
           | [] -> reject "empty (processor, block) view"
           | a :: _ -> (
-              let b = (History.op h a).Op.loc mod blocks in
+              let b = block.((History.op h a).Op.loc) in
               if Hashtbl.mem seen (p, b) then
                 reject "duplicate view for processor %d block %d" p b;
               Hashtbl.replace seen (p, b) ();
@@ -578,28 +640,6 @@ let check_views h (params : Model.params) views =
                   check_exact
                     (Printf.sprintf "the view of processor %d block %d" p b)
                     seq expect))
-        views
-  | Model.Own_plus_updates ->
-      if List.length views <> History.nprocs h then
-        reject "expected one view per processor";
-      let seen = Array.make (History.nprocs h) false in
-      (* Updates: every write, plus queue dequeues by any processor
-         (a dequeue mutates the queue, so it appears in every view). *)
-      let updates =
-        List.filter
-          (fun (o : Op.t) -> Op.is_write o || sort_of h o.Op.loc = Que)
-          (Array.to_list (History.ops h))
-      in
-      List.iter
-        (fun (p, seq) ->
-          if p < 0 || p >= History.nprocs h then
-            reject "view processor %d out of range" p;
-          if seen.(p) then reject "duplicate view for processor %d" p;
-          seen.(p) <- true;
-          let expect = Array.make (max 1 n) false in
-          Array.iter (fun a -> expect.(a) <- true) (History.proc_ops h p);
-          List.iter (fun (o : Op.t) -> expect.(o.Op.id) <- true) updates;
-          check_exact (Printf.sprintf "the view of processor %d" p) seq expect)
         views
 
 (* ------------------------------------------------------------------ *)
@@ -665,10 +705,11 @@ let derive_co h (params : Model.params) views =
 
 let rf_required (params : Model.params) =
   params.Model.legality = Model.Writer_legal
-  ||
-  match params.Model.ordering with
-  | Model.Causal_order | Model.Causal_plus_coherence -> true
-  | _ -> false
+  || List.exists
+       (function
+         | Model.Causal_order | Model.Causal_plus_coherence -> true
+         | _ -> false)
+       params.Model.ordering
 
 let sync_required (params : Model.params) =
   match params.Model.mutual with
@@ -764,18 +805,15 @@ let check_sync h params ~writer sync =
 let verify_witness h (params : Model.params) ~views ~rf ~sync =
   check_views h params views;
   let writer = check_rf h params rf in
-  (match params.Model.ordering with
-  | Model.Own_ppo_bracketed ->
-      if not (acquire_rf_ok h writer) then
-        reject
-          "an acquire reads an ordinary write to a location that also \
-           carries labeled writes"
-  | _ -> ());
+  if
+    List.mem Model.Own_ppo_bracketed params.Model.ordering
+    && not (acquire_rf_ok h writer)
+  then
+    reject
+      "an acquire reads an ordinary write to a location that also carries \
+       labeled writes";
   let sync = check_sync h params ~writer sync in
-  let co =
-    if needs_co params.Model.mutual then Some (derive_co h params views)
-    else None
-  in
+  let co = if needs_co params then Some (derive_co h params views) else None in
   let order_of = view_orders h params ~writer ~sync ~co in
   let n = History.nops h in
   List.iter
@@ -931,16 +969,18 @@ let view_specs h (params : Model.params) =
   let n = History.nops h in
   match params.Model.population with
   | Model.Shared_all -> [ (-1, List.init n Fun.id) ]
-  | Model.Own_plus_writes ->
+  | Model.Own_plus_writes | Model.Per_proc_all | Model.Own_plus_updates ->
       List.init (History.nprocs h) (fun p ->
-          let keep = Array.make (max 1 n) false in
-          Array.iter (fun a -> keep.(a) <- true) (History.proc_ops h p);
-          List.iter (fun w -> keep.(w) <- true) (History.writes h);
-          (p, List.filter (fun a -> keep.(a)) (List.init n Fun.id)))
+          let keep a =
+            let o = History.op h a in
+            o.Op.proc = p || in_every_view h params o
+          in
+          (p, List.filter keep (List.init n Fun.id)))
   | Model.Per_location ->
       List.init (History.nlocs h) (fun l ->
           (-1, List.filter (fun a -> (History.op h a).Op.loc = l) (List.init n Fun.id)))
-  | Model.Per_proc_block { blocks } ->
+  | Model.Per_proc_block partition ->
+      let block, blocks = blocks_of h partition in
       List.concat
         (List.init (History.nprocs h) (fun p ->
              List.filter_map
@@ -949,22 +989,12 @@ let view_specs h (params : Model.params) =
                    List.filter
                      (fun a ->
                        let o = History.op h a in
-                       o.Op.loc mod blocks = b
+                       block.(o.Op.loc) = b
                        && (o.Op.proc = p || Op.is_write o))
                      (List.init n Fun.id)
                  in
                  if ops = [] then None else Some (p, ops))
                (List.init blocks Fun.id)))
-  | Model.Own_plus_updates ->
-      List.init (History.nprocs h) (fun p ->
-          let keep = Array.make (max 1 n) false in
-          Array.iter (fun a -> keep.(a) <- true) (History.proc_ops h p);
-          Array.iter
-            (fun (o : Op.t) ->
-              if Op.is_write o || sort_of h o.Op.loc = Que then
-                keep.(o.Op.id) <- true)
-            (History.ops h);
-          (p, List.filter (fun a -> keep.(a)) (List.init n Fun.id)))
 
 (* backtracking placement of one view: order-predecessor readiness plus
    the legality walk (View.exists restated, without memoization).  The
@@ -1018,8 +1048,11 @@ let search_exn (params : Model.params) h =
   let po = fresh_rel n in
   add_po h po;
   let labeled = Array.of_list (History.labeled h) in
+  let orders = view_orders h params in
+  let bracketed = List.mem Model.Own_ppo_bracketed params.Model.ordering in
+  let co_needed = needs_co params in
   let try_candidate ~writer ~sync ~co ~impose =
-    let order_of = view_orders h params ~writer ~sync ~co in
+    let order_of = orders ~writer ~sync ~co in
     List.for_all
       (fun (p, ops) ->
         let order = order_of p in
@@ -1044,14 +1077,13 @@ let search_exn (params : Model.params) h =
             let impose = fresh_rel n in
             add_total impose ws;
             f ~writer ~sync ~co:(Some (build_co h per_loc)) ~impose:(Some impose))
-    | Model.Coherence_agreement | Model.Labeled_sc | Model.Labeled_pc ->
+    | _ when co_needed ->
         exists_per_loc_co h ~f:(fun per_loc ->
             let co = build_co h per_loc in
             let impose = fresh_rel n in
             add_co_rel h impose co;
             f ~writer ~sync ~co:(Some co) ~impose:(Some impose))
-    | Model.No_mutual | Model.Labeled_total ->
-        f ~writer ~sync ~co:None ~impose:None
+    | _ -> f ~writer ~sync ~co:None ~impose:None
   in
   let with_sync ~writer f =
     if not (sync_required params) then f ~writer ~sync:None
@@ -1066,10 +1098,7 @@ let search_exn (params : Model.params) h =
   let with_rf f =
     if rf_required params then
       exists_rf h ~legality:params.Model.legality ~f:(fun writer ->
-          (match params.Model.ordering with
-          | Model.Own_ppo_bracketed -> acquire_rf_ok h writer
-          | _ -> true)
-          && f ~writer)
+          ((not bracketed) || acquire_rf_ok h writer) && f ~writer)
     else f ~writer:(Array.make (max 1 n) History.init)
   in
   with_rf (fun ~writer ->

@@ -7,7 +7,7 @@ let model =
        without timing information."
     {
       Model.population = Model.Shared_all;
-      ordering = Model.Po_plus_real_time;
+      ordering = [ Model.Program_order; Model.Real_time ];
       mutual = Model.No_mutual;
       legality = Model.Writer_legal;
     }

@@ -5,20 +5,30 @@
     views, and (3) the ordering each view must respect — and §7 points
     out that varying the parameters {e identifies new memories}.  This
     module is that claim as a function: pick a value for each parameter
-    and get a {!Model.t} with the same decision machinery as the
-    built-in models.
+    and get the {!Model.params} quadruple they name, decided by the
+    same enumerator and solver as the built-in models.
 
-    Every unlabeled built-in model is reproducible by composition (a
-    property the test suite checks):
+    The mapping onto the quadruple:
+    - [`All_ops] with [`Total_agreement] is {!Model.Shared_all};
+      [`All_ops] otherwise {!Model.Per_proc_all};
+      [`Writes_of_others] {!Model.Own_plus_writes};
+    - [`No_agreement] is {!Model.No_mutual} with value legality;
+      [`Coherence], [`Global_write_order] and [`Total_agreement] are
+      {!Model.Coherence_agreement}, {!Model.Global_write_order} and
+      {!Model.No_mutual}, each with writer legality;
+    - the orderings are a set of base orders (duplicates and
+      declaration order do not matter).
 
-    - SC        = [make ~operations:`All_ops ~mutual:`Total_agreement ~orderings:[`Po]]
-    - TSO       = [make ~operations:`Writes_of_others ~mutual:`Global_write_order ~orderings:[`Ppo]]
-    - PC        = [make ~operations:`Writes_of_others ~mutual:`Coherence ~orderings:[`Semi_causal]]
-    - PC-G      = [make ~operations:`Writes_of_others ~mutual:`Coherence ~orderings:[`Po]]
-    - Causal    = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[`Causal]]
-    - PRAM      = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[`Po]]
-    - Slow      = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[`Own_po; `Po_loc]]
-    - Local     = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[`Own_po]] *)
+    So every unlabeled built-in model but PC-G (whose views are legal
+    by value) {e is} a composition (a unit test checks the quadruples):
+
+    - SC        = [make ~operations:`All_ops ~mutual:`Total_agreement ~orderings:[Program_order]]
+    - TSO       = [make ~operations:`Writes_of_others ~mutual:`Global_write_order ~orderings:[Partial_program_order]]
+    - PC        = [make ~operations:`Writes_of_others ~mutual:`Coherence ~orderings:[Semi_causal]]
+    - Causal    = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[Causal_order]]
+    - PRAM      = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[Program_order]]
+    - Slow      = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[Own_program_order; Po_loc]]
+    - Local     = [make ~operations:`Writes_of_others ~mutual:`No_agreement ~orderings:[Own_program_order]] *)
 
 type operations =
   [ `All_ops  (** [δ_p = a]: every operation of every processor *)
@@ -31,13 +41,9 @@ type mutual =
   | `Total_agreement
     (** one shared view of all operations; requires [`All_ops] *) ]
 
-type ordering =
-  [ `Po  (** program order of every processor *)
-  | `Ppo  (** partial program order (reads bypass earlier writes) *)
-  | `Po_loc  (** per-location program order *)
-  | `Own_po  (** the view owner's program order only *)
-  | `Causal  (** [(po ∪ wb)+] for the enumerated reads-from map *)
-  | `Semi_causal  (** PC's [(ppo ∪ rwb ∪ rrb)+]; requires a coherence witness *) ]
+val composable : Model.ordering list
+(** The base orders a composition may use: po, ppo, po-loc, own-po,
+    causal, semi-causal. *)
 
 val make :
   key:string ->
@@ -45,19 +51,22 @@ val make :
   ?description:string ->
   operations:operations ->
   mutual:mutual ->
-  orderings:ordering list ->
+  orderings:Model.ordering list ->
   unit ->
   Model.t
-(** Compose a model.  The view ordering requirement is the union of
-    [orderings].
+(** The model of the quadruple the three parameters name; the default
+    description spells the parameters as given.
     @raise Invalid_argument when [`Total_agreement] is combined with
-    [`Writes_of_others] or [`Own_po] (its one shared view has no
-    owner), or [`Semi_causal] with [`No_agreement] (the remote
+    [`Writes_of_others] or [Own_program_order] (its one shared view has
+    no owner), or [Semi_causal] with [`No_agreement] (the remote
     reads-before order needs a coherence witness). *)
+
+val operations_to_string : operations -> string
+val mutual_to_string : mutual -> string
+(** The CLI spellings. *)
 
 val parse_operations : string -> (operations, string) result
 val parse_mutual : string -> (mutual, string) result
-val parse_ordering : string -> (ordering, string) result
-(** Parsers for the CLI spellings ([all]/[writes]; [none]/[coherence]/
-    [global-writes]/[total]; [po]/[ppo]/[po-loc]/[own-po]/[causal]/
-    [semi-causal]). *)
+
+val parse_ordering : string -> (Model.ordering, string) result
+(** The inverse of {!Model.ordering_to_string} on {!composable}. *)

@@ -6,7 +6,7 @@ let model =
        transitively); no mutual consistency."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Causal_order;
+      ordering = [ Model.Causal_order ];
       mutual = Model.No_mutual;
       legality = Model.Value_legal;
     }

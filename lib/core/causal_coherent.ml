@@ -6,7 +6,7 @@ let model =
        on a per-location write serialization."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Causal_plus_coherence;
+      ordering = [ Model.Causal_plus_coherence ];
       mutual = Model.Coherence_agreement;
       legality = Model.Value_legal;
     }

@@ -6,7 +6,7 @@ let model =
        program order."
     {
       Model.population = Model.Per_location;
-      ordering = Model.Program_order;
+      ordering = [ Model.Program_order ];
       mutual = Model.No_mutual;
       legality = Model.Writer_legal;
     }

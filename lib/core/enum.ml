@@ -6,8 +6,11 @@ type co_mode = Co_none | Co_per_loc | Co_global
 
 let rf_needed (p : Model.params) =
   p.Model.legality = Model.Writer_legal
-  || p.Model.ordering = Model.Causal_order
-  || p.Model.ordering = Model.Causal_plus_coherence
+  || List.exists
+       (function
+         | Model.Causal_order | Model.Causal_plus_coherence -> true
+         | _ -> false)
+       p.Model.ordering
 
 let sync_needed (p : Model.params) =
   match p.Model.mutual with
@@ -15,12 +18,13 @@ let sync_needed (p : Model.params) =
   | _ -> false
 
 let co_mode (p : Model.params) =
-  match (p.Model.mutual, p.Model.ordering) with
-  | Model.Global_write_order, _ -> Co_global
+  let session = function Model.Session _ -> true | _ -> false in
+  match p.Model.mutual with
+  | Model.Global_write_order -> Co_global
   (* Session views need not agree on any write order: two views may
      serialize the same writes oppositely. *)
-  | _, Model.Session _ -> Co_none
-  | Model.Coherence_agreement, _ -> Co_per_loc
+  | _ when List.exists session p.Model.ordering -> Co_none
+  | Model.Coherence_agreement -> Co_per_loc
   | _ -> if p.Model.legality = Model.Writer_legal then Co_per_loc else Co_none
 
 let witness p h =

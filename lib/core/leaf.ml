@@ -3,6 +3,16 @@ module Rel = Smem_relation.Rel
 
 type co = No_co | Co of Coherence.t | Write_order of int array
 
+(* One base of the ordering set, decoded once per history: its shared
+   relation as of the current stage, and how a reads-from map and then
+   a coherence order rebuild it from the previous stage's relation (so
+   each base is built from its own inputs, never from the union). *)
+type part = {
+  rel : Rel.t;
+  at_rf : (Reads_from.t -> Rel.t -> Rel.t) option;
+  at_co : (Reads_from.t -> Coherence.t -> Rel.t -> Rel.t) option;
+}
+
 type t = {
   h : History.t;
   p : Model.params;
@@ -10,9 +20,14 @@ type t = {
       (* each view's order is the owner's part, if any, plus [static] —
          physically [static] when there is no owner's part *)
   static : Rel.t;  (* the shared order before any choice *)
+  parts : part list;  (* the bases with a shared relation *)
   shared : Rel.t;
-      (* the shared order at this stage: contains [static], and is
-         physically [static] until a choice rebuilds it *)
+      (* the union of [parts] at this stage: contains [static], and is
+         physically [static] until a choice rebuilds a part *)
+  rf_rebuilds : bool;  (* some part has [at_rf] *)
+  co_rebuilds : bool;  (* some part has [at_co] *)
+  brackets : bool;  (* the RC acquire brackets come with the map *)
+  closes_co : bool;  (* the shared order is closed over co *)
   extra : Rel.t option;  (* edges every view gains from the choices *)
   empty : Rel.t Lazy.t;
   labeled : Bitset.t Lazy.t;
@@ -39,12 +54,30 @@ let update_ops h p =
     (History.ops h);
   ops
 
+(* Each location's block, and the number of blocks.  Listed names take
+   their block's index; every unlisted location gets a singleton block,
+   numbered on from the listed ones in location-id order. *)
+let block_map h = function
+  | Model.Modulo k -> ((fun l -> l mod k), k)
+  | Model.Named blocks ->
+      let next = ref (List.length blocks) in
+      let block =
+        Array.init (History.nlocs h) (fun l ->
+            match List.find_index (List.mem (History.loc_name h l)) blocks with
+            | Some b -> b
+            | None ->
+                incr next;
+                !next - 1)
+      in
+      ((fun l -> block.(l)), !next)
+
 (* (owner, operations) per view, empty views dropped. *)
 let population h (p : Model.params) =
   let per_proc f = List.init (History.nprocs h) (fun q -> (q, f q)) in
   match p.Model.population with
   | Model.Shared_all -> [ (-1, History.all_ops_set h) ]
   | Model.Own_plus_writes -> per_proc (History.view_ops_writes h)
+  | Model.Per_proc_all -> per_proc (fun _ -> History.all_ops_set h)
   | Model.Own_plus_updates -> per_proc (update_ops h)
   | Model.Per_location ->
       List.init (History.nlocs h) (fun l ->
@@ -53,45 +86,68 @@ let population h (p : Model.params) =
             (fun (o : Op.t) -> if o.Op.loc = l then Bitset.add ops o.Op.id)
             (History.ops h);
           (-1, ops))
-  | Model.Per_proc_block { blocks } ->
-      History.block_views h ~block_of:(fun l -> l mod blocks) ~blocks
+  | Model.Per_proc_block partition ->
+      let block_of, blocks = block_map h partition in
+      History.block_views h ~block_of ~blocks
 
-(* ---- ordering: the shared part, and the owner's part ---- *)
+(* ---- ordering: each base's shared part, and the owner's part ---- *)
 
-let static_order h (p : Model.params) =
-  match p.Model.ordering with
-  | Model.Program_order | Model.Causal_order | Model.Causal_plus_coherence ->
-      Orders.po h
-  | Model.Partial_program_order | Model.Semi_causal -> Orders.ppo h
-  | Model.Own_program_order -> Rel.create (History.nops h)
-  | Model.Own_po_plus_po_loc -> Orders.po_loc h
-  | Model.Po_plus_real_time -> Rel.union (Orders.po h) (Orders.real_time h)
-  | Model.Own_ppo_bracketed -> Orders.release_brackets h
-  | Model.Sync_fences -> Rel.union (Orders.fences h) (Orders.po_loc h)
-  | Model.Session { ryw; mr; mw; wfr = _ } ->
-      Orders.session h ~ryw ~mr ~mw ~wfr:None
+let part h (base : Model.ordering) =
+  let part ?at_rf ?at_co rel = Some { rel; at_rf; at_co } in
+  let causal rf po = Orders.causal_with h ~po ~rf in
+  match base with
+  | Model.Program_order -> part (Orders.po h)
+  | Model.Partial_program_order -> part (Orders.ppo h)
+  | Model.Own_program_order -> None
+  | Model.Po_loc -> part (Orders.po_loc h)
+  | Model.Real_time -> part (Orders.real_time h)
+  | Model.Causal_order -> part ~at_rf:causal (Orders.po h)
+  | Model.Causal_plus_coherence ->
+      part ~at_rf:causal
+        ~at_co:(fun _ co causal ->
+          Rel.transitive_closure (Rel.union causal (Coherence.to_rel co)))
+        (Orders.po h)
+  | Model.Semi_causal ->
+      part
+        ~at_co:(fun rf co ppo -> Orders.sem_with h ~ppo ~rf ~co)
+        (Orders.ppo h)
+  | Model.Own_ppo_bracketed -> part (Orders.release_brackets h)
+  | Model.Sync_fences -> part (Rel.union (Orders.fences h) (Orders.po_loc h))
+  | Model.Session { ryw; mr; mw; wfr } ->
+      let session wfr = Orders.session h ~ryw ~mr ~mw ~wfr in
+      if wfr then part ~at_rf:(fun rf _ -> session (Some rf)) (session None)
+      else part (session None)
 
-let own_order h (p : Model.params) proc =
-  let own f =
-    if proc < 0 then
-      invalid_arg "Leaf: a per-owner ordering needs processor views";
-    Some (f h proc)
-  in
-  match p.Model.ordering with
-  | Model.Own_program_order | Model.Own_po_plus_po_loc -> own Orders.po_of_proc
-  | Model.Own_ppo_bracketed -> own Orders.ppo_of_proc
+let own_part h (base : Model.ordering) =
+  match base with
+  | Model.Own_program_order -> Some (Orders.po_of_proc h)
+  | Model.Own_ppo_bracketed -> Some (Orders.ppo_of_proc h)
   | _ -> None
+
+(* A one-part union is the part itself: no copy. *)
+let union_all nops = function
+  | [] -> Rel.create nops
+  | r :: rest -> List.fold_left Rel.union r rest
+
+let union_parts nops parts = union_all nops (List.map (fun pt -> pt.rel) parts)
 
 let prepare (p : Model.params) h =
   let nops = History.nops h in
-  let static = static_order h p in
+  let bases = p.Model.ordering in
+  let parts = List.filter_map (part h) bases in
+  let static = union_parts nops parts in
+  let owned = List.filter_map (own_part h) bases in
   let views =
     List.map
       (fun (proc, ops) ->
         let order =
-          match own_order h p proc with
-          | None -> static
-          | Some o -> if Rel.is_empty static then o else Rel.union o static
+          match owned with
+          | [] -> static
+          | _ when proc < 0 ->
+              invalid_arg "Leaf: a per-owner ordering needs processor views"
+          | _ ->
+              let o = union_all nops (List.map (fun f -> f proc) owned) in
+              if Rel.is_empty static then o else Rel.union o static
         in
         { Engine.proc; ops; order })
       (population h p)
@@ -101,7 +157,12 @@ let prepare (p : Model.params) h =
     p;
     views;
     static;
+    parts;
     shared = static;
+    rf_rebuilds = List.exists (fun pt -> Option.is_some pt.at_rf) parts;
+    co_rebuilds = List.exists (fun pt -> Option.is_some pt.at_co) parts;
+    brackets = List.mem Model.Own_ppo_bracketed bases;
+    closes_co = List.mem Model.Causal_plus_coherence bases;
     extra = None;
     empty = lazy (Rel.create nops);
     labeled = lazy (Bitset.of_list nops (History.labeled h));
@@ -134,20 +195,32 @@ let with_rf t rf =
   (* An order rebuilt from the map must stay irreflexive: the causal
      orders are closed, so a self-loop is a cycle every view holding
      the operation inherits. *)
-  let rebuilt shared =
-    if Rel.irreflexive shared then Some { t with shared } else None
+  let rebuilt =
+    if not t.rf_rebuilds then Some t
+    else
+      let parts =
+        List.map
+          (fun pt ->
+            match pt.at_rf with
+            | None -> pt
+            | Some f -> { pt with rel = f rf pt.rel })
+          t.parts
+      in
+      if
+        List.for_all
+          (fun pt -> Option.is_none pt.at_rf || Rel.irreflexive pt.rel)
+          parts
+      then Some { t with parts; shared = union_parts (History.nops h) parts }
+      else None
   in
-  match t.p.Model.ordering with
-  | Model.Causal_order | Model.Causal_plus_coherence ->
-      rebuilt (Orders.causal_with h ~po:t.static ~rf)
-  | Model.Session { ryw; mr; mw; wfr = true } ->
-      rebuilt (Orders.session h ~ryw ~mr ~mw ~wfr:(Some rf))
-  | Model.Own_ppo_bracketed ->
+  match rebuilt with
+  | Some t when t.brackets ->
       let ok r = acquire_ok h r (Reads_from.writer rf r) in
       if List.for_all ok (History.reads h) then
-        Some { t with extra = Some (Orders.acquire_brackets h ~rf) }
+        let brackets = Orders.acquire_brackets h ~rf in
+        Some { t with extra = union_opt t.extra (Some brackets) }
       else None
-  | _ -> Some t
+  | rebuilt -> rebuilt
 
 (* ---- the labeled-order stage ---- *)
 
@@ -196,12 +269,16 @@ let notes t ~worder =
       | Model.Labeled_sc, Some s -> order "labeled order" s
       | Model.Labeled_total, Some s -> order "synchronization order" s
       | _ -> []);
-      (match (p.Model.legality, p.Model.ordering, t.rf) with
-      | Model.Object_legal, _, _ ->
+      (match (p.Model.legality, t.rf) with
+      | Model.Object_legal, _ ->
           [ "views replay queues FIFO and counters by count" ]
-      | Model.Value_legal, Model.Causal_order, Some rf ->
+      | Model.Value_legal, Some rf
+        when List.mem Model.Causal_order p.Model.ordering ->
           [ Format.asprintf "writes-before: %a" (Reads_from.pp h) rf ]
-      | Model.Writer_legal, Model.Session _, _ ->
+      | Model.Writer_legal, _
+        when List.exists
+               (function Model.Session _ -> true | _ -> false)
+               p.Model.ordering ->
           [ "session guarantees incl. writes-follow-reads" ]
       | _ -> []);
     ]
@@ -276,17 +353,13 @@ let check t co =
   | Some co -> (
       let co_rel = lazy (Coherence.to_rel co) in
       let t =
-        match p.Model.ordering with
-        | Model.Semi_causal ->
-            let rf = get_rf t in
-            { t with shared = Orders.sem_with h ~ppo:t.static ~rf ~co }
-        | Model.Causal_plus_coherence ->
-            {
-              t with
-              shared =
-                Rel.transitive_closure (Rel.union t.shared (Lazy.force co_rel));
-            }
-        | _ -> t
+        if not t.co_rebuilds then t
+        else
+          let rf = get_rf t in
+          let rel pt =
+            match pt.at_co with None -> pt.rel | Some f -> f rf co pt.rel
+          in
+          { t with shared = union_all (History.nops h) (List.map rel t.parts) }
       in
       let t =
         match p.Model.mutual with
@@ -305,7 +378,7 @@ let check t co =
              coherent causal order already closed over it. *)
           let agree = p.Model.mutual = Model.Coherence_agreement in
           let t =
-            if agree && p.Model.ordering <> Model.Causal_plus_coherence then
+            if agree && not t.closes_co then
               { t with extra = union_opt t.extra (Some (Lazy.force co_rel)) }
             else t
           in
@@ -314,7 +387,7 @@ let check t co =
              cycle of their order through writes: refute it once. *)
           let every_write_everywhere =
             match p.Model.population with
-            | Model.Shared_all | Model.Own_plus_writes
+            | Model.Shared_all | Model.Own_plus_writes | Model.Per_proc_all
             | Model.Own_plus_updates ->
                 true
             | Model.Per_location | Model.Per_proc_block _ -> false

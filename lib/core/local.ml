@@ -5,7 +5,7 @@ let model =
        processors' writes may be observed in any order."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Own_program_order;
+      ordering = [ Model.Own_program_order ];
       mutual = Model.No_mutual;
       legality = Model.Value_legal;
     }

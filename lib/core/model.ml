@@ -1,16 +1,19 @@
+type partition = Modulo of int | Named of string list list
+
 type population =
   | Shared_all
   | Own_plus_writes
+  | Per_proc_all
   | Per_location
-  | Per_proc_block of { blocks : int }
+  | Per_proc_block of partition
   | Own_plus_updates
 
 type ordering =
   | Program_order
   | Partial_program_order
   | Own_program_order
-  | Own_po_plus_po_loc
-  | Po_plus_real_time
+  | Po_loc
+  | Real_time
   | Causal_order
   | Causal_plus_coherence
   | Semi_causal
@@ -30,7 +33,7 @@ type legality = Value_legal | Writer_legal | Object_legal
 
 type params = {
   population : population;
-  ordering : ordering;
+  ordering : ordering list;
   mutual : mutual;
   legality : legality;
 }
@@ -49,16 +52,20 @@ let make ~key ~name ~description witness =
 let population_to_string = function
   | Shared_all -> "shared-all"
   | Own_plus_writes -> "own+writes"
+  | Per_proc_all -> "per-proc-all"
   | Per_location -> "per-location"
-  | Per_proc_block { blocks } -> Printf.sprintf "per-proc-block(%d)" blocks
+  | Per_proc_block (Modulo k) -> Printf.sprintf "per-proc-block(%d)" k
+  | Per_proc_block (Named blocks) ->
+      Printf.sprintf "per-proc-block(%s)"
+        (String.concat "|" (List.map (String.concat ".") blocks))
   | Own_plus_updates -> "own+updates"
 
 let ordering_to_string = function
   | Program_order -> "po"
   | Partial_program_order -> "ppo"
   | Own_program_order -> "own-po"
-  | Own_po_plus_po_loc -> "own-po+po-loc"
-  | Po_plus_real_time -> "po+real-time"
+  | Po_loc -> "po-loc"
+  | Real_time -> "real-time"
   | Causal_order -> "causal"
   | Causal_plus_coherence -> "causal+co"
   | Semi_causal -> "semi-causal"
@@ -88,7 +95,7 @@ let legality_to_string = function
 let params_strings p =
   [
     ("population", population_to_string p.population);
-    ("ordering", ordering_to_string p.ordering);
+    ("ordering", String.concat "+" (List.map ordering_to_string p.ordering));
     ("mutual", mutual_to_string p.mutual);
     ("legality", legality_to_string p.legality);
   ]

@@ -3,31 +3,43 @@
     membership and, when the history is allowed, exhibits the processor
     views that demonstrate it.
 
-    A model may instead be defined by its {e parameter triple} (§2 of
-    the paper): the view population, the ordering requirement, and the
-    mutual-consistency requirement, plus the legality discipline its
-    views satisfy.  The triple is pure data: the enumerator ([Enum])
-    decides membership from it, and the certificate checking kernel
-    ({!Smem_cert.Kernel}) re-derives every obligation it names from a
-    history alone, without calling the search engine.  A model without
-    a triple (the operational TSO replay, composed {!Build} models)
-    brings its own witness function and cannot be certified. *)
+    Every model but one is defined by its {e parameter quadruple} (§2
+    of the paper): the view population, the ordering requirement, and
+    the mutual-consistency requirement, plus the legality discipline
+    its views satisfy.  The quadruple is pure data: the enumerator
+    ([Enum]) and the solver decide membership from it, and the
+    certificate checking kernel ({!Smem_cert.Kernel}) re-derives every
+    obligation it names from a history alone, without calling the
+    search engine.  Varying it "identifies new memories" (§7): the
+    composer ({!Build}) and the named partitions of [pc-part] are
+    quadruples too.  The one model without a quadruple, the operational
+    TSO replay ([tso-op]), brings its own witness function and cannot
+    be certified. *)
+
+type partition =
+  | Modulo of int  (** location [l] (interned id) is in block [l mod k] *)
+  | Named of string list list
+      (** blocks of location names; each unlisted location gets a
+          singleton block, numbered after the listed ones in id order *)
 
 type population =
   | Shared_all  (** one view containing every operation (SC, atomic) *)
   | Own_plus_writes
       (** per-processor views of own operations plus all writes
           ([δp = w]: TSO, PC, RC, PRAM, causal, ...) *)
+  | Per_proc_all
+      (** one view per processor holding every operation ([δp = a]
+          without a shared view: the composer's [--ops all]) *)
   | Per_location
       (** one shared view per location containing exactly the accesses
           to it (the coherence model) *)
-  | Per_proc_block of { blocks : int }
+  | Per_proc_block of partition
       (** the partition-consistency family (Cheng–Higham–Kawash): one
           view per processor {e per partition block}, holding the
           owner's operations on the block's locations plus every write
-          to them.  Locations are partitioned by interned identifier
-          modulo [blocks]; one block recovers a PC-G-like model,
-          singleton blocks recover coherence. *)
+          to them; views whose population is empty are omitted.  One
+          block recovers a PC-G-like model, singleton blocks recover
+          coherence. *)
   | Own_plus_updates
       (** per-processor views of own operations plus every {e update} —
           all writes, and the reads that mutate object state (queue
@@ -35,12 +47,16 @@ type population =
           {!Own_plus_writes}; it is the population of the
           object-causal family. *)
 
+(** One base order of the ordering requirement (Almeida's vocabulary:
+    a view's order is a union of base orders).  The constructors are
+    declared in rendering order, with [Session], the one carrying
+    arguments, last, so [compare] sorts a set into that order. *)
 type ordering =
   | Program_order  (** po (SC, PRAM, PC-G, coherence) *)
   | Partial_program_order  (** ppo — reads bypass earlier writes (TSO) *)
-  | Own_program_order  (** the view owner's po only (local) *)
-  | Own_po_plus_po_loc  (** owner's po plus everyone's po_loc (slow) *)
-  | Po_plus_real_time  (** po plus interval precedence (atomic) *)
+  | Own_program_order  (** the view owner's po only (local, slow) *)
+  | Po_loc  (** every processor's per-location po (slow) *)
+  | Real_time  (** interval precedence (atomic) *)
   | Causal_order  (** (po ∪ wb)+ for the committed reads-from map *)
   | Causal_plus_coherence  (** (causal ∪ co)+ (coherent causal) *)
   | Semi_causal  (** (ppo ∪ rwb ∪ rrb)+ (PC) *)
@@ -92,7 +108,11 @@ type legality =
 
 type params = {
   population : population;
-  ordering : ordering;
+  ordering : ordering list;
+      (** a set of bases, in declaration order: a view's order is the
+          union of the bases' relations, each built from its own inputs
+          (semi-causality from ppo, the causal order from po), with no
+          closure across bases *)
   mutual : mutual;
   legality : legality;
 }
@@ -102,9 +122,8 @@ type t = {
   name : string;  (** display name, e.g. ["Total Store Ordering"] *)
   description : string;
   params : params option;
-      (** the paper's parameter triple, when the model is expressible in
-          it (drives certificate checking); [None] for operational or
-          ad-hoc models *)
+      (** the parameter quadruple (drives certificate checking); [None]
+          only for the operational TSO replay *)
   witness : History.t -> Witness.t option;
       (** the [Enum] engine: for a model with [params], the enumerator
           over the quadruple ([Enum.witness]) *)
@@ -116,8 +135,9 @@ val make :
   description:string ->
   (History.t -> Witness.t option) ->
   t
-(** A model without parameters, decided by its own witness function.
-    A model with parameters is built from them alone, by [Enum.model]. *)
+(** A model without parameters, decided by its own witness function
+    ([tso-op] is the one).  A model with parameters is built from them
+    alone, by [Enum.model]. *)
 
 (** {1 Parameter rendering}
 
@@ -132,7 +152,8 @@ val legality_to_string : legality -> string
 
 val params_strings : params -> (string * string) list
 (** The quadruple as [(dimension, value)] rows, in the fixed order
-    population, ordering, mutual, legality. *)
+    population, ordering, mutual, legality; an ordering set renders as
+    its bases' names joined by ['+'] (slow: [own-po+po-loc]). *)
 
 val check : t -> History.t -> bool
 (** [check m h] — is [h] in the set of histories allowed by [m]?
@@ -147,8 +168,8 @@ val check : t -> History.t -> bool
     constraint-propagation engine in [Smem_solve] ([Solve]).  The mode
     is process-global and must be set before worker domains spawn; the
     solver registers itself via {!register_solver} (this library cannot
-    depend on it).  Models without a parameter triple always use their
-    own witness function. *)
+    depend on it).  A model without a parameter quadruple always uses
+    its own witness function. *)
 
 type engine = Enum | Solve
 
@@ -162,4 +183,4 @@ val register_solver : (t -> History.t -> Witness.t option) -> unit
 val witness_of : t -> History.t -> Witness.t option
 (** The model's witness through the selected engine: the registered
     solver when the mode is [Solve] and the model has a parameter
-    triple, its [witness] otherwise. *)
+    quadruple, its [witness] otherwise. *)

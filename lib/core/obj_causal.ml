@@ -9,7 +9,7 @@ let model =
        register-only histories."
     {
       Model.population = Model.Own_plus_updates;
-      ordering = Model.Causal_order;
+      ordering = [ Model.Causal_order ];
       mutual = Model.No_mutual;
       legality = Model.Object_legal;
     }

@@ -6,7 +6,7 @@ let model =
        remote reads-before) as the ordering requirement."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Semi_causal;
+      ordering = [ Model.Semi_causal ];
       mutual = Model.Coherence_agreement;
       legality = Model.Writer_legal;
     }

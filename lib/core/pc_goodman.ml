@@ -6,7 +6,7 @@ let model =
        formalized by Ahamad et al. 1992)."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Program_order;
+      ordering = [ Model.Program_order ];
       mutual = Model.Coherence_agreement;
       legality = Model.Value_legal;
     }

@@ -11,15 +11,13 @@
     partitions are genuinely new models: consistency is enforced
     within a block but not across blocks.
 
-    Two parameterizations exist:
+    Both parameterizations are {!Model.Per_proc_block} quadruples, so
+    every instance runs on both engines and certifies:
     - [blocks=k]: location [l] (interned id) belongs to block
-      [l mod k].  Expressible as {!Model.Per_proc_block}, so these
-      instances are certifiable.
+      [l mod k] ({!Model.Modulo});
     - [partition=a.b|c]: an explicit partition by location name
       (['.'] separates locations, ['|'] blocks); unlisted locations
-      get singleton blocks of their own.  Not expressible in the pure
-      parameter triple, so these instances carry no [params] and
-      cannot be certified. *)
+      get singleton blocks of their own ({!Model.Named}). *)
 
 val instantiate : blocks:int -> Model.t
 (** The [blocks=k] instance, [k >= 1].  Key: ["pc-part(blocks=k)"]. *)

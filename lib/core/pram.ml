@@ -5,7 +5,7 @@ let model =
        respecting program order only; no mutual consistency."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Program_order;
+      ordering = [ Model.Program_order ];
       mutual = Model.No_mutual;
       legality = Model.Value_legal;
     }

@@ -5,7 +5,7 @@ let rc_sc =
        (synchronization) operations, as in the DASH architecture."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Own_ppo_bracketed;
+      ordering = [ Model.Own_ppo_bracketed ];
       mutual = Model.Labeled_sc;
       legality = Model.Writer_legal;
     }
@@ -17,7 +17,7 @@ let rc_pc =
        (synchronization) operations, as in the DASH architecture."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Own_ppo_bracketed;
+      ordering = [ Model.Own_ppo_bracketed ];
       mutual = Model.Labeled_pc;
       legality = Model.Writer_legal;
     }

@@ -132,7 +132,7 @@ let families =
           ("blocks", "positive integer <= 64: location id modulo k partition");
           ( "partition",
             "explicit blocks by location name, '.'-separated within a block, \
-             '|' between blocks (witness-only: no certificates)" );
+             '|' between blocks; unlisted locations get singleton blocks" );
         ];
       instantiate = inst_pc_part;
     };

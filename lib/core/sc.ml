@@ -5,7 +5,7 @@ let model =
        shared by all processors (Lamport 1979)."
     {
       Model.population = Model.Shared_all;
-      ordering = Model.Program_order;
+      ordering = [ Model.Program_order ];
       mutual = Model.No_mutual;
       legality = Model.Writer_legal;
     }

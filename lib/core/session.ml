@@ -27,8 +27,10 @@ let instantiate flags =
     {
       Model.population = Model.Own_plus_writes;
       ordering =
-        Model.Session
-          { ryw = flags.ryw; mr = flags.mr; mw = flags.mw; wfr = flags.wfr };
+        [
+          Model.Session
+            { ryw = flags.ryw; mr = flags.mr; mw = flags.mw; wfr = flags.wfr };
+        ];
       mutual = Model.No_mutual;
       legality = (if flags.wfr then Model.Writer_legal else Model.Value_legal);
     }

@@ -5,7 +5,7 @@ let model =
        processor's per-location write order only (Hutto and Ahamad)."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Own_po_plus_po_loc;
+      ordering = [ Model.Own_program_order; Model.Po_loc ];
       mutual = Model.No_mutual;
       legality = Model.Value_legal;
     }

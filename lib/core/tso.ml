@@ -6,7 +6,7 @@ let model =
        (reads may bypass earlier writes to other locations)."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Partial_program_order;
+      ordering = [ Model.Partial_program_order ];
       mutual = Model.Global_write_order;
       legality = Model.Writer_legal;
     }

@@ -7,7 +7,7 @@ let model =
        Scheurich, Briggs 1988)."
     {
       Model.population = Model.Own_plus_writes;
-      ordering = Model.Sync_fences;
+      ordering = [ Model.Sync_fences ];
       mutual = Model.Labeled_total;
       legality = Model.Value_legal;
     }

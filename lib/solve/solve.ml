@@ -43,15 +43,19 @@ module Stats = Smem_core.Stats
 (* Models whose candidate filter is a *global* acyclicity/irreflexivity
    condition (causal, coherent causal, PC-Goodman) propagate into one
    shared graph; all others into one graph per view, because only a
-   cycle *within a view's operations* refutes a candidate there. *)
+   cycle *within a view's operations* refutes a candidate there.  Per
+   view is always sound, so only these one-base quadruples go global:
+   independent causal views propagate nothing but rf edges, which lie
+   in the causal order (writer-legal views would add from-reads). *)
 let global_scope (p : Model.params) =
-  match p.Model.ordering with
-  | Model.Causal_order | Model.Causal_plus_coherence -> true
-  | Model.Program_order ->
+  match (p.Model.ordering, p.Model.mutual) with
+  | [ Model.Causal_order ], Model.No_mutual ->
+      p.Model.legality <> Model.Writer_legal
+  | [ Model.Causal_plus_coherence ], _ -> true
+  | [ Model.Program_order ], Model.Coherence_agreement ->
       (* PC-G's global acyclic(po ∪ co) check; partition consistency
          (Per_proc_block) deliberately has no such global condition. *)
       p.Model.population = Model.Own_plus_writes
-      && p.Model.mutual = Model.Coherence_agreement
       && p.Model.legality = Model.Value_legal
   | _ -> false
 
@@ -441,7 +445,7 @@ let run ctx =
       Array.sort
         (fun i j -> compare (Array.length cands.(i)) (Array.length cands.(j)))
         order;
-      let bracketed = p.Model.ordering = Model.Own_ppo_bracketed in
+      let bracketed = List.mem Model.Own_ppo_bracketed p.Model.ordering in
       let propagate_rf fr r w =
         let sup = (r, w) in
         let conflict = ref None in

@@ -182,3 +182,40 @@ let correct_view_population h p ids =
   let got = Smem_relation.Bitset.of_list (H.nops h) ids in
   Smem_relation.Bitset.equal expected got
 
+
+(* ---------------- composed models ---------------- *)
+
+(* The composer's models under test: every valid single-ordering
+   combination of operations, mutual consistency and one base order
+   (39 models), plus three sets of two bases, each base built from its
+   own inputs — ppo with the owner's po (at the CLI defaults), po with
+   semi-causality under coherence, and the causal order with po-loc
+   under a global write order. *)
+let composed =
+  let module B = Smem_core.Build in
+  let module M = Smem_core.Model in
+  let make operations mutual orderings =
+    let key =
+      Printf.sprintf "custom(%s,%s,%s)"
+        (B.operations_to_string operations)
+        (B.mutual_to_string mutual)
+        (String.concat "+" (List.map M.ordering_to_string orderings))
+    in
+    match B.make ~key ~name:key ~operations ~mutual ~orderings () with
+    | m -> Some m
+    | exception Invalid_argument _ -> None
+  in
+  List.concat_map
+    (fun operations ->
+      List.concat_map
+        (fun mutual ->
+          List.filter_map (fun o -> make operations mutual [ o ]) B.composable)
+        [ `No_agreement; `Coherence; `Global_write_order; `Total_agreement ])
+    [ `All_ops; `Writes_of_others ]
+  @ List.filter_map Fun.id
+      [
+        make `Writes_of_others `No_agreement
+          [ M.Partial_program_order; M.Own_program_order ];
+        make `Writes_of_others `Coherence [ M.Program_order; M.Semi_causal ];
+        make `Writes_of_others `Global_write_order [ M.Causal_order; M.Po_loc ];
+      ]

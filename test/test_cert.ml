@@ -221,7 +221,12 @@ let new_family_certs () =
       match Kernel.verify c with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: kernel rejected: %s" key e)
-    [ "pc-part(blocks=2)"; "pc-part(blocks=3)"; "session(ryw,mr)" ];
+    [
+      "pc-part(blocks=2)";
+      "pc-part(blocks=3)";
+      "pc-part(partition=x|y)";
+      "session(ryw,mr)";
+    ];
   (* Forbidden polarity: mp violates writes-follow-reads (the corpus
      states it), and a lone read of an unwritten overwrite violates
      read-your-writes. *)
@@ -244,19 +249,23 @@ let new_family_certs () =
     ]
 
 let mutate_pc_part_scope () =
-  (* Only location x exists, so under blocks=2 every operation lives in
-     block 0; smuggling processor 1's read into processor 0's view is a
-     population violation the kernel must notice. *)
-  let c = certified (model "pc-part(blocks=2)") h_stale in
-  check Alcotest.bool "baseline accepted" true
-    (Result.is_ok (Kernel.verify c));
-  let views, _, _, _ = witness_of c in
-  let views =
-    List.map
-      (fun (p, seq) -> if p = 0 then (p, seq @ [ 2 ]) else (p, seq))
-      views
-  in
-  rejected "pc-part scope violation" (with_views c views)
+  (* Only location x exists, so under blocks=2 (and under the named
+     partition x|y) every operation lives in block 0; smuggling
+     processor 1's read into processor 0's view is a population
+     violation the kernel must notice. *)
+  List.iter
+    (fun key ->
+      let c = certified (model key) h_stale in
+      check Alcotest.bool (key ^ " baseline accepted") true
+        (Result.is_ok (Kernel.verify c));
+      let views, _, _, _ = witness_of c in
+      let views =
+        List.map
+          (fun (p, seq) -> if p = 0 then (p, seq @ [ 2 ]) else (p, seq))
+          views
+      in
+      rejected (key ^ " scope violation") (with_views c views))
+    [ "pc-part(blocks=2)"; "pc-part(partition=x|y)" ]
 
 let mutate_session_stale_read () =
   (* Population- and order-preserving but value-illegal: force the view
@@ -318,7 +327,7 @@ let search_matches_engine () =
                   (Printf.sprintf "%s/%s" t.Test.name m.Model.key)
                   (Model.check m t.Test.history)
                   (Kernel.search p t.Test.history))
-          Registry.certifiable)
+          (Registry.certifiable @ Smem_testlib.Helpers.composed))
     Corpus.all
 
 let () =

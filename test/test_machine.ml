@@ -216,27 +216,63 @@ let reachability_soundness (m : Smem_machine.Machine_sig.machine) =
 
 let reachability_props = List.map reachability_soundness Machines.all
 
+(* Some reads-from map leaves program order plus reads-from acyclic.
+   An in-order machine performs each operation after its program-order
+   predecessors and each read after the write it returns, so it reaches
+   no history without such a map; view-based models need not ask for
+   one (EXPERIMENTS.md, finding 6). *)
+let po_rf_acyclic h =
+  let po = Smem_core.Orders.po h in
+  Smem_core.Reads_from.iter h ~f:(fun rf ->
+      Smem_relation.Rel.acyclic
+        (Smem_relation.Rel.union po (Smem_core.Engine.rf_edges h ~rf)))
+
 (* For the machines that are the *canonical* implementations of their
    models — SC (atomic interleaving), PRAM and causal memory (the
    operational definitions of §3.5 / [3]) and the TSO store buffer vs.
    the operational-TSO replay — reachability and the checker coincide
-   exactly.  This is a completeness test: the checkers accept nothing
-   the machine cannot do, and vice versa. *)
-let equality_prop machine_key model_key =
+   exactly, PRAM's within the histories an in-order machine can
+   produce at all ([within]).  This is a completeness test: the
+   checkers accept nothing the machine cannot do, and vice versa. *)
+let equality_prop ?within machine_key model_key =
   let m = machine machine_key in
   let model =
     match Registry.find model_key with
     | Some model -> model
     | None -> failwith ("no model " ^ model_key)
   in
+  let suffix, inside =
+    match within with
+    | Some (name, p) -> (" ∩ " ^ name, p)
+    | None -> ("", fun _ -> true)
+  in
   QCheck.Test.make
     ~name:
-      (Printf.sprintf "%s machine reachability = %s model" machine_key model_key)
+      (Printf.sprintf "%s machine reachability = %s model%s" machine_key
+         model_key suffix)
     ~count:120
     (Helpers.arb_history ~max_procs:3 ~max_ops:2 ())
     (fun h ->
       let p = Driver.program_of_history h in
-      Driver.reachable m p h = Model.check model h)
+      Driver.reachable m p h = (Model.check model h && inside h))
+
+(* The load-buffering history PRAM allows (each view holds only the
+   other processor's write, so neither read is out of order in its
+   view) and the in-order PRAM machine cannot reach: each read returns
+   a write that follows the other read in program order. *)
+let pram_lb_unreachable () =
+  let h =
+    H.make
+      [ [ H.read "x" 2; H.write "y" 1 ]; [ H.read "y" 1; H.write "x" 2 ] ]
+  in
+  let pram =
+    match Registry.find "pram" with Some m -> m | None -> assert false
+  in
+  check Alcotest.bool "the PRAM model allows LB" true (Model.check pram h);
+  check Alcotest.bool "no reads-from map leaves po ∪ rf acyclic" false
+    (po_rf_acyclic h);
+  check Alcotest.bool "the PRAM machine cannot reach it" false
+    (Driver.reachable (machine "pram") (Driver.program_of_history h) h)
 
 (* Whole-outcome-set agreement on the corpus skeletons: the set of
    read-value vectors a machine can produce equals the set of vectors
@@ -348,7 +384,8 @@ let outcome_cases =
 let equality_props =
   [
     equality_prop "sc" "sc";
-    equality_prop "pram" "pram";
+    equality_prop "pram" "pram"
+      ~within:("acyclic(po ∪ rf)", po_rf_acyclic);
     equality_prop "causal" "causal";
     equality_prop "tso" "tso-op";
   ]
@@ -361,6 +398,7 @@ let () =
           tc "sc is a flat memory" sc_machine_is_memory;
           tc "tso store buffer" tso_machine_buffers;
           tc "pram fifo channels" pram_machine_fifo;
+          tc "pram: LB allowed by the model, unreachable" pram_lb_unreachable;
           tc "causal delivery dependencies" causal_machine_dependencies;
           tc "rc release visibility differs" rc_machines_differ_on_release;
           tc "rc-sc release flushes ordinary writes" rc_sc_release_flushes_ordinary;

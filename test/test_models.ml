@@ -201,6 +201,14 @@ let family_extremes_props =
       (Helpers.arb_history ~nlocs:3 ());
     equiv ~name:"Causal-obj = Causal on register histories" "causal-obj"
       "causal" (Helpers.arb_history ());
+    (* The named partitions: one block naming every location is PC-G;
+       x and y in blocks of their own, with the unlisted z given a
+       singleton block, is coherence. *)
+    equiv ~name:"PC-part(x.y.z) = PC-G" "pc-part(partition=x.y.z)" "pc-g"
+      (Helpers.arb_history ~nlocs:3 ());
+    equiv ~name:"PC-part(x|y) = Coherence (z unlisted)"
+      "pc-part(partition=x|y)" "coh"
+      (Helpers.arb_history ~nlocs:3 ());
   ]
 
 (* PRAM witnesses are always population-correct, legal, po-respecting. *)
@@ -271,48 +279,49 @@ let prop_sc_reference =
    writes removes it).  Rather than shaping the generator, we assert the
    one-sided containment here and pin the known counterexample above. *)
 
-(* §2/§7: composing the three parameters reproduces the built-in
-   models exactly — the paper's "the parameters can be varied to
-   describe the existing memories" as an executable equivalence. *)
-let composed_equivalences =
+(* §2/§7: composing the three parameters names the built-in models'
+   quadruples exactly — the paper's "the parameters can be varied to
+   describe the existing memories" as an identity of definitions. *)
+let composed_quadruples =
   let module B = Smem_core.Build in
-  let composed =
-    [
-      ( "sc",
-        B.make ~key:"c-sc" ~name:"composed SC" ~operations:`All_ops
-          ~mutual:`Total_agreement ~orderings:[ `Po ] () );
-      ( "tso",
-        B.make ~key:"c-tso" ~name:"composed TSO" ~operations:`Writes_of_others
-          ~mutual:`Global_write_order ~orderings:[ `Ppo ] () );
-      ( "pc",
-        B.make ~key:"c-pc" ~name:"composed PC" ~operations:`Writes_of_others
-          ~mutual:`Coherence ~orderings:[ `Semi_causal ] () );
-      ( "pc-g",
-        B.make ~key:"c-pcg" ~name:"composed PC-G" ~operations:`Writes_of_others
-          ~mutual:`Coherence ~orderings:[ `Po ] () );
-      ( "causal",
-        B.make ~key:"c-causal" ~name:"composed causal"
-          ~operations:`Writes_of_others ~mutual:`No_agreement
-          ~orderings:[ `Causal ] () );
-      ( "pram",
-        B.make ~key:"c-pram" ~name:"composed PRAM" ~operations:`Writes_of_others
-          ~mutual:`No_agreement ~orderings:[ `Po ] () );
-      ( "slow",
-        B.make ~key:"c-slow" ~name:"composed slow" ~operations:`Writes_of_others
-          ~mutual:`No_agreement ~orderings:[ `Own_po; `Po_loc ] () );
-      ( "local",
-        B.make ~key:"c-local" ~name:"composed local"
-          ~operations:`Writes_of_others ~mutual:`No_agreement
-          ~orderings:[ `Own_po ] () );
-    ]
-  in
   List.map
-    (fun (builtin_key, composed_model) ->
-      QCheck.Test.make
-        ~name:(Printf.sprintf "composed %s = built-in %s" builtin_key builtin_key)
-        ~count:120 (Helpers.arb_history ()) (fun h ->
-          Model.check composed_model h = Model.check (model builtin_key) h))
-    composed
+    (fun (key, operations, mutual, orderings) ->
+      tc (Printf.sprintf "composed %s = built-in %s" key key) (fun () ->
+          let composed =
+            B.make ~key:("c-" ^ key) ~name:"composed" ~operations ~mutual
+              ~orderings ()
+          in
+          check Alcotest.bool "same quadruple" true
+            (composed.Model.params = (model key).Model.params)))
+    Model.
+      [
+        ("sc", `All_ops, `Total_agreement, [ Program_order ]);
+        ( "tso",
+          `Writes_of_others,
+          `Global_write_order,
+          [ Partial_program_order ] );
+        ("pc", `Writes_of_others, `Coherence, [ Semi_causal ]);
+        ("causal", `Writes_of_others, `No_agreement, [ Causal_order ]);
+        ("pram", `Writes_of_others, `No_agreement, [ Program_order ]);
+        (* a set: order and repetition do not matter *)
+        ( "slow",
+          `Writes_of_others,
+          `No_agreement,
+          [ Po_loc; Own_program_order; Po_loc ] );
+        ("local", `Writes_of_others, `No_agreement, [ Own_program_order ]);
+      ]
+
+(* PC-G is the one composition that is not a catalogued quadruple: the
+   composer's coherence views are legal by writer, PC-G's by value. *)
+let composed_pcg =
+  let composed =
+    Smem_core.Build.make ~key:"c-pcg" ~name:"composed PC-G"
+      ~operations:`Writes_of_others ~mutual:`Coherence
+      ~orderings:[ Model.Program_order ] ()
+  in
+  QCheck.Test.make ~name:"composed pc-g = built-in pc-g" ~count:120
+    (Helpers.arb_history ()) (fun h ->
+      Model.check composed h = Model.check (model "pc-g") h)
 
 let build_validation () =
   let module B = Smem_core.Build in
@@ -321,13 +330,13 @@ let build_validation () =
     (fun () ->
       ignore
         (B.make ~key:"x" ~name:"x" ~operations:`Writes_of_others
-           ~mutual:`Total_agreement ~orderings:[ `Po ] ()));
+           ~mutual:`Total_agreement ~orderings:[ Model.Program_order ] ()));
   Alcotest.check_raises "semi-causality needs coherence"
     (Invalid_argument "Build.make: semi-causality needs a coherence witness")
     (fun () ->
       ignore
         (B.make ~key:"x" ~name:"x" ~operations:`Writes_of_others
-           ~mutual:`No_agreement ~orderings:[ `Semi_causal ] ()));
+           ~mutual:`No_agreement ~orderings:[ Model.Semi_causal ] ()));
   Alcotest.check_raises "own-po needs per-processor views"
     (Invalid_argument
        "Build.make: own-po needs per-processor views, and total agreement \
@@ -335,13 +344,20 @@ let build_validation () =
     (fun () ->
       ignore
         (B.make ~key:"x" ~name:"x" ~operations:`All_ops
-           ~mutual:`Total_agreement ~orderings:[ `Own_po ] ()));
+           ~mutual:`Total_agreement ~orderings:[ Model.Own_program_order ] ()));
   check Alcotest.bool "parsers accept CLI spellings" true
     (B.parse_operations "writes" = Ok `Writes_of_others
     && B.parse_mutual "global-writes" = Ok `Global_write_order
-    && B.parse_ordering "semi-causal" = Ok `Semi_causal);
-  check Alcotest.bool "parsers reject junk" true
-    (Result.is_error (B.parse_ordering "junk"))
+    && B.parse_ordering "semi-causal" = Ok Model.Semi_causal);
+  check Alcotest.bool "the ordering parser inverts the renderer" true
+    (List.for_all
+       (fun o -> B.parse_ordering (Model.ordering_to_string o) = Ok o)
+       B.composable);
+  check Alcotest.bool "parsers reject junk and non-composable bases" true
+    (Result.is_error (B.parse_ordering "junk")
+    && Result.is_error (B.parse_ordering "real-time"));
+  check Alcotest.int "composed models under test" 42
+    (List.length Helpers.composed)
 
 (* Generic invariant: every witness any model returns is made of
    value-legal views — a read in a view always returns the most recent
@@ -388,6 +404,6 @@ let () =
               prop_atomic_subset_sc_timed;
               prop_all_witnesses_legal;
             ]
-          @ composed_equivalences)
-      );
+          @ [ composed_pcg ])
+        @ composed_quadruples );
     ]

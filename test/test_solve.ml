@@ -35,7 +35,7 @@ let model key =
 let enum_allows (m : Model.t) h = Option.is_some (m.Model.witness h)
 let solve_allows (m : Model.t) h = Solve.check m h
 
-let agree_everywhere ~what h =
+let agree_everywhere ?(models = Registry.certifiable) ~what h =
   List.iter
     (fun (m : Model.t) ->
       let enum = enum_allows m h and solve = solve_allows m h in
@@ -43,15 +43,19 @@ let agree_everywhere ~what h =
         Alcotest.failf "%s: %s disagrees (enum %b, solve %b) on:\n%s" what
           m.Model.key enum solve
           (Format.asprintf "%a" H.pp h))
-    Registry.certifiable
+    models
 
 (* ---------------- corpus differentials ---------------- *)
 
+(* The built-in corpus runs the composer's models too: they reach the
+   solver through the same quadruple, with per-view propagation. *)
 let builtin_corpus_cases =
   List.map
     (fun (t : Test.t) ->
       tc t.Test.name (fun () ->
-          agree_everywhere ~what:t.Test.name t.Test.history))
+          agree_everywhere
+            ~models:(Registry.certifiable @ Helpers.composed)
+            ~what:t.Test.name t.Test.history))
     Corpus.all
 
 (* The standard load: 500 deduplicated machine-execution tests, every
