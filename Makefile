@@ -2,7 +2,7 @@
 
 EXAMPLES := quickstart bakery_demo lattice_explore litmus_tour compose_models
 
-.PHONY: all build test bench bench-figures examples fuzz-smoke certs serve-smoke serve-load sim-smoke corpus solver family-smoke fmt fmt-check ci clean
+.PHONY: all build test examples fuzz-smoke certs serve-smoke serve-load sim-smoke corpus solver family-smoke fmt fmt-check ci clean
 
 all: build
 
@@ -11,14 +11,6 @@ build:
 
 test:
 	dune runtest --force
-
-# Both bench targets write BENCH_smem.json and exit nonzero if any
-# regenerated figure claim mismatches the paper.
-bench:
-	dune exec bench/main.exe
-
-bench-figures:
-	dune exec bench/main.exe -- --figures-only
 
 # Fail fast: one shell, set -e, so the first broken example stops the
 # run with its exit code instead of letting later examples mask it.
@@ -51,8 +43,8 @@ serve-smoke: build
 
 # Load-test the TCP daemon: concurrent clients replaying corpus
 # traffic, then a kill-and-restart pass answered from the persistent
-# verdict store.  Records p50/p99/throughput under "serve" in
-# BENCH_smem.json; fails below the throughput floor or on a warm miss.
+# verdict store.  Writes p50/p99/throughput to BENCH_smem.json; fails
+# below the throughput floor or on a warm miss.
 serve-load: build
 	python3 scripts/serve_load.py --exe _build/default/bin/smem.exe
 
@@ -69,15 +61,14 @@ corpus: build
 	dune exec bin/smem.exe -- fuzz --seed 42 --count 100 --corpus _build/corpus-500.txt
 
 # The constraint-propagation engine gates: the 500-case solver ≡
-# enumerator differential over a generated corpus, the full corpus
-# matrix under --engine solve, and the bench crossover section (fails
-# if the engines disagree or the solver never overtakes enumeration).
+# enumerator differential over a generated corpus and the full corpus
+# matrix under --engine solve.  The crossover (the solver overtakes
+# enumeration on co-pump) is a test_solve case, run by `make test`.
 solver: build
 	dune exec bin/smem.exe -- corpus generate --seed 42 --count 500 -o _build/corpus-solver.txt
 	dune exec bin/smem.exe -- fuzz --seed 42 --count 500 --engines --no-machines \
 	  --corpus _build/corpus-solver.txt
 	dune exec bin/smem.exe -- corpus --engine solve --stats
-	dune exec bench/main.exe -- --solver-only --out _build/BENCH_solver.json
 
 # The extended-family gates: the corpus (including the queue/counter
 # and partition/session tests) against the family models with
@@ -115,7 +106,7 @@ fmt-check:
 
 # What the CI workflow runs, minus the format job (ocamlformat may not
 # be installed locally).
-ci: build test examples fuzz-smoke certs serve-smoke serve-load corpus solver family-smoke sim-smoke bench-figures
+ci: build test examples fuzz-smoke certs serve-smoke serve-load corpus solver family-smoke sim-smoke
 
 clean:
 	dune clean

@@ -18,7 +18,7 @@
     Instances keep their own hit/miss/evict statistics; the process-wide
     totals are also registered in {!Smem_obs.Metrics} under
     [cache.hits], [cache.misses], [cache.evictions] and [cache.stores],
-    so [--stats] output and the bench harness see cache behavior without
+    so [--stats] output and perfbench see cache behavior without
     plumbing. *)
 
 type t

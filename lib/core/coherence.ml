@@ -65,9 +65,9 @@ let default_respect h w1 w2 =
   let o1 = History.op h w1 and o2 = History.op h w2 in
   Op.same_proc o1 o2 && o1.Op.index < o2.Op.index
 
-let iter ?respect h ~f =
+let iter h ~f =
   Smem_obs.Trace.span ~cat:"search" "search/co-enumeration" @@ fun () ->
-  let respect = match respect with Some r -> r | None -> default_respect h in
+  let respect = default_respect h in
   let nlocs = History.nlocs h in
   let per_loc_writes =
     Array.init nlocs (fun l -> Array.of_list (History.writes_to h l))

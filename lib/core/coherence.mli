@@ -3,11 +3,10 @@
     Coherence is the paper's canonical mutual-consistency requirement
     (§2, parameter 2): all writes to a given location appear in the same
     order in every processor view.  The checkers existentially quantify
-    over coherence orders; this module enumerates them, pruned by any
-    relation the order must already respect (by default each processor's
-    program order on its own writes to the location — any coherence
-    order violating it would make every view cyclic, since views also
-    respect at least that much of program order). *)
+    over coherence orders; this module enumerates them, pruned by each
+    processor's program order on its own writes to the location (any
+    coherence order violating it would make every view cyclic, since
+    views also respect at least that much of program order). *)
 
 type t
 
@@ -40,11 +39,9 @@ val default_respect : History.t -> int -> int -> bool
     same processor — the pruning of {!iter} and of global write orders
     (every view respects at least that much of program order). *)
 
-val iter :
-  ?respect:(int -> int -> bool) -> History.t -> f:(t -> bool) -> bool
+val iter : History.t -> f:(t -> bool) -> bool
 (** Enumerate coherence orders as the product of per-location
-    constrained permutations.  [respect w1 w2] forces [w1] before [w2]
-    (default: same-processor program order per location).  Early-exit
+    permutations constrained by {!default_respect}.  Early-exit
     protocol: returns [true] as soon as [f] accepts. *)
 
 val pp : History.t -> Format.formatter -> t -> unit

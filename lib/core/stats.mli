@@ -2,7 +2,7 @@
 
     Every checker is an existential search over enumerated reads-from
     maps and coherence orders; these counters make the cost of that
-    search observable ([smem ... --stats], the bench harness) instead of
+    search observable ([smem ... --stats], perfbench) instead of
     asserted.  Counters are process-global atomics: they aggregate over
     every check since the last {!reset}, across all worker domains of
     the parallel runner, and are safe to bump concurrently.
@@ -10,8 +10,8 @@
     The cells live in the {!Smem_obs.Metrics} registry (names
     ["search.checks"], ["search.rf_candidates"], … and
     ["fuzz.pass.<oracle>"], …), so the same values also appear in
-    [--metrics] output and in the bench harness's [BENCH_smem.json];
-    this module is the typed view the search code bumps through. *)
+    [--metrics] output; this module is the typed view the search code
+    bumps through. *)
 
 type snapshot = {
   checks : int;  (** {!Model.check} invocations *)

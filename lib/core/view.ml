@@ -62,7 +62,7 @@ let replay h ~ops ~order =
   go 0 [] 0 init_states
 
 (* Registers by value or by writer: one int cell per location. *)
-let registers ~memoize h ~ops ~order ~by_writer =
+let registers h ~ops ~order ~by_writer =
   let nops = History.nops h in
   let ids = Array.of_list (Bitset.elements ops) in
   let n = Array.length ids in
@@ -91,8 +91,8 @@ let registers ~memoize h ~ops ~order ~by_writer =
   let rec go depth placed =
     if depth = n then true
     else begin
-      let key = if memoize then Some (placed, Array.copy mem) else None in
-      if memoize && Hashtbl.mem failed (Option.get key) then false
+      let key = (placed, Array.copy mem) in
+      if Hashtbl.mem failed key then false
       else begin
         let ok = ref false in
         let i = ref 0 in
@@ -115,22 +115,19 @@ let registers ~memoize h ~ops ~order ~by_writer =
           end;
           incr i
         done;
-        if memoize && not !ok then Hashtbl.add failed (Option.get key) ();
+        if not !ok then Hashtbl.add failed key ();
         !ok
       end
     end
   in
   if go 0 0 then Some (Array.to_list seq) else None
 
-let exists ?(memoize = true) h ~ops ~order ~legality =
-  Smem_obs.Trace.span ~cat:"search"
-    ~args:[ ("memoize", Smem_obs.Json.Bool memoize) ]
-    "search/legality"
-  @@ fun () ->
+let exists h ~ops ~order ~legality =
+  Smem_obs.Trace.span ~cat:"search" "search/legality" @@ fun () ->
   let nops = History.nops h in
   if nops >= Sys.int_size then
     raise (Too_large { nops; limit = Sys.int_size - 1 });
   match legality with
-  | By_value -> registers ~memoize h ~ops ~order ~by_writer:None
-  | By_writer rf -> registers ~memoize h ~ops ~order ~by_writer:(Some rf)
+  | By_value -> registers h ~ops ~order ~by_writer:None
+  | By_writer rf -> registers h ~ops ~order ~by_writer:(Some rf)
   | By_object -> replay h ~ops ~order

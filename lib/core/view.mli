@@ -42,7 +42,6 @@ exception Too_large of { nops : int; limit : int }
     [too-large] response code instead of crashing the worker. *)
 
 val exists :
-  ?memoize:bool ->
   History.t ->
   ops:Bitset.t ->
   order:Rel.t ->
@@ -50,10 +49,4 @@ val exists :
   int list option
 (** [exists h ~ops ~order ~legality] searches for a legal sequence of
     [ops] that is a linear extension of [order] restricted to [ops].
-    Returns the sequence found, or [None].
-
-    [memoize] (default [true]) records failed (placed-set, memory)
-    states; disabling it degrades the register search to plain
-    backtracking over interleavings (the object replay always
-    memoizes) — exposed only so the ablation benchmark can measure
-    what the memoization buys (see bench/main.ml). *)
+    Returns the sequence found, or [None]. *)

@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Check the `smem serve` smoke-run output.
 
-Usage: serve_smoke.py REQS RESPONSES GOLDEN
+Usage: serve_smoke.py REQS RESPONSES [GOLDEN]
 
-REQS is the request file produced by `smem api corpus-requests`;
-RESPONSES is the server's output for that file concatenated with
-itself (a cold pass followed by a warm pass over one process).
-Asserts that
+REQS is the request file produced by `smem api corpus-requests`
+(optionally `--corpus FILE` for a generated corpus); RESPONSES is the
+server's output for that file concatenated with itself (a cold pass
+followed by a warm pass over one process).  Asserts that
 
   - every request got exactly one successful response, in order;
   - the warm pass computed nothing: every cell came from the cache;
   - warm verdicts are identical to cold verdicts; and
-  - the cold verdicts reproduce test/golden/verdicts.expected exactly.
+  - if GOLDEN is given (test/golden/verdicts.expected for the built-in
+    corpus), the cold verdicts reproduce it exactly.
 """
 
 import json
@@ -24,9 +25,10 @@ def fail(msg):
 
 
 def main():
-    if len(sys.argv) != 4:
-        fail(f"usage: {sys.argv[0]} REQS RESPONSES GOLDEN")
-    reqs_path, resp_path, golden_path = sys.argv[1:]
+    if len(sys.argv) not in (3, 4):
+        fail(f"usage: {sys.argv[0]} REQS RESPONSES [GOLDEN]")
+    reqs_path, resp_path = sys.argv[1:3]
+    golden_path = sys.argv[3] if len(sys.argv) == 4 else None
 
     with open(reqs_path) as f:
         reqs = [json.loads(line) for line in f if line.strip()]
@@ -67,22 +69,25 @@ def main():
             fail(f"response {i}: warm verdicts differ from cold verdicts")
 
     # The cold pass must reproduce the golden conformance suite.
-    got = [
-        f"{s:<18} {a:<12} {st}"
-        for r in cold
-        for (s, a, st) in cells(r)
-    ]
-    with open(golden_path) as f:
-        want = [line.rstrip("\n") for line in f if line.strip()]
-    if got != want:
-        for i, (g, w) in enumerate(zip(got, want)):
-            if g != w:
-                fail(f"golden mismatch at line {i + 1}: got {g!r}, want {w!r}")
-        fail(f"golden length mismatch: got {len(got)} lines, want {len(want)}")
+    if golden_path:
+        got = [
+            f"{s:<18} {a:<12} {st}"
+            for r in cold
+            for (s, a, st) in cells(r)
+        ]
+        with open(golden_path) as f:
+            want = [line.rstrip("\n") for line in f if line.strip()]
+        if got != want:
+            for i, (g, w) in enumerate(zip(got, want)):
+                if g != w:
+                    fail(f"golden mismatch at line {i + 1}: "
+                         f"got {g!r}, want {w!r}")
+            fail(f"golden length mismatch: got {len(got)} lines, "
+                 f"want {len(want)}")
 
     hits = sum(r["cached"] for r in warm)
-    print(f"serve-smoke: ok — {n} requests/pass, {hits} warm cells all cached, "
-          f"verdicts match golden")
+    print(f"serve-smoke: ok — {n} requests/pass, {hits} warm cells all cached"
+          + (", verdicts match golden" if golden_path else ""))
 
 
 if __name__ == "__main__":

@@ -176,6 +176,23 @@ let spinlock_cases =
         (mutex_expect "spinlock" (Programs.tas_spinlock ()) key true))
     [ "sc"; "tso"; "pc-g"; "causal"; "pram"; "rc-sc"; "rc-pc" ]
 
+(* Random scheduling almost never finds the violations exhaustive
+   exploration proves: 1000 seeded runs per machine, each machine from a
+   fresh generator, hit the rc-pc and tso ones once each. *)
+let random_schedule_counts () =
+  let program = Programs.bakery ~n:2 () in
+  List.iter
+    (fun (key, expected) ->
+      let rand = Random.State.make [| 2026 |] in
+      let violations = ref 0 in
+      for _ = 1 to 1000 do
+        let _, violated = Explore.run_random (machine key) program ~rand in
+        if violated then incr violations
+      done;
+      check Alcotest.int (key ^ " violations in 1000 runs") expected
+        !violations)
+    [ ("sc", 0); ("rc-sc", 0); ("rc-pc", 1); ("tso", 1) ]
+
 (* ---------------- liveness ---------------- *)
 
 (* §5 recalls that Bakery under SC is free from deadlocks; here that is
@@ -682,7 +699,11 @@ let () =
           tc "stepping to actions" stepping;
           tc "loops and fuel" stepping_loops;
         ] );
-      ("mutual exclusion", mutex_cases @ spinlock_cases);
+      ( "mutual exclusion",
+        mutex_cases @ spinlock_cases
+        @ [
+            tc "bakery(2) random schedules, seed 2026" random_schedule_counts;
+          ] );
       ( "explorer",
         [
           tc "violation traces" violation_trace_structure;

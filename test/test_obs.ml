@@ -2,11 +2,7 @@
    registry (including aggregation from pool workers on other domains),
    span recording and its Chrome trace-event JSON sink (parsed back via
    Smem_cert.Json — deliberately through the re-export, which pins the
-   type equality), the pool's exception-propagation contract, and the
-   machine-readable bench output.  The bench artifacts are produced by
-   dune rules in this directory: bench_quick.json from a clean --quick
-   run, forced_mismatch.json from a --force-mismatch run that the rule
-   requires to exit 1 (the regression test for the bench gate). *)
+   type equality), and the pool's exception-propagation contract. *)
 
 module Clock = Smem_obs.Clock
 module Metrics = Smem_obs.Metrics
@@ -224,44 +220,6 @@ let trace_disarmed_is_free () =
   (* stop with nothing armed is a no-op. *)
   Trace.stop ()
 
-(* ---------------- bench harness output ---------------- *)
-
-let load_bench file =
-  let contents = In_channel.with_open_text file In_channel.input_all in
-  match Json.of_string contents with
-  | Ok doc -> doc
-  | Error e -> Alcotest.failf "%s is not valid JSON: %s" file e
-
-let bench_quick_schema () =
-  let doc = load_bench "bench_quick.json" in
-  check string "schema" "smem-bench/1" (str_field "schema" doc);
-  check bool "jobs recorded" true (int_field "jobs" doc >= 1);
-  check int "clean run has no mismatches" 0 (int_field "mismatches" doc);
-  let figures =
-    match member "figures" doc with
-    | Json.Arr rows -> rows
-    | j -> Alcotest.failf "figures: %s" (Json.to_string j)
-  in
-  check int "figures 1-4, two claims each" 8 (List.length figures);
-  List.iter
-    (fun row ->
-      check bool "claim holds" true (member "ok" row = Json.Bool true);
-      check bool "wall time measured" true (int_field "wall_ns" row >= 0);
-      (* Not >= 1: models without a global coherence order (pram,
-         causal) legitimately skip the rf/co enumerations. *)
-      check bool "candidate counts present" true
-        (int_field "rf_candidates" row >= 0 && int_field "co_candidates" row >= 0))
-    figures
-
-let bench_forced_mismatch_detected () =
-  (* The file exists at all only because the dune rule accepted exit
-     code 1 from --force-mismatch — a bench that stopped failing on
-     mismatches breaks the build before this test even runs.  Here we
-     check the report agrees with the exit code. *)
-  let doc = load_bench "forced_mismatch.json" in
-  check bool "flagged as forced" true (member "forced_mismatch" doc = Json.Bool true);
-  check bool "mismatches counted" true (int_field "mismatches" doc > 0)
-
 let () =
   Alcotest.run "obs"
     [
@@ -285,10 +243,5 @@ let () =
         [
           tc "chrome trace roundtrip" trace_roundtrip;
           tc "disarmed is free" trace_disarmed_is_free;
-        ] );
-      ( "bench",
-        [
-          tc "quick run schema" bench_quick_schema;
-          tc "forced mismatch detected" bench_forced_mismatch_detected;
         ] );
     ]
