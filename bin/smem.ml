@@ -17,7 +17,6 @@ module Test = Smem_litmus.Test
 module Corpus = Smem_litmus.Corpus
 module Cert = Smem_cert.Cert
 module Kernel = Smem_cert.Kernel
-module RunnerL = Smem_litmus.Runner
 module Machines = Smem_machine.Machines
 module Driver = Smem_machine.Driver
 module Request = Smem_api.Request
@@ -187,8 +186,8 @@ let engine_arg =
            views, conflict-driven nogood learning).  Both accept a \
            candidate through the same per-candidate check, so verdicts \
            and witnesses are identical — $(b,smem fuzz --engines) checks \
-           the verdicts.  Models without a quadruple (tso-op, composed \
-           models) use their own search under either engine.")
+           the verdicts.  The one model without a quadruple, tso-op, \
+           uses its own search under either engine.")
 
 let setup_engine engine =
   Smem_solve.Solve.install ();
@@ -278,29 +277,44 @@ let certify_all ~service ~dir ~format ~models tests =
     exit 1
   end
 
-(* An algorithm argument is a library name (bakery, peterson, dekker,
-   naive, spinlock) or a path to a .smem program file. *)
+(* The library algorithms, by the name an ALGORITHM argument gives;
+   any other argument is a path to a .smem program file. *)
+let algorithms =
+  let open Smem_lang.Programs in
+  [
+    ("bakery", fun ~labeled ~n -> bakery ~labeled ~n ());
+    ("peterson", fun ~labeled ~n:_ -> peterson ~labeled ());
+    ("dekker", fun ~labeled ~n:_ -> dekker ~labeled ());
+    ("naive", fun ~labeled ~n:_ -> naive_flags ~labeled ());
+    ("spinlock", fun ~labeled:_ ~n:_ -> tas_spinlock ());
+    ("spinlock-stress", fun ~labeled:_ ~n -> spinlock_stress ~nprocs:n ());
+    ("mp", fun ~labeled ~n:_ -> mp ~labeled ());
+    ("sb", fun ~labeled:_ ~n:_ -> sb ());
+    ("seqlock", fun ~labeled ~n:_ -> seqlock ~labeled ());
+  ]
+
 let load_program name ~labeled ~n =
-  match name with
-  | "bakery" -> Ok (Smem_lang.Programs.bakery ~labeled ~n ())
-  | "peterson" -> Ok (Smem_lang.Programs.peterson ~labeled ())
-  | "dekker" -> Ok (Smem_lang.Programs.dekker ~labeled ())
-  | "naive" -> Ok (Smem_lang.Programs.naive_flags ~labeled ())
-  | "spinlock" -> Ok (Smem_lang.Programs.tas_spinlock ())
-  | "spinlock-stress" -> Ok (Smem_lang.Programs.spinlock_stress ~nprocs:n ())
-  | "mp" -> Ok (Smem_lang.Programs.mp ~labeled ())
-  | "sb" -> Ok (Smem_lang.Programs.sb ())
-  | "seqlock" -> Ok (Smem_lang.Programs.seqlock ~labeled ())
-  | path when Sys.file_exists path -> (
-      match Smem_lang.Parse_prog.program_of_string (read_file path) with
+  match List.assoc_opt name algorithms with
+  | Some build -> Ok (build ~labeled ~n)
+  | None when Sys.file_exists name -> (
+      match Smem_lang.Parse_prog.program_of_string (read_file name) with
       | Ok p -> Ok p
       | Error e ->
-          Error (Format.asprintf "%s: %a" path Smem_lang.Parse_prog.pp_error e))
-  | other ->
+          Error (Format.asprintf "%s: %a" name Smem_lang.Parse_prog.pp_error e))
+  | None ->
       Error
-        (Printf.sprintf
-           "no algorithm or program file named %S (known: bakery, peterson,             dekker, naive, spinlock, spinlock-stress, mp, sb, seqlock)"
-           other)
+        (Printf.sprintf "no algorithm or program file named %S (known: %s)"
+           name
+           (String.concat ", " (List.map fst algorithms)))
+
+let algorithm_arg =
+  Arg.(
+    required
+    & pos 0 (some string) None
+    & info [] ~docv:"ALGORITHM"
+        ~doc:
+          (String.concat " | " (List.map fst algorithms)
+          ^ ", or a .smem file."))
 
 (* ------------------------------------------------------------------ *)
 
@@ -426,7 +440,8 @@ let check_cmd =
   Cmd.v
     (Cmd.info "check"
        ~doc:
-         "Check a litmus test — or every .litmus file in a directory —           against memory models.")
+         "Check a litmus test — or every .litmus file in a directory — \
+          against memory models.")
     Term.(const run $ source $ models_arg $ obs_term $ engine_arg
           $ certify_arg $ cert_format_arg $ cache_arg)
 
@@ -597,13 +612,6 @@ let lattice_cmd =
     Term.(const run $ dot $ jobs_arg $ obs_term $ engine_arg)
 
 let mutex_cmd =
-  let alg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ALGORITHM"
-          ~doc:"bakery | peterson | dekker | naive | spinlock | spinlock-stress | mp | sb | seqlock, or a .smem file.")
-  in
   let machine =
     Arg.(
       required
@@ -656,7 +664,7 @@ let mutex_cmd =
        ~doc:
          "Exhaustively explore a mutual-exclusion algorithm on a machine \
           (sleep-set DPOR).")
-    Term.(const run $ alg $ machine $ n $ unlabeled $ stats)
+    Term.(const run $ algorithm_arg $ machine $ n $ unlabeled $ stats)
 
 let distinguish_cmd =
   let model_pos n doc =
@@ -728,13 +736,6 @@ let distinguish_cmd =
       $ procs $ nlocs $ maxv $ labeled $ standard $ jobs_arg $ obs_term)
 
 let liveness_cmd =
-  let alg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ALGORITHM"
-          ~doc:"bakery | peterson | dekker | naive | spinlock | spinlock-stress | mp | sb | seqlock, or a .smem file.")
-  in
   let machine =
     Arg.(
       required
@@ -770,17 +771,12 @@ let liveness_cmd =
   Cmd.v
     (Cmd.info "liveness"
        ~doc:
-         "Check deadlock freedom: from every reachable state some schedule           completes all threads (the §5 deadlock-freedom claim for the           Bakery algorithm under SC).")
-    Term.(const run $ alg $ machine $ n $ unlabeled)
+         "Check deadlock freedom: from every reachable state some schedule \
+          completes all threads (the §5 deadlock-freedom claim for the \
+          Bakery algorithm under SC).")
+    Term.(const run $ algorithm_arg $ machine $ n $ unlabeled)
 
 let races_cmd =
-  let alg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"ALGORITHM"
-          ~doc:"bakery | peterson | dekker | naive | spinlock | spinlock-stress | mp | sb | seqlock, or a .smem file.")
-  in
   let n = Arg.(value & opt int 2 & info [ "n" ] ~doc:"Processors (bakery only).") in
   let unlabeled =
     Arg.(
@@ -811,8 +807,9 @@ let races_cmd =
   Cmd.v
     (Cmd.info "races"
        ~doc:
-         "Detect data races over the SC executions of an algorithm (the           properly-labeled condition of the paper).")
-    Term.(const run $ alg $ n $ unlabeled)
+         "Detect data races over the SC executions of an algorithm (the \
+          properly-labeled condition of the paper).")
+    Term.(const run $ algorithm_arg $ n $ unlabeled)
 
 let simulate_cmd =
   let source =
@@ -1008,8 +1005,7 @@ let generate_cmd =
       let expect =
         List.map
           (fun (m : Model.t) ->
-            ( m.Model.key,
-              Smem_litmus.Test.verdict_of_bool (Model.check m h) ))
+            (m.Model.key, Verdict.status_of_bool (Model.check m h)))
           models
       in
       let name = Printf.sprintf "gen%03d" i in
@@ -1035,7 +1031,8 @@ let generate_cmd =
   Cmd.v
     (Cmd.info "generate"
        ~doc:
-         "Generate random litmus tests with verdicts computed by the           checkers (for corpus building and cross-tool fuzzing).")
+         "Generate random litmus tests with verdicts computed by the \
+          checkers (for corpus building and cross-tool fuzzing).")
     Term.(const run $ count $ seed $ procs $ nlocs $ maxv $ labeled $ models_arg $ out)
 
 let fuzz_cmd =

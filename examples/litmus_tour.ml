@@ -6,12 +6,19 @@
 module Test = Smem_litmus.Test
 module Driver = Smem_machine.Driver
 module Machines = Smem_machine.Machines
+module Service = Smem_serve.Service
+module Request = Smem_api.Request
+module Response = Smem_api.Response
 
 let () =
-  let models = Smem_core.Registry.all in
   Format.printf "== Axiomatic verdicts (checker per model) ==@.";
-  Smem_litmus.Runner.run_all ~models Smem_litmus.Corpus.all
-  |> Smem_litmus.Runner.pp_matrix Format.std_formatter;
+  (match
+     (Service.handle (Service.create ()) (Request.Corpus { models = [] }))
+       .Response.payload
+   with
+  | Response.Verdicts verdicts ->
+      Smem_api.Verdict.pp_matrix Format.std_formatter verdicts
+  | _ -> assert false);
 
   Format.printf "@.== Operational reachability (machine replay) ==@.";
   let machines = Machines.all in

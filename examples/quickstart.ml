@@ -29,7 +29,7 @@ let () =
 
   (* A witness explains *why* a weak memory allows it: each processor's
      view orders the other's write after its own read. *)
-  (match Model.witness_of Smem_core.Tso.model h with
+  (match Model.witness_of (Option.get (Registry.find "tso")) h with
   | Some w -> Format.printf "@.TSO witness views:@.%a@." (Witness.pp h) w
   | None -> assert false);
 

@@ -40,9 +40,7 @@ let pp ppf t =
         Format.asprintf "  (MISMATCH: expected %a)" pp_status e
     | _ -> "")
 
-(* The subject × authority table previously rendered by
-   {!Smem_litmus.Runner.pp_matrix}, generalized to any verdict list
-   (the litmus runner now delegates here). *)
+(* The subject × authority table that [smem corpus] prints. *)
 let pp_matrix ppf verdicts =
   let dedupe key xs =
     let seen = Hashtbl.create 16 in

@@ -1,23 +1,13 @@
-(** The toolkit's single verdict vocabulary.
+(** The toolkit's verdict vocabulary: {e is this behavior observable?}
 
-    Every checker in the system answers the same shape of question —
-    {e is this behavior observable?} — about some subject, judged by
-    some authority:
-
-    - the axiomatic checkers decide membership of a history in a
-      model's history set ({!Smem_litmus.Runner});
-    - the machine driver decides reachability of a history on an
-      operational machine ({!Smem_machine.Driver});
-    - the explorer decides reachability of a violating state of a
-      structured program ({!Smem_lang.Explore}).
-
-    Historically each module returned its own shape (a record, a bare
-    bool, a three-way variant).  This record unifies them: [status]
-    always answers whether the queried behavior is admitted ([Allowed])
-    or ruled out ([Forbidden]), [None] when a bounded exploration could
-    not decide; [question] names which question was asked.  The
-    per-module shapes survive as thin compatibility layers that convert
-    into this record. *)
+    A verdict judges a subject (a litmus test) by an authority (a model
+    key): [status] says whether the model admits the history
+    ([Allowed]) or rules it out ([Forbidden]), [None] when a bounded
+    search could not decide.  The service ({!Smem_serve.Service})
+    answers every check and corpus cell with one, and the wire
+    ({!Wire}) carries it in this shape.  [question], [states] and
+    [notes] are wire fields for other questions; membership verdicts
+    leave them at their defaults. *)
 
 type status = Allowed | Forbidden
 

@@ -42,7 +42,7 @@ let closure m =
 
 (* ------------------------------------------------------------------ *)
 (* Ordering-requirement building blocks (the definitions of lib/core's
-   Orders/Rc/Weak_ordering, re-stated from the paper)                  *)
+   Orders and Leaf, re-stated from the paper)                          *)
 
 let add_po_of_proc h m p =
   let row = History.proc_ops h p in

@@ -105,7 +105,7 @@ type engine = Enum | Solve
 (* Engine selection is process-global, set once from the CLI before any
    worker domain spawns: every call site that wants a witness goes
    through [witness_of], so flipping the mode reroutes the entire stack
-   (Runner, Service, certification) without threading a parameter
+   (Service, certification) without threading a parameter
    through it.  The solver itself lives above this library
    (Smem_solve depends on Smem_core), so it registers a hook. *)
 let engine_mode = ref Enum

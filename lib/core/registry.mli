@@ -1,6 +1,8 @@
 (** The catalogue of memory models: the fixed built-ins, family
     exemplars, and on-demand instantiation of parameterized families
-    through the {!Model_ref} grammar.
+    through the {!Model_ref} grammar.  Every model but [tso-op]
+    ({!Tso_operational}) is defined here, as one table row: key, name,
+    description and {!Model.params} quadruple.
 
     Keys are the CLI identifiers ([atomic], [sc], [tso], [pc],
     [rc-sc], [rc-pc], [wo], [pc-g], [pc-part(blocks=k)], [causal],
@@ -19,7 +21,7 @@ val comparable : Model.t list
     PRAM — the inputs to the lattice reconstruction. *)
 
 val certifiable : Model.t list
-(** The catalogued models declaring a parameter triple
+(** The catalogued models declaring a parameter quadruple
     ({!Model.params}).  Exactly these can emit verdict certificates
     checkable by {!Smem_cert.Kernel}. *)
 

@@ -4,7 +4,7 @@
    the process-global [Smem_obs.Metrics] registry: the same cells the
    generic machinery snapshots for [--metrics] and perfbench's per-layer
    metrics, so there is exactly one source of truth.  Cells are
-   [Stdlib.Atomic] ints, so the parallel runner's worker domains bump
+   [Atomic] ints, so the service's worker domains bump
    them without synchronization beyond the atomic increment; a snapshot
    is an aggregate over every check run since the last [reset], across
    all domains. *)

@@ -5,7 +5,7 @@
     search observable ([smem ... --stats], perfbench) instead of
     asserted.  Counters are process-global atomics: they aggregate over
     every check since the last {!reset}, across all worker domains of
-    the parallel runner, and are safe to bump concurrently.
+    a parallel request, and are safe to bump concurrently.
 
     The cells live in the {!Smem_obs.Metrics} registry (names
     ["search.checks"], ["search.rf_candidates"], … and

@@ -5,7 +5,7 @@
     replays it — reads returning the newest buffered value for their
     location, or the memory value when none is buffered.
 
-    This module exists to cross-validate {!Tso}: the paper argues its
+    This module exists to cross-validate [tso]: the paper argues its
     view-based characterization captures the operational/axiomatic TSO,
     and the test suite checks the two accept exactly the same
     histories. *)

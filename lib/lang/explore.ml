@@ -256,18 +256,3 @@ let run_random ?(fuel = 10_000) ?(max_steps = 100_000)
   loop 0;
   (* ids in execution order: the corpus carves prefixes from them *)
   (Exec.history layout ~nthreads (List.rev !trace), !violated)
-
-let to_verdict ~machine ~subject = function
-  | Safe states ->
-      Smem_api.Verdict.v ~question:"mutual-exclusion" ~subject
-        ~authority:("machine:" ^ machine) ~states
-        (Some Smem_api.Verdict.Forbidden)
-  | Violation trace ->
-      Smem_api.Verdict.v ~question:"mutual-exclusion" ~subject
-        ~authority:("machine:" ^ machine) ~notes:trace
-        (Some Smem_api.Verdict.Allowed)
-  | State_limit ->
-      Smem_api.Verdict.v ~question:"mutual-exclusion" ~subject
-        ~authority:("machine:" ^ machine)
-        ~notes:[ "state or fuel bound hit; verdict undecided" ]
-        None

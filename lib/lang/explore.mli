@@ -102,11 +102,3 @@ val run_random :
     truncated trace is still a valid history).  Returns the history of
     memory operations performed and whether mutual exclusion was
     violated during the run. *)
-
-val to_verdict :
-  machine:string -> subject:string -> verdict -> Smem_api.Verdict.t
-(** The exploration verdict as a shared API verdict answering the
-    question [mutual-exclusion]: {e is a violation observable?}  So
-    [Safe] maps to [Forbidden] (with the explored state count),
-    [Violation] to [Allowed] (with the trace as notes), and
-    [State_limit] to an undecided [None] status. *)

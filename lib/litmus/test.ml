@@ -14,7 +14,3 @@ let of_history ~name ?(doc = "") ~expect history =
   { name; doc; history; expectations = expect }
 
 let expected t key = List.assoc_opt key t.expectations
-
-let pp_verdict = Smem_api.Verdict.pp_status
-let verdict_of_bool = Smem_api.Verdict.status_of_bool
-let bool_of_verdict = Smem_api.Verdict.bool_of_status

@@ -35,8 +35,3 @@ val of_history :
     shrunk counterexample as a replayable litmus file. *)
 
 val expected : t -> string -> verdict option
-
-val pp_verdict : Format.formatter -> verdict -> unit
-
-val verdict_of_bool : bool -> verdict
-val bool_of_verdict : verdict -> bool

@@ -86,4 +86,3 @@ let internal_locs t =
    writes never commute with internal steps. *)
 let synchronous = false
 let write_depends_on_internal = true
-let quiescent t = Array.for_all (fun q -> q = []) t.pending

@@ -199,9 +199,3 @@ let outcomes (module M : Machine_sig.MACHINE) program =
     (Array.make program.nprocs []);
   Hashtbl.fold (fun outcome () acc -> outcome :: acc) results []
   |> List.sort_uniq compare
-
-let verdict ?(subject = "history") m program target =
-  let (module M : Machine_sig.MACHINE) = m in
-  Smem_api.Verdict.v ~question:"reachability" ~subject
-    ~authority:("machine:" ^ M.name)
-    (Some (Smem_api.Verdict.status_of_bool (reachable m program target)))

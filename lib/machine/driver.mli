@@ -55,13 +55,3 @@ val outcomes : Machine_sig.machine -> program -> int list list
     each outcome lists the values of the program's reads in global
     operation order (processor 0's reads first).  Sorted, duplicates
     removed. *)
-
-val verdict :
-  ?subject:string ->
-  Machine_sig.machine ->
-  program ->
-  Smem_core.History.t ->
-  Smem_api.Verdict.t
-(** {!reachable} as a shared API verdict: question [reachability],
-    authority [machine:<name>]; [Allowed] means some schedule replays
-    the history.  [subject] defaults to ["history"]. *)

@@ -2,7 +2,7 @@
     unordered delivery — pending updates form a multiset per
     destination and may be applied in any order, even two writes by the
     same processor to the same location.  The weakest machine in the
-    catalogue; pairs with the {!Smem_core.Local} model. *)
+    catalogue; pairs with the [local] model. *)
 
 type msg = { loc : int; value : int }
 
@@ -71,4 +71,3 @@ let internal_locs t =
 
 let synchronous = false
 let write_depends_on_internal = false
-let quiescent t = Array.for_all (( = ) []) t.pending

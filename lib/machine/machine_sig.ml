@@ -40,7 +40,8 @@ module type MACHINE = sig
       Returns the value read. *)
 
   val internal : t -> t list
-  (** All one-step internal successors (empty when quiescent). *)
+  (** All one-step internal successors; empty when quiescent (all
+      buffers drained, all messages delivered). *)
 
   val internal_locs : t -> int list
   (** A conservative footprint of the pending internal work: every
@@ -48,7 +49,7 @@ module type MACHINE = sig
       internal steps alone) may read or write.  Used by the DPOR
       explorer's independence relation — an access to a location
       outside this set commutes with every internal step.  Sorted,
-      duplicate-free; empty iff {!quiescent} for every machine in the
+      duplicate-free; empty iff {!internal} is, for every machine in the
       catalogue (buffered and queued updates are never dropped). *)
 
   val synchronous : bool
@@ -66,10 +67,6 @@ module type MACHINE = sig
       and the DPOR explorer must treat every (write, internal) pair as
       dependent.  [false] for machines whose writes only append to
       channels or buffers. *)
-
-  val quiescent : t -> bool
-  (** No internal steps pending: all buffers drained, all messages
-      delivered. *)
 end
 
 type machine = (module MACHINE)

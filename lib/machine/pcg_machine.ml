@@ -91,5 +91,3 @@ let internal_locs t =
 
 let synchronous = false
 let write_depends_on_internal = false
-let quiescent t =
-  Array.for_all (fun row -> Array.for_all (fun q -> q = []) row) t.channels

@@ -175,9 +175,6 @@ let internal_locs_common t =
 let synchronous = false
 let write_depends_on_internal = false
 
-let quiescent_common t =
-  Array.for_all (fun row -> Array.for_all (fun q -> q = []) row) t.channels
-
 module Sc_flavor = struct
   type nonrec t = t
 
@@ -191,7 +188,6 @@ module Sc_flavor = struct
   let internal_locs = internal_locs_common
   let synchronous = synchronous
   let write_depends_on_internal = write_depends_on_internal
-  let quiescent = quiescent_common
 end
 
 module Pc_flavor = struct
@@ -207,5 +203,4 @@ module Pc_flavor = struct
   let internal_locs = internal_locs_common
   let synchronous = synchronous
   let write_depends_on_internal = write_depends_on_internal
-  let quiescent = quiescent_common
 end

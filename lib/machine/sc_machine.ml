@@ -21,5 +21,3 @@ let internal _ = []
 let internal_locs _ = []
 let synchronous = true
 let write_depends_on_internal = false
-
-let quiescent _ = true

@@ -75,7 +75,3 @@ let internal_locs t =
 
 let synchronous = false
 let write_depends_on_internal = false
-let quiescent t =
-  Array.for_all
-    (fun row -> Array.for_all (fun per_loc -> Array.for_all (( = ) []) per_loc) row)
-    t.channels

@@ -58,4 +58,3 @@ let internal_locs t =
 
 let synchronous = false
 let write_depends_on_internal = false
-let quiescent t = Array.for_all (fun b -> b = []) t.buffers

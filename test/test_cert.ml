@@ -10,7 +10,6 @@ module Registry = Smem_core.Registry
 module Diagnose = Smem_core.Diagnose
 module Test = Smem_litmus.Test
 module Corpus = Smem_litmus.Corpus
-module Runner = Smem_litmus.Runner
 module Cert = Smem_cert.Cert
 module Kernel = Smem_cert.Kernel
 
@@ -32,7 +31,7 @@ let corpus_certs =
            (fun m ->
              Option.map
                (fun c -> (t.Test.name, m.Model.key, c))
-               (Runner.certify t m))
+               (Cert.certify m ~name:t.Test.name t.Test.history))
            Registry.certifiable)
        Corpus.all)
 
@@ -89,7 +88,7 @@ let kernel_accepts_corpus () =
 let certify_skips_operational () =
   let t = List.hd Corpus.all in
   check Alcotest.bool "tso-op has no certificate" true
-    (Runner.certify t (model "tso-op") = None)
+    (Cert.certify (model "tso-op") ~name:t.Test.name t.Test.history = None)
 
 (* ---------------- adversarial mutations ---------------- *)
 

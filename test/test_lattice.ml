@@ -8,6 +8,7 @@ module Model = Smem_core.Model
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
+let model key = Option.get (Registry.find key)
 
 let enumerate_counts () =
   (* 1 proc, 1 op, 1 loc, values <= 1: w(x)1, r(x)0, r(x)1 -> 3. *)
@@ -96,11 +97,8 @@ let figure5 () =
 (* Extended-family relations over the Figure-1 scope.  Only facts that
    hold both in-scope and in general are asserted. *)
 let extended_family () =
-  let get key =
-    match Registry.find key with Some m -> m | None -> assert false
-  in
   let models =
-    List.map get [ "causal-coh"; "causal"; "coh"; "pram"; "slow"; "local" ]
+    List.map model [ "causal-coh"; "causal"; "coh"; "pram"; "slow"; "local" ]
   in
   let m = Classify.classify ~models Enumerate.default in
   let index key =
@@ -131,7 +129,7 @@ let extended_family () =
 
 let merge_is_sane () =
   let c1 = { Enumerate.procs = [ 1 ]; nlocs = 1; max_value = 1; labeled = false } in
-  let models = [ Smem_core.Sc.model; Smem_core.Pram.model ] in
+  let models = [ model "sc"; model "pram" ] in
   let m1 = Classify.classify ~models c1 in
   let merged = Classify.merge m1 m1 in
   check Alcotest.int "totals add" (2 * m1.Classify.total) merged.Classify.total;
@@ -140,11 +138,11 @@ let merge_is_sane () =
     merged.Classify.allowed_counts.(0);
   Alcotest.check_raises "model mismatch rejected"
     (Invalid_argument "Classify.merge: model lists differ") (fun () ->
-      ignore (Classify.merge m1 (Classify.classify ~models:[ Smem_core.Sc.model ] c1)))
+      ignore (Classify.merge m1 (Classify.classify ~models:[ model "sc" ] c1)))
 
 let dot_output () =
   let c = { Enumerate.procs = [ 1 ]; nlocs = 1; max_value = 1; labeled = false } in
-  let m = Classify.classify ~models:[ Smem_core.Sc.model; Smem_core.Pram.model ] c in
+  let m = Classify.classify ~models:[ model "sc"; model "pram" ] c in
   let dot = Classify.to_dot m in
   check Alcotest.bool "digraph" true (String.length dot > 0 && String.sub dot 0 7 = "digraph")
 

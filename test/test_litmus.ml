@@ -1,5 +1,6 @@
 (* Tests of the litmus format: parser, printer, round-trips, error
-   reporting, and the runner. *)
+   reporting, and litmus tests judged through the service's [Check]
+   request (the path [smem check] runs). *)
 
 module H = Smem_core.History
 module Op = Smem_core.Op
@@ -7,7 +8,10 @@ module Test = Smem_litmus.Test
 module Parse = Smem_litmus.Parse
 module Print = Smem_litmus.Print
 module Corpus = Smem_litmus.Corpus
-module Runner = Smem_litmus.Runner
+module Request = Smem_api.Request
+module Response = Smem_api.Response
+module Verdict = Smem_api.Verdict
+module Service = Smem_serve.Service
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -44,7 +48,7 @@ let parse_basic () =
     "expectations"
     [ ("sc", false); ("tso", true) ]
     (List.map
-       (fun (k, v) -> (k, Test.bool_of_verdict v))
+       (fun (k, v) -> (k, Verdict.bool_of_status v))
        t.Test.expectations)
 
 let parse_labeled () =
@@ -233,6 +237,15 @@ let corpus_find () =
 
 (* ---------------- runner ---------------- *)
 
+(* A test's verdicts under [models] (every catalogued model when
+   empty), asked as the [Check] request [smem check] sends. *)
+let check_verdicts ?(models = []) (t : Test.t) =
+  let req = Request.Check { test = Request.Inline (Print.to_string t); models } in
+  match (Service.handle (Service.create ()) req).Response.payload with
+  | Response.Verdicts verdicts -> verdicts
+  | Response.Error { message; _ } -> Alcotest.failf "%s: %s" t.Test.name message
+  | _ -> Alcotest.failf "%s: check answered without verdicts" t.Test.name
+
 (* The shipped .litmus files parse, and their stated expectations hold. *)
 let litmus_files_check () =
   (* cwd differs between `dune runtest` (test dir, deps materialized)
@@ -258,15 +271,12 @@ let litmus_files_check () =
       | Ok tests ->
           List.iter
             (fun (t : Test.t) ->
-              let results =
-                Runner.run_test ~models:Smem_core.Registry.all t
-              in
               List.iter
-                (fun r ->
+                (fun v ->
                   check Alcotest.bool
                     (Printf.sprintf "%s/%s agrees" file t.Test.name)
-                    true (Runner.agrees r))
-                results)
+                    true (Verdict.agrees v))
+                (check_verdicts t))
             tests)
     files
 
@@ -275,15 +285,16 @@ let runner_agreement () =
     Test.make ~name:"tiny" ~expect:[ ("sc", Test.Allowed) ]
       [ [ Smem_core.History.write "x" 1 ] ]
   in
-  let results = Runner.run_test ~models:[ Smem_core.Sc.model ] t in
+  let results = check_verdicts ~models:[ "sc" ] t in
   check Alcotest.int "one result" 1 (List.length results);
-  check Alcotest.bool "agrees" true (List.for_all Runner.agrees results);
+  check Alcotest.bool "agrees" true (List.for_all Verdict.agrees results);
   let bad =
     Test.make ~name:"tiny2" ~expect:[ ("sc", Test.Forbidden) ]
       [ [ Smem_core.History.write "x" 1 ] ]
   in
-  let results2 = Runner.run_test ~models:[ Smem_core.Sc.model ] bad in
-  check Alcotest.int "one mismatch" 1 (List.length (Runner.mismatches results2))
+  let results2 = check_verdicts ~models:[ "sc" ] bad in
+  check Alcotest.int "one mismatch" 1
+    (List.length (List.filter (fun v -> not (Verdict.agrees v)) results2))
 
 (* Print/parse round-trip on random tests, covering labels, intervals
    and expectations beyond what the corpus happens to use. *)

@@ -37,7 +37,7 @@ let corpus_cases =
             (Printf.sprintf "%s / %s" test.Test.name key)
             (fun () ->
               let got = allows key test.Test.history in
-              check Alcotest.bool "verdict" (Test.bool_of_verdict verdict) got))
+              check Alcotest.bool "verdict" (Smem_api.Verdict.bool_of_status verdict) got))
         test.Test.expectations)
     Corpus.all
 
@@ -47,7 +47,7 @@ let corpus_cases =
    must produce views with the same write order in every view. *)
 let tso_views_share_write_order () =
   let h = Corpus.fig1_tso.Test.history in
-  match Model.witness_of Smem_core.Tso.model h with
+  match Model.witness_of (model "tso") h with
   | None -> Alcotest.fail "fig1 must be TSO"
   | Some w ->
       let write_projection (_, seq) =
@@ -65,7 +65,7 @@ let tso_views_share_write_order () =
 (* Witnesses of engine-B models are independently validated. *)
 let pram_witness_valid () =
   let h = Corpus.fig3_pram_not_tso.Test.history in
-  match Model.witness_of Smem_core.Pram.model h with
+  match Model.witness_of (model "pram") h with
   | None -> Alcotest.fail "fig3 must be PRAM"
   | Some w ->
       List.iter
@@ -79,7 +79,7 @@ let pram_witness_valid () =
 
 let causal_witness_valid () =
   let h = Corpus.fig4_causal_not_tso.Test.history in
-  match Model.witness_of Smem_core.Causal.model h with
+  match Model.witness_of (model "causal") h with
   | None -> Alcotest.fail "fig4 must be causal"
   | Some w ->
       List.iter
@@ -102,7 +102,7 @@ let tso_forwarding_divergence () =
     | None -> Alcotest.fail "sb+rfi missing from corpus"
   in
   check Alcotest.bool "view-based TSO forbids" false
-    (Model.check Smem_core.Tso.model h);
+    (Model.check (model "tso") h);
   check Alcotest.bool "operational TSO allows" true
     (Smem_core.Tso_operational.check h)
 
@@ -215,7 +215,7 @@ let family_extremes_props =
 let prop_pram_witness =
   QCheck.Test.make ~name:"PRAM witnesses are valid" ~count:200
     (Helpers.arb_history ()) (fun h ->
-      match Model.witness_of Smem_core.Pram.model h with
+      match Model.witness_of (model "pram") h with
       | None -> true
       | Some w ->
           List.for_all
@@ -229,7 +229,7 @@ let prop_pram_witness =
 let prop_sc_witness =
   QCheck.Test.make ~name:"SC witnesses are valid" ~count:200
     (Helpers.arb_history ()) (fun h ->
-      match Model.witness_of Smem_core.Sc.model h with
+      match Model.witness_of (model "sc") h with
       | None -> true
       | Some w -> (
           match w.Smem_core.Witness.views with
@@ -259,19 +259,19 @@ let sc_reference h =
 let prop_atomic_is_sc_untimed =
   QCheck.Test.make ~name:"Atomic = SC on untimed histories" ~count:200
     (Helpers.arb_history ()) (fun h ->
-      Model.check Smem_core.Atomic.model h = Model.check Smem_core.Sc.model h)
+      Model.check (model "atomic") h = Model.check (model "sc") h)
 
 let prop_atomic_subset_sc_timed =
   QCheck.Test.make ~name:"Atomic ⊆ SC on timed histories" ~count:200
     (Helpers.arb_timed_history ()) (fun h ->
-      if Model.check Smem_core.Atomic.model h then
-        Model.check Smem_core.Sc.model h
+      if Model.check (model "atomic") h then
+        Model.check (model "sc") h
       else true)
 
 let prop_sc_reference =
   QCheck.Test.make ~name:"SC checker = brute-force interleavings" ~count:200
     (Helpers.arb_history ())
-    (fun h -> Model.check Smem_core.Sc.model h = sc_reference h)
+    (fun h -> Model.check (model "sc") h = sc_reference h)
 
 (* The view-based TSO is equivalent to the operational machine on
    histories without same-location read-back (the divergence is

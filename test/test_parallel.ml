@@ -1,10 +1,10 @@
 (* Tests of the parallel work pool and the properties the rest of the
    toolkit relies on it for: order preservation, exception propagation,
-   and — the acceptance criterion of the parallel runner — that every
-   parallel entry point returns results identical to its serial run.
-   Also covers the search-statistics counters and, by qcheck, that the
-   pruned/hoisted searches never change a verdict relative to naive
-   reference implementations. *)
+   and that every parallel entry point — the service's corpus matrix
+   ([smem corpus -j N]), classification, distinction — returns results
+   identical to its serial run.  Also covers the search-statistics
+   counters and, by qcheck, that the pruned/hoisted searches never
+   change a verdict relative to naive reference implementations. *)
 
 module Pool = Smem_parallel.Pool
 module H = Smem_core.History
@@ -12,16 +12,20 @@ module Model = Smem_core.Model
 module Registry = Smem_core.Registry
 module Stats = Smem_core.Stats
 module Rel = Smem_relation.Rel
-module Runner = Smem_litmus.Runner
 module Corpus = Smem_litmus.Corpus
 module Ltest = Smem_litmus.Test
 module Classify = Smem_lattice.Classify
 module Enumerate = Smem_lattice.Enumerate
 module Distinguish = Smem_lattice.Distinguish
 module Helpers = Smem_testlib.Helpers
+module Request = Smem_api.Request
+module Response = Smem_api.Response
+module Verdict = Smem_api.Verdict
+module Service = Smem_serve.Service
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
+let model key = Option.get (Registry.find key)
 
 (* ---------------- the pool itself ---------------- *)
 
@@ -83,34 +87,36 @@ let default_jobs_positive () =
 
 (* ---------------- serial == parallel, per entry point ---------------- *)
 
-let result_key (r : Runner.result) =
-  (r.Runner.test.Ltest.name, r.Runner.model.Model.key, r.Runner.got,
-   Runner.agrees r)
+(* The corpus x catalogue matrix through the service, fanned over
+   [jobs] worker domains as [smem corpus -j N] runs it. *)
+let corpus_verdicts ~jobs =
+  let req = Request.Corpus { models = [] } in
+  match (Service.handle (Service.create ~jobs ()) req).Response.payload with
+  | Response.Verdicts verdicts -> verdicts
+  | _ -> Alcotest.fail "corpus request answered without verdicts"
 
 let runner_identical_across_jobs () =
-  let models = Registry.all in
-  let serial = Runner.run_all ~jobs:1 ~models Corpus.all in
+  let serial = corpus_verdicts ~jobs:1 in
   List.iter
     (fun jobs ->
-      let par = Runner.run_all ~jobs ~models Corpus.all in
+      let par = corpus_verdicts ~jobs in
       check Alcotest.int
         (Printf.sprintf "same cell count at jobs=%d" jobs)
         (List.length serial) (List.length par);
       check Alcotest.bool
         (Printf.sprintf "identical results and order at jobs=%d" jobs)
-        true
-        (List.for_all2 (fun a b -> result_key a = result_key b) serial par))
+        true (serial = par))
     [ 2; 5 ]
 
 let matrix_renders_without_rechecking () =
   Stats.reset ();
-  let results = Runner.run_all ~models:Registry.all Corpus.all in
+  let verdicts = corpus_verdicts ~jobs:1 in
   let after_run = Stats.snapshot () in
-  check Alcotest.int "one check per cell" (List.length results)
+  check Alcotest.int "one check per cell" (List.length verdicts)
     after_run.Stats.checks;
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
-  Runner.pp_matrix ppf results;
+  Verdict.pp_matrix ppf verdicts;
   Format.pp_print_flush ppf ();
   let after_pp = Stats.snapshot () in
   check Alcotest.int "pp_matrix runs no checker" after_run.Stats.checks
@@ -156,8 +162,8 @@ let classify_identical_across_jobs () =
     [ 2; 4 ]
 
 let distinguish_identical_across_jobs () =
-  let a = List.find (fun (m : Model.t) -> m.Model.key = "sc") Registry.all in
-  let b = List.find (fun (m : Model.t) -> m.Model.key = "tso") Registry.all in
+  let a = model "sc" in
+  let b = model "tso" in
   let show v = Format.asprintf "%a" (Distinguish.pp_verdict ~a ~b) v in
   let serial = Distinguish.compare ~jobs:1 ~a ~b [ Enumerate.default ] in
   let par = Distinguish.compare ~jobs:2 ~a ~b [ Enumerate.default ] in
@@ -181,7 +187,7 @@ let stats_reset_and_monotone () =
   Stats.reset ();
   check Alcotest.bool "zero after reset" true (zero (Stats.snapshot ()));
   let h = Corpus.fig1_tso.Ltest.history in
-  let sc = List.find (fun (m : Model.t) -> m.Model.key = "sc") Registry.all in
+  let sc = model "sc" in
   ignore (Model.check sc h);
   let s1 = Stats.snapshot () in
   check Alcotest.bool "one check counted" true (s1.Stats.checks = 1);
@@ -201,10 +207,10 @@ let stats_count_under_parallel_runner () =
   (* Counters are shared atomics: a parallel sweep must account every
      cell exactly once, same as serial. *)
   Stats.reset ();
-  let serial = Runner.run_all ~jobs:1 ~models:Registry.all Corpus.all in
+  let serial = corpus_verdicts ~jobs:1 in
   let s = Stats.snapshot () in
   Stats.reset ();
-  ignore (Runner.run_all ~jobs:4 ~models:Registry.all Corpus.all);
+  ignore (corpus_verdicts ~jobs:4);
   let p = Stats.snapshot () in
   check Alcotest.int "checks" (List.length serial) p.Stats.checks;
   check Alcotest.int "rf candidates" s.Stats.rf_candidates p.Stats.rf_candidates;
@@ -234,12 +240,12 @@ let naive_pram h =
 let prop_pruned_sc_matches_naive =
   QCheck.Test.make ~count:150 ~name:"pruned SC search == naive reference"
     (Helpers.arb_history ())
-    (fun h -> Model.check Smem_core.Sc.model h = naive_sc h)
+    (fun h -> Model.check (model "sc") h = naive_sc h)
 
 let prop_pruned_pram_matches_naive =
   QCheck.Test.make ~count:150 ~name:"pruned PRAM search == naive reference"
     (Helpers.arb_history ())
-    (fun h -> Model.check Smem_core.Pram.model h = naive_pram h)
+    (fun h -> Model.check (model "pram") h = naive_pram h)
 
 let prop_parallel_check_matches_serial =
   (* Every registry model, random histories: fanning the checks over a
