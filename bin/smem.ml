@@ -136,7 +136,8 @@ let trace_arg =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record spans of the instrumented hot paths (checks, rf/co \
+          "Record spans of the instrumented hot paths (the service's \
+           parse, resolve, digest and cache-lookup layers, checks, rf/co \
            enumeration, toposorts, pool tasks, machine replays, fuzz \
            cases, kernel verifications) and write them to $(docv) as \
            Chrome trace-event JSON on exit; open it in chrome://tracing \

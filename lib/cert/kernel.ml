@@ -1128,7 +1128,7 @@ let verify_checked ~max_search_ops (c : Cert.t) =
       | Some m -> (
           match m.Model.params with
           | None ->
-              reject "model %S declares no parameter triple (not certifiable)"
+              reject "model %S declares no parameter quadruple (not certifiable)"
                 c.Cert.model
           | Some p -> p)
     in

@@ -25,11 +25,14 @@ type violation = {
 (* Route verdict queries through a caching {!Smem_serve.Service} when
    one is supplied: campaign-wide, structurally equivalent histories
    (and every shrink candidate) then cost one digest instead of one
-   search. *)
-let query ?service model h =
+   search.  [checker ?service h] digests [h] once, however many models
+   are then asked about it. *)
+let checker ?service h =
   match service with
-  | Some s -> Smem_serve.Service.check_history s model h
-  | None -> Model.check model h
+  | Some s ->
+      let check = Smem_serve.Service.checker s h in
+      fun model -> fst (check model)
+  | None -> fun model -> Model.check model h
 
 let sound_key machine = "sound:" ^ machine
 let pair_key s w = s ^ "<=" ^ w
@@ -51,7 +54,7 @@ let soundness ?service ~case machine h =
     List.mem model.Model.key proper_labels_only_models
     && not (Figure5.properly_labeled h)
   then None
-  else if query ?service model h then begin
+  else if checker ?service h model then begin
     Stats.count_fuzz_pass key;
     None
   end
@@ -60,7 +63,7 @@ let soundness ?service ~case machine h =
     (* Shrink under "still a machine trace and still rejected": guided
        replay keeps the minimized history producible by the machine. *)
     let keep h' =
-      (not (query ?service model h'))
+      (not (checker ?service h' model))
       && Driver.reachable machine (Driver.program_of_history h') h'
     in
     let shrunk, steps = Shrink.shrink ~keep h in
@@ -94,23 +97,25 @@ let soundness ?service ~case machine h =
 let lattice ?service ?pairs ~case h =
   let pairs = match pairs with Some ps -> ps | None -> Figure5.pairs h in
   (* Each model's verdict on [h] is needed by several pairs; memoize. *)
+  let on_h = checker ?service h in
   let verdicts : (string, bool) Hashtbl.t = Hashtbl.create 8 in
-  let check (m : Model.t) hist =
-    if hist == h then
-      match Hashtbl.find_opt verdicts m.Model.key with
-      | Some v -> v
-      | None ->
-          let v = query ?service m hist in
-          Hashtbl.add verdicts m.Model.key v;
-          v
-    else query ?service m hist
+  let check (m : Model.t) =
+    match Hashtbl.find_opt verdicts m.Model.key with
+    | Some v -> v
+    | None ->
+        let v = on_h m in
+        Hashtbl.add verdicts m.Model.key v;
+        v
   in
   List.filter_map
     (fun ((stronger : Model.t), (weaker : Model.t)) ->
       let key = pair_key stronger.Model.key weaker.Model.key in
-      if check stronger h && not (check weaker h) then begin
+      if check stronger && not (check weaker) then begin
         Stats.count_fuzz_fail key;
-        let keep h' = query ?service stronger h' && not (query ?service weaker h') in
+        let keep h' =
+          let check = checker ?service h' in
+          check stronger && not (check weaker)
+        in
         let shrunk, steps = Shrink.shrink ~keep h in
         Stats.add_fuzz_shrink key steps;
         let test =

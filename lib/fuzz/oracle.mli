@@ -75,7 +75,9 @@ val lattice :
     ({!Smem_lattice.Figure5.pairs} by default; [?pairs] overrides it —
     how the tests inject a deliberately flipped containment and assert
     the oracle catches it).  Model verdicts are memoized per call, so
-    each model checks the history at most once. *)
+    each model checks the history at most once; through [?service],
+    the history and each shrink candidate are digested once, not once
+    per model queried. *)
 
 val engines : case:int -> Smem_core.History.t -> violation list
 (** Differential-test the two witness engines: for every model with a

@@ -7,6 +7,8 @@ module Response = Smem_api.Response
 module Verdict = Smem_api.Verdict
 module Test = Smem_litmus.Test
 module Clock = Smem_obs.Clock
+module Trace = Smem_obs.Trace
+module Json = Smem_obs.Json
 
 type t = { cache : Cache.t option; jobs : int; clock : unit -> int }
 
@@ -17,15 +19,33 @@ type t = { cache : Cache.t option; jobs : int; clock : unit -> int }
 let create ?cache ?(jobs = 1) ?(clock = Clock.now) () = { cache; jobs; clock }
 let cache t = t.cache
 
-let check_model t model h =
-  match t.cache with
-  | None -> (Model.check model h, false)
-  | Some c ->
-      let digest = Canon.digest h in
-      Cache.find_or_add c ~digest ~model:model.Model.key (fun () ->
-          Model.check model h)
+(* A layer span, named as perfbench's traced replay names the layer.
+   The guard keeps the untraced path from building [args]. *)
+let span name args f =
+  if Trace.active () then Trace.span ~cat:"serve" ~args:(args ()) name f
+  else f ()
 
-let check_history t model h = fst (check_model t model h)
+(* The digest depends on the history alone (every model is blind to
+   the symmetries {!Canon} quotients by), so it is taken once, here,
+   and every model's lookup shares it. *)
+let checker t h =
+  match t.cache with
+  | None -> fun model -> (Model.check model h, false)
+  | Some c ->
+      let digest =
+        span "canon.digest"
+          (fun () -> [ ("nops", Json.Int (Smem_core.History.nops h)) ])
+          (fun () -> Canon.digest h)
+      in
+      fun model ->
+        let key = model.Model.key in
+        span "cache.lookup"
+          (fun () -> [ ("model", Json.Str key) ])
+          (fun () ->
+            Cache.find_or_add c ~digest ~model:key (fun () ->
+                Model.check model h))
+
+let check_model t model h = checker t h model
 
 (* ------------------------------------------------------------------ *)
 (* Request execution                                                   *)
@@ -37,21 +57,30 @@ let ( let* ) = Result.bind
 (* Registry.resolve's failure message carries the reason — a grammar
    parse error, a bad family argument, or an unknown name with a
    did-you-mean suggestion. *)
-let resolve_model key =
+let resolve_key key =
   match Registry.resolve key with
   | Ok m -> Ok m
   | Error reason ->
       Error { code = Response.Unknown_model; message = reason }
 
-let resolve_models = function
-  | [] -> Ok Registry.all
-  | keys ->
-      List.fold_right
-        (fun key acc ->
-          let* acc = acc in
-          let* m = resolve_model key in
-          Ok (m :: acc))
-        keys (Ok [])
+let resolve_model key =
+  span "registry.resolve"
+    (fun () -> [ ("keys", Json.Int 1) ])
+    (fun () -> resolve_key key)
+
+let resolve_models keys =
+  span "registry.resolve"
+    (fun () -> [ ("keys", Json.Int (List.length keys)) ])
+    (fun () ->
+      match keys with
+      | [] -> Ok Registry.all
+      | keys ->
+          List.fold_right
+            (fun key acc ->
+              let* acc = acc in
+              let* m = resolve_key key in
+              Ok (m :: acc))
+            keys (Ok []))
 
 let resolve_test = function
   | Request.Named name -> (
@@ -64,7 +93,11 @@ let resolve_test = function
               message = "unknown corpus test: " ^ name;
             })
   | Request.Inline text -> (
-      match Smem_litmus.Parse.test_of_string text with
+      match
+        span "litmus.parse"
+          (fun () -> [ ("bytes", Json.Int (String.length text)) ])
+          (fun () -> Smem_litmus.Parse.test_of_string text)
+      with
       | Ok t -> Ok t
       | Error e ->
           Error
@@ -87,20 +120,26 @@ let resolve_scopes = function
   | scopes -> List.map scope_to_config scopes
 
 (* One check/corpus cell: a cached-or-fresh membership verdict. *)
-let cell t (test, model) =
-  let got, cached = check_model t model test.Test.history in
+let cell (test, check, model) =
+  let got, cached = check model in
   ( Verdict.v ~subject:test.Test.name ~authority:model.Model.key ~cached
       ?expected:(Test.expected test model.Model.key)
       (Some (Verdict.status_of_bool got)),
     cached )
 
+(* Each test's checker is built here, on the calling domain, before the
+   cells fan out: one digest per test, shared by its cells. *)
 let check_cells t tests models =
   let cells =
-    List.concat_map (fun tst -> List.map (fun m -> (tst, m)) models) tests
+    List.concat_map
+      (fun tst ->
+        let check = checker t tst.Test.history in
+        List.map (fun m -> (tst, check, m)) models)
+      tests
   in
   let results =
-    if t.jobs > 1 then Smem_parallel.Pool.map ~jobs:t.jobs (cell t) cells
-    else List.map (cell t) cells
+    if t.jobs > 1 then Smem_parallel.Pool.map ~jobs:t.jobs cell cells
+    else List.map cell cells
   in
   let verdicts = List.map fst results in
   let cached = List.length (List.filter snd results) in
@@ -187,7 +226,7 @@ let certify test model format =
           code = Response.Uncertifiable;
           message =
             model.Model.key
-            ^ " declares no parameter triple; it cannot be certified";
+            ^ " declares no parameter quadruple; it cannot be certified";
         }
   | Some cert -> (
       match Smem_cert.Kernel.verify cert with

@@ -2,12 +2,21 @@
 
     One service instance owns an optional verdict cache and a
     parallelism budget.  Membership questions (check/corpus cells, and
-    the fuzzer's oracle queries via {!check_history}) are answered
-    through the cache when one is attached, keyed by
+    the fuzzer's oracle queries via {!checker}) are answered through
+    the cache when one is attached, keyed by
     [(Canon.digest history, model key)] — so a history resubmitted
     under any processor permutation or location/value renaming is a
-    cache hit.  Classification and distinction requests enumerate
-    history spaces and are always computed fresh.
+    cache hit.  The digest depends on the history alone, so a request
+    takes it once per test, on the calling domain, before its cells
+    fan out across models and worker domains: a 20-model check
+    canonicalizes once, a corpus request once per corpus test.
+    Classification and distinction requests enumerate history spaces
+    and are always computed fresh.
+
+    When the {!Smem_obs.Trace} sink is armed, the service records the
+    spans [litmus.parse] (inline test text), [registry.resolve] (model
+    references), [canon.digest] (one per test) and [cache.lookup] (one
+    per cell, around {!Smem_core.Model.check}'s own span on a miss).
 
     [jobs] bounds the worker domains {e one} request may use.  The
     {!Server} fans whole requests across a pool instead, so it builds
@@ -25,14 +34,18 @@ val create :
 
 val cache : t -> Smem_cache.Cache.t option
 
+val checker :
+  t -> Smem_core.History.t -> Smem_core.Model.t -> bool * bool
+(** [checker t h] computes [h]'s canonical digest at once (nothing when
+    [t] has no cache) and returns a function answering
+    [(verdict, cached)] for any model: is [h] allowed by it, and was
+    the answer served from the cache.  Apply it once per history and
+    query every model through the result; the result may be shared
+    across domains. *)
+
 val check_model :
   t -> Smem_core.Model.t -> Smem_core.History.t -> bool * bool
-(** [(verdict, cached)] — is the history allowed by the model, and was
-    the answer served from the cache. *)
-
-val check_history : t -> Smem_core.Model.t -> Smem_core.History.t -> bool
-(** [fst (check_model t m h)] — drop-in for {!Smem_core.Model.check}
-    call sites that want caching without the provenance bit. *)
+(** [check_model t m h = checker t h m]: one cell, one digest. *)
 
 val handle : ?id:int -> t -> Smem_api.Request.t -> Smem_api.Response.t
 (** Execute one request.  Never raises on bad input — unknown models or

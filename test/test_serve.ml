@@ -338,6 +338,77 @@ let service_too_large_boundary () =
         (v.Verdict.status = Some Verdict.Allowed)
   | _ -> Alcotest.fail "expected a verdict below the boundary"
 
+(* The digest depends on the history alone, so a request canonicalizes
+   each test once, before its cells fan out — never once per cell, and
+   never on a worker domain.  Counted from the service's own
+   [canon.digest] spans. *)
+let service_one_digest_per_test () =
+  let module Json = Smem_obs.Json in
+  let module Trace = Smem_obs.Trace in
+  let digests f =
+    let file = Filename.temp_file "smem_serve_test" ".json" in
+    Trace.start ~file ();
+    let r = Fun.protect ~finally:Trace.stop f in
+    let contents = In_channel.with_open_text file In_channel.input_all in
+    Sys.remove file;
+    let events =
+      match Json.of_string contents with
+      | Ok doc -> (
+          match Json.member "traceEvents" doc with
+          | Some (Json.Arr evs) -> evs
+          | _ -> Alcotest.fail "trace has no traceEvents array")
+      | Error e -> Alcotest.failf "trace is not valid JSON: %s" e
+    in
+    let digests =
+      List.filter
+        (fun e -> Json.member "name" e = Some (Json.Str "canon.digest"))
+        events
+    in
+    let self = Json.Int (Domain.self () :> int) in
+    List.iter
+      (fun e ->
+        check Alcotest.bool "digested on the calling domain" true
+          (Json.member "tid" e = Some self))
+      digests;
+    (r, List.length digests)
+  in
+  let fresh jobs =
+    Service.create ~cache:(Cache.create ~capacity:65536 ()) ~jobs ()
+  in
+  let models = List.length Registry.all in
+  let s = fresh 2 in
+  let check_inline text =
+    digests (fun () ->
+        Service.handle s (Request.Check { test = Request.Inline text; models = [] }))
+  in
+  let first, n1 =
+    check_inline
+      "test probe \"one\"\np0: w x 1 ; w y 2 ; r y 2\np1: r y 2 ; r x 0\n"
+  in
+  check Alcotest.int "one digest for a 20-model check" 1 n1;
+  check Alcotest.int "every cell computed" models first.Response.computed;
+  (* processors swapped, x -> b and y -> a, y's 2 -> 9 and x's 1 -> 4 *)
+  let again, n2 =
+    check_inline
+      "test probe2 \"two\"\np0: r a 9 ; r b 0\np1: w b 4 ; w a 9 ; r a 9\n"
+  in
+  check Alcotest.int "the re-spelled test adds one digest" 1 n2;
+  check Alcotest.int "every re-spelled cell cached" models again.Response.cached;
+  check Alcotest.int "no re-spelled cell computed" 0 again.Response.computed;
+  let corpus jobs =
+    digests (fun () -> Service.handle (fresh jobs) (Request.Corpus { models = [] }))
+  in
+  let one, n_one = corpus 1 and two, n_two = corpus 2 in
+  check Alcotest.int "jobs:2 corpus: one digest per test"
+    (List.length Corpus.all) n_two;
+  check Alcotest.int "jobs:1 corpus: one digest per test"
+    (List.length Corpus.all) n_one;
+  check Alcotest.bool "jobs:2 verdicts equal jobs:1's" true
+    (two.Response.payload = one.Response.payload);
+  check Alcotest.int "cached counts agree" one.Response.cached two.Response.cached;
+  check Alcotest.int "computed counts agree" one.Response.computed
+    two.Response.computed
+
 (* ---------------- server loop ---------------- *)
 
 (* Drive the NDJSON loop through temp files (the loop takes plain
@@ -797,6 +868,7 @@ let () =
         :: tc "models request answers the catalogue" service_models_catalogue
         :: tc "view-search boundary answers Too_large"
              service_too_large_boundary
+        :: tc "one canon.digest per test" service_one_digest_per_test
         :: List.map QCheck_alcotest.to_alcotest
              [ cached_equals_fresh; service_renaming_hits ] );
       ( "server",
