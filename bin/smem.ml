@@ -78,10 +78,10 @@ let cache_arg =
     value & opt int default_cache_capacity
     & info [ "cache" ] ~docv:"N"
         ~doc:
-          "Verdict cache capacity in entries, keyed by canonical history \
-           digest x model (0 disables caching).  Equivalent histories — up \
-           to processor permutation and location/value renaming — share \
-           entries.")
+          "Verdict cache capacity in rows, one row per canonical history \
+           digest holding its verdicts under every model (0 disables \
+           caching).  Equivalent histories — up to processor permutation \
+           and location/value renaming — share a row.")
 
 (* Every verdict-producing subcommand goes through one Service: typed
    requests in, structured responses out; the CLI only parses arguments
@@ -1306,10 +1306,12 @@ let serve_cmd =
       & opt (some string) None
       & info [ "store" ] ~docv:"FILE"
           ~doc:
-            "Persist every computed verdict to an append-only log at \
-             $(docv) (format smem-store/1) and replay it into the cache at \
+            "Persist every decided verdict to an append-only log at \
+             $(docv) (format smem-store/2) and replay it into the cache at \
              startup, so a restarted daemon answers known histories \
-             without recomputing.  Requires a cache ($(b,--cache) > 0).")
+             without recomputing; records of a model whose definition \
+             has changed since are skipped.  Requires a cache \
+             ($(b,--cache) > 0).")
   in
   let queue =
     Arg.(
@@ -1462,8 +1464,8 @@ let sim_cmd =
       & opt int Sim.default.Sim.cache_capacity
       & info [ "cache" ] ~docv:"N"
           ~doc:
-            "Verdict cache capacity.  Deliberately small by default so \
-             eviction storms actually evict live entries.")
+            "Verdict cache capacity, in rows.  Deliberately small by \
+             default so eviction storms actually evict live rows.")
   in
   let faults =
     Arg.(

@@ -5,11 +5,14 @@ let m_misses = Metrics.counter "cache.misses"
 let m_evictions = Metrics.counter "cache.evictions"
 let m_stores = Metrics.counter "cache.stores"
 
+(* A history's row: its known verdicts, one per model key. *)
+type row = (string * bool) list
+
 type shard = {
   lock : Mutex.t;
-  table : (string * string, bool) Hashtbl.t;
-  order : (string * string) Queue.t;  (* insertion order, oldest first *)
-  cap : int;
+  table : (string, row) Hashtbl.t;
+  order : string Queue.t;  (* digests in insertion order, oldest first *)
+  cap : int;  (* rows *)
 }
 
 type t = {
@@ -59,55 +62,80 @@ let create ?(shards = 8) ~capacity () =
     on_store = None;
   }
 
-(* Entries are keyed [(digest, model)], so the shard must hash the full
-   key: hashing the digest alone piles every model's verdict for a hot
-   history into one shard and serializes them on its mutex. *)
-let shard_index t ~digest ~model = Hashtbl.hash (digest, model) land t.mask
-let shard_of t ~digest ~model = t.shards.(shard_index t ~digest ~model)
+(* A request reads and writes a whole row at once, so one history's
+   verdicts share a shard: the digest alone picks it. *)
+let shard_index t ~digest = Hashtbl.hash digest land t.mask
+let shard_of t ~digest = t.shards.(shard_index t ~digest)
 let on_store t f = t.on_store <- Some f
 
 let locked s f =
   Mutex.lock s.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
-let find t ~digest ~model =
-  let s = shard_of t ~digest ~model in
-  let r = locked s (fun () -> Hashtbl.find_opt s.table (digest, model)) in
-  (match r with
-  | Some _ ->
-      Atomic.incr t.hits;
-      Metrics.incr m_hits
-  | None ->
-      Atomic.incr t.misses;
-      Metrics.incr m_misses);
-  r
-
-let add ?(notify = true) t ~digest ~model verdict =
-  let s = shard_of t ~digest ~model in
-  let evicted =
+let find_row t ~digest ~models =
+  let s = shard_of t ~digest in
+  let row =
     locked s (fun () ->
-        let key = (digest, model) in
-        let fresh = not (Hashtbl.mem s.table key) in
-        let evicted =
-          if fresh && Hashtbl.length s.table >= s.cap then begin
-            let oldest = Queue.pop s.order in
-            Hashtbl.remove s.table oldest;
-            1
-          end
-          else 0
-        in
-        Hashtbl.replace s.table key verdict;
-        if fresh then Queue.push key s.order;
-        evicted)
+        Option.value (Hashtbl.find_opt s.table digest) ~default:[])
   in
-  Metrics.incr m_stores;
-  if evicted > 0 then begin
-    Atomic.fetch_and_add t.evictions evicted |> ignore;
-    Metrics.add m_evictions evicted
-  end;
-  match t.on_store with
-  | Some f when notify -> f ~digest ~model verdict
-  | _ -> ()
+  let held m = List.exists (fun (k, _) -> String.equal k m) row in
+  let hits = List.length (List.filter held models) in
+  let misses = List.length models - hits in
+  ignore (Atomic.fetch_and_add t.hits hits);
+  ignore (Atomic.fetch_and_add t.misses misses);
+  Metrics.add m_hits hits;
+  Metrics.add m_misses misses;
+  row
+
+(* Last write wins per model. *)
+let merge row cells =
+  List.fold_left
+    (fun row (m, v) ->
+      (m, v) :: List.filter (fun (k, _) -> not (String.equal k m)) row)
+    row cells
+
+let add_row ?(notify = true) t ~digest cells =
+  if cells <> [] then begin
+    let s = shard_of t ~digest in
+    let evicted =
+      locked s (fun () ->
+          let old, evicted =
+            match Hashtbl.find_opt s.table digest with
+            | Some row -> (row, 0)
+            | None ->
+                let evicted =
+                  if Hashtbl.length s.table >= s.cap then begin
+                    let oldest = Queue.pop s.order in
+                    let n = List.length (Hashtbl.find s.table oldest) in
+                    Hashtbl.remove s.table oldest;
+                    n
+                  end
+                  else 0
+                in
+                Queue.push digest s.order;
+                ([], evicted)
+          in
+          Hashtbl.replace s.table digest (merge old cells);
+          evicted)
+    in
+    Metrics.add m_stores (List.length cells);
+    if evicted > 0 then begin
+      ignore (Atomic.fetch_and_add t.evictions evicted);
+      Metrics.add m_evictions evicted
+    end;
+    match t.on_store with
+    | Some f when notify ->
+        List.iter (fun (model, v) -> f ~digest ~model v) cells
+    | _ -> ()
+  end
+
+let find t ~digest ~model =
+  List.find_map
+    (fun (k, v) -> if String.equal k model then Some v else None)
+    (find_row t ~digest ~models:[ model ])
+
+let add ?notify t ~digest ~model verdict =
+  add_row ?notify t ~digest [ (model, verdict) ]
 
 let find_or_add t ~digest ~model compute =
   match find t ~digest ~model with
@@ -120,7 +148,10 @@ let find_or_add t ~digest ~model compute =
 let stats t =
   let entries =
     Array.fold_left
-      (fun acc s -> acc + locked s (fun () -> Hashtbl.length s.table))
+      (fun acc s ->
+        acc
+        + locked s (fun () ->
+              Hashtbl.fold (fun _ row n -> n + List.length row) s.table 0))
       0 t.shards
   in
   {
@@ -140,5 +171,7 @@ let clear t =
     t.shards
 
 let pp_stats ppf (s : stats) =
-  Format.fprintf ppf "%d/%d entries, %d hit(s), %d miss(es), %d eviction(s)"
+  Format.fprintf ppf
+    "%d verdict(s) in at most %d row(s), %d hit(s), %d miss(es), %d \
+     eviction(s)"
     s.entries s.capacity s.hits s.misses s.evictions

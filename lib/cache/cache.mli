@@ -1,62 +1,76 @@
 (** Sharded, bounded verdict cache.
 
-    Maps [(canonical history digest, model key)] to the model's boolean
-    verdict.  Because {!Smem_core.Canon.digest} is invariant under
-    processor permutation and location/value renaming, structurally
-    distinct but equivalent histories share one entry.
+    Holds one {e row} per canonical history digest: the history's known
+    verdicts, one per model key.  Because {!Smem_core.Canon.digest} is
+    invariant under processor permutation and location/value renaming,
+    structurally distinct but equivalent histories share one row.  A
+    request reads a test's whole row with one lookup ({!find_row}) and
+    writes back what it decided with one store ({!add_row});
+    {!find}, {!add} and {!find_or_add} are per-cell accessors on the
+    same rows.
 
-    The table is split into shards, each guarded by its own mutex
+    The rows are split into shards, each guarded by its own mutex
     (OCaml 5 [Stdlib.Mutex] is domain-safe), so domains of a
     {!Smem_parallel.Pool} contend only when they touch the same shard.
-    Sharding hashes the {e full} [(digest, model)] key — the ~14
-    verdicts of one hot history spread across shards instead of
-    serializing on one mutex.
-    Each shard is bounded and evicts in insertion (FIFO) order once
-    full — verdicts are tiny, so capacity is a count of entries, not
-    bytes.
+    The digest alone picks the shard: a row is read and written whole,
+    and distinct histories spread over the shards.  Each shard is
+    bounded and evicts whole rows in insertion (FIFO) order once full —
+    capacity is a count of rows (histories), not of verdicts or bytes.
 
-    Instances keep their own hit/miss/evict statistics; the process-wide
-    totals are also registered in {!Smem_obs.Metrics} under
-    [cache.hits], [cache.misses], [cache.evictions] and [cache.stores],
-    so [--stats] output and perfbench see cache behavior without
-    plumbing. *)
+    Instances keep their own hit/miss/evict statistics, counted in
+    verdicts: a hit or a miss per cell asked for, an eviction per
+    verdict dropped.  The process-wide totals are also registered in
+    {!Smem_obs.Metrics} under [cache.hits], [cache.misses],
+    [cache.evictions] and [cache.stores], so [--stats] output and
+    perfbench see cache behavior without plumbing. *)
 
 type t
 
 type stats = {
   hits : int;
   misses : int;
-  evictions : int;
-  entries : int;  (** current resident entries across all shards *)
-  capacity : int;
+  evictions : int;  (** verdicts dropped with their evicted rows *)
+  entries : int;  (** current resident verdicts across all rows *)
+  capacity : int;  (** rows *)
 }
 
 val create : ?shards:int -> capacity:int -> unit -> t
-(** [create ~capacity ()] — a cache holding at most [capacity] verdicts
-    (at least one per shard).  [shards] (default [8]) is rounded up to
-    a power of two.
+(** [create ~capacity ()] — a cache holding at most [capacity] rows (at
+    least one per shard).  [shards] (default [8]) is rounded up to a
+    power of two.
     @raise Invalid_argument if [capacity <= 0] or [shards <= 0]. *)
 
+val find_row : t -> digest:string -> models:string list -> (string * bool) list
+(** [find_row t ~digest ~models] is every cached verdict of [digest]'s
+    row, as [(model key, verdict)] pairs ([[]] when there is no row),
+    under one shard lock.  [models] are the cells the caller asks
+    about: each counts a hit if the row holds it and a miss if not. *)
+
+val add_row :
+  ?notify:bool -> t -> digest:string -> (string * bool) list -> unit
+(** Merge [(model key, verdict)] cells into [digest]'s row (last write
+    wins per model), creating the row — and evicting the shard's oldest
+    row if the shard is full — when it is new.  The {!on_store} hook
+    fires once per cell unless [notify] is [false] (replaying a
+    persistent store back into the cache must not re-append every
+    entry). *)
+
 val find : t -> digest:string -> model:string -> bool option
-(** Cached verdict, if present.  Counts a hit or a miss. *)
+(** One cached verdict, if present.  Counts a hit or a miss. *)
 
 val add : ?notify:bool -> t -> digest:string -> model:string -> bool -> unit
-(** Insert (last write wins), evicting the oldest entry of the shard if
-    it is full.  The {!on_store} hook fires unless [notify] is [false]
-    (replaying a persistent store back into the cache must not
-    re-append every entry). *)
+(** [add_row] of one cell. *)
 
 val on_store : t -> (digest:string -> model:string -> bool -> unit) -> unit
-(** Install the persistence hook: called after every store (fresh or
-    replacement) with the key and verdict, outside the shard lock.  The
-    callback may run concurrently from several domains and must be
+(** Install the persistence hook: called after every stored cell (fresh
+    or replacement) with the key and verdict, outside the shard lock.
+    The callback may run concurrently from several domains and must be
     thread-safe.  Last installation wins; {!Smem_serve.Store} is the
     intended (sole) subscriber. *)
 
-val shard_index : t -> digest:string -> model:string -> int
-(** Which shard a key lives in — exposed so tests can assert the
-    distribution (one hot digest across many models must not collapse
-    into one shard). *)
+val shard_index : t -> digest:string -> int
+(** Which shard a digest's row lives in — exposed so tests can assert
+    the distribution (distinct digests must spread over the shards). *)
 
 val find_or_add :
   t -> digest:string -> model:string -> (unit -> bool) -> bool * bool
@@ -67,6 +81,6 @@ val find_or_add :
 
 val stats : t -> stats
 val clear : t -> unit
-(** Drop every entry.  Statistics keep accumulating. *)
+(** Drop every row.  Statistics keep accumulating. *)
 
 val pp_stats : Format.formatter -> stats -> unit

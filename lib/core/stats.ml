@@ -150,11 +150,18 @@ let count_solve_leaf () = M.incr solve_leaves
 
 (* Monotonic clock: a wall-clock source here (the old gettimeofday)
    could be stepped backwards by NTP mid-measure and record a negative
-   or wildly skewed duration into the aggregate. *)
+   or wildly skewed duration into the aggregate.  Every computed cell
+   passes through here, so it allocates no [Fun.protect] closures. *)
 let time f =
   let t0 = Smem_obs.Clock.now () in
-  let finally () = add_wall_ns (Smem_obs.Clock.elapsed_ns t0) in
-  Fun.protect ~finally f
+  match f () with
+  | v ->
+      add_wall_ns (Smem_obs.Clock.elapsed_ns t0);
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      add_wall_ns (Smem_obs.Clock.elapsed_ns t0);
+      Printexc.raise_with_backtrace e bt
 
 let pp_wall ppf ns =
   if ns >= 1_000_000_000 then Format.fprintf ppf "%.3f s" (float ns /. 1e9)

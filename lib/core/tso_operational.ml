@@ -76,7 +76,9 @@ let check h =
       memory = Array.make (max 1 nlocs) 0;
     }
 
-(* No parameter triple: the verdict comes from state-space replay, not
+let version = "tso-op/1"
+
+(* No parameter quadruple: the verdict comes from state-space replay, not
    from view construction, so there is no witness an independent kernel
    could re-validate — the model is deliberately uncertifiable (its role
    is to cross-validate the view-based TSO, which is). *)

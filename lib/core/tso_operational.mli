@@ -12,3 +12,9 @@
 
 val check : History.t -> bool
 val model : Model.t
+
+val version : string
+(** The definition's version.  The model has no parameter quadruple to
+    fingerprint its stored verdicts with ({!Smem_serve.Store}), so this
+    string stands in: change it with any change to {!check} that may
+    change a verdict. *)

@@ -7,29 +7,37 @@ type containment = {
   proper_labels_only : bool;
 }
 
+(* Strongest first, as the registry lists them; parameterized keys
+   resolve through the Model_ref grammar. *)
 let model_keys =
   [
+    "atomic";
     "sc";
     "tso";
     "pc";
     "rc-sc";
     "rc-pc";
-    "causal";
-    "pram";
-    (* the extended families (PR 10); parameterized keys resolve
-       through the Model_ref grammar *)
+    "wo";
     "pc-g";
     "pc-part(blocks=2)";
     "pc-part(blocks=4)";
+    "causal-coh";
+    "causal";
     "coh";
+    "pram";
     "session(ryw,mr,mw,wfr)";
     "session(ryw,mr,mw)";
     "session(ryw,mr)";
+    "slow";
+    "local";
   ]
 
 let edge ?(proper = false) stronger weaker =
   { stronger; weaker; proper_labels_only = proper }
 
+(* Every edge is a theorem with a proof in DESIGN.md ("Figure 5 decides
+   cells"): the service infers verdicts from this list, so an edge that
+   merely agrees with a corpus does not belong here. *)
 let hasse =
   [
     edge "sc" "tso";
@@ -55,11 +63,24 @@ let hasse =
     edge "pram" "session(ryw,mr,mw)";
     edge "session(ryw,mr,mw,wfr)" "session(ryw,mr,mw)";
     edge "session(ryw,mr,mw)" "session(ryw,mr)";
+    (* Projections of a stronger memory's views: real time only adds
+       order; an SC serialization restricts to weak ordering's and
+       coherent causal memory's views; dropping coherence, or causality
+       down to program order, or program order down to the owner's,
+       only removes constraints.  Not tso -> causal-coh: TSO allows a
+       history causal-coh forbids (EXPERIMENTS.md finding 7). *)
+    edge "atomic" "sc";
+    edge "sc" "wo";
+    edge "sc" "causal-coh";
+    edge "causal-coh" "causal";
+    edge "causal-coh" "pc-g";
+    edge "pram" "slow";
+    edge "slow" "local";
   ]
 
 (* Transitive closure over two path strengths: a pair holds
-   unconditionally iff some Hasse path to it uses only unconditional
-   edges; it holds under proper labeling iff any path exists at all. *)
+   unconditionally iff some path to it uses only unconditional edges;
+   it holds under proper labeling iff any path exists at all. *)
 let containments =
   let keys = Array.of_list model_keys in
   let n = Array.length keys in
@@ -121,11 +142,18 @@ let resolve key =
   | Some m -> m
   | None -> invalid_arg ("Figure5: model key not in registry: " ^ key)
 
-let all_pairs ~proper_labels =
+(* Resolved once, at start-up, not lazily: [pairs] runs on every
+   served test, from any domain. *)
+let resolved ~proper_labels =
   List.filter_map
     (fun c ->
       if c.proper_labels_only && not proper_labels then None
       else Some (resolve c.stronger, resolve c.weaker))
     containments
+
+let with_labels = resolved ~proper_labels:true
+let without_labels = resolved ~proper_labels:false
+let all_pairs ~proper_labels =
+  if proper_labels then with_labels else without_labels
 
 let pairs h = all_pairs ~proper_labels:(properly_labeled h)

@@ -26,17 +26,18 @@ let span name args f =
   else f ()
 
 (* The digest depends on the history alone (every model is blind to
-   the symmetries {!Canon} quotients by), so it is taken once, here,
-   and every model's lookup shares it. *)
+   the symmetries {!Canon} quotients by), so it is taken once per
+   history, and every model's lookup shares it. *)
+let digest h =
+  span "canon.digest"
+    (fun () -> [ ("nops", Json.Int (Smem_core.History.nops h)) ])
+    (fun () -> Canon.digest h)
+
 let checker t h =
   match t.cache with
   | None -> fun model -> (Model.check model h, false)
   | Some c ->
-      let digest =
-        span "canon.digest"
-          (fun () -> [ ("nops", Json.Int (Smem_core.History.nops h)) ])
-          (fun () -> Canon.digest h)
-      in
+      let digest = digest h in
       fun model ->
         let key = model.Model.key in
         span "cache.lookup"
@@ -119,27 +120,126 @@ let resolve_scopes = function
   | [] -> Smem_lattice.Classify.standard_scopes
   | scopes -> List.map scope_to_config scopes
 
-(* One check/corpus cell: a cached-or-fresh membership verdict. *)
-let cell (test, check, model) =
-  let got, cached = check model in
+(* ------------------------------------------------------------------ *)
+(* Figure 5 decides cells                                              *)
+
+let m_implied = Smem_obs.Metrics.counter "check.implied"
+
+(* The fill's walk order: registry position, strongest first; keys
+   outside the catalogue (family instances) come last. *)
+let rank =
+  let tbl = Hashtbl.create 32 in
+  List.iteri
+    (fun i (m : Model.t) -> Hashtbl.replace tbl m.Model.key i)
+    Registry.all;
+  fun (m : Model.t) ->
+    Option.value (Hashtbl.find_opt tbl m.Model.key) ~default:max_int
+
+(* A row's cell by model key. *)
+let rec lookup key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else lookup key rest
+
+(* The verdict the known cells force on [key] through a containment,
+   if any: allowed when a stronger model allows, forbidden when a
+   weaker one forbids. *)
+let implied pairs known key =
+  List.find_map
+    (fun ((s : Model.t), (w : Model.t)) ->
+      if String.equal w.Model.key key then
+        if lookup s.Model.key known = Some true then Some true else None
+      else if String.equal s.Model.key key then
+        if lookup w.Model.key known = Some false then Some false else None
+      else None)
+    pairs
+
+(* Known cells that break a containment: only a corrupted cache can
+   hold them, and then nothing is inferred from the row. *)
+let contradicts pairs known =
+  known <> []
+  && List.exists
+       (fun ((s : Model.t), (w : Model.t)) ->
+         lookup s.Model.key known = Some true
+         && lookup w.Model.key known = Some false)
+       pairs
+
+(* The missing cells of a row, strongest first: each is implied by a
+   known cell or searched, then every decided cell is stored back as
+   one row. *)
+let decide t digest h cached missing =
+  let pairs = Smem_lattice.Figure5.pairs h in
+  let infer = not (contradicts pairs cached) in
+  let _, decided =
+    List.fold_left
+      (fun ((known, decided) as acc) (m : Model.t) ->
+        let key = m.Model.key in
+        if Option.is_some (lookup key decided) then acc
+        else
+          let v =
+            match if infer then implied pairs known key else None with
+            | Some v ->
+                Smem_obs.Metrics.incr m_implied;
+                v
+            | None -> Model.check m h
+          in
+          ((key, v) :: known, (key, v) :: decided))
+      (cached, [])
+      (List.stable_sort (fun a b -> compare (rank a) (rank b)) missing)
+  in
+  (match (t.cache, digest) with
+  | Some c, Some digest -> Cache.add_row c ~digest decided
+  | _ -> ());
+  decided
+
+(* One test's row, read with one lookup: answers each model's cell as
+   [(verdict, cached)]. *)
+let fill t digest h models =
+  let cached =
+    match (t.cache, digest) with
+    | Some c, Some digest ->
+        let keys = List.map (fun (m : Model.t) -> m.Model.key) models in
+        span "cache.lookup"
+          (fun () -> [ ("cells", Json.Int (List.length keys)) ])
+          (fun () -> Cache.find_row c ~digest ~models:keys)
+    | _ -> []
+  in
+  let missing =
+    List.filter
+      (fun (m : Model.t) -> Option.is_none (lookup m.Model.key cached))
+      models
+  in
+  let decided =
+    if missing = [] then [] else decide t digest h cached missing
+  in
+  fun (m : Model.t) ->
+    match lookup m.Model.key cached with
+    | Some v -> (v, true)
+    | None -> (Option.get (lookup m.Model.key decided), false)
+
+(* One check/corpus cell. *)
+let cell test (model : Model.t) (got, cached) =
   ( Verdict.v ~subject:test.Test.name ~authority:model.Model.key ~cached
       ?expected:(Test.expected test model.Model.key)
       (Some (Verdict.status_of_bool got)),
     cached )
 
-(* Each test's checker is built here, on the calling domain, before the
-   cells fan out: one digest per test, shared by its cells. *)
+(* Digests are taken here, on the calling domain; rows fan out across
+   tests, never across one test's cells, whose order the fill needs. *)
 let check_cells t tests models =
-  let cells =
-    List.concat_map
+  let rows =
+    List.map
       (fun tst ->
-        let check = checker t tst.Test.history in
-        List.map (fun m -> (tst, check, m)) models)
+        (tst, Option.map (fun _ -> digest tst.Test.history) t.cache))
       tests
   in
+  let fill_test (tst, digest) =
+    let answer = fill t digest tst.Test.history models in
+    List.map (fun m -> cell tst m (answer m)) models
+  in
   let results =
-    if t.jobs > 1 then Smem_parallel.Pool.map ~jobs:t.jobs cell cells
-    else List.map cell cells
+    List.concat
+      (if t.jobs > 1 then Smem_parallel.Pool.map ~jobs:t.jobs fill_test rows
+       else List.map fill_test rows)
   in
   let verdicts = List.map fst results in
   let cached = List.length (List.filter snd results) in

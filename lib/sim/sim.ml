@@ -456,9 +456,12 @@ let parse_store_content content =
   |> List.filter_map (fun line ->
          if line = "" || line.[0] = '#' then None
          else
+           (* smem-store/2: digest, model, fingerprint, verdict *)
            match String.split_on_char ' ' line with
-           | [ d; m; "1" ] when d <> "" && m <> "" -> Some (d, m, true)
-           | [ d; m; "0" ] when d <> "" && m <> "" -> Some (d, m, false)
+           | [ d; m; fp; "1" ] when d <> "" && m <> "" && fp <> "" ->
+               Some (d, m, true)
+           | [ d; m; fp; "0" ] when d <> "" && m <> "" && fp <> "" ->
+               Some (d, m, false)
            | _ -> None)
 
 let read_file path =

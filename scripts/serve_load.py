@@ -164,10 +164,10 @@ def main():
     p99_ms = percentile(latencies, 99) * 1000
 
     # -- warm restart: same store, one pass, zero computed cells -------
-    # The restart loads the store into the cache, whose shards evict in
-    # FIFO order; twice the pass's cell count leaves headroom for
-    # uneven hashing across shards, so no stored verdict is evicted
-    # before the replay reads it.
+    # The restart loads the store into the cache, whose shards evict
+    # rows (one per test history) in FIFO order; a capacity of twice the
+    # pass's cell count is far more rows than the pass has tests, so no
+    # stored verdict is evicted before the replay reads it.
     cells = sum(totals[0]) // args.repeat
     proc, port = start_daemon(args.exe, store, cache=max(65536, 2 * cells))
     warm_lat, warm_totals = [], {}

@@ -9,6 +9,10 @@ server's output for that file concatenated with itself (a cold pass
 followed by a warm pass over one process).  Asserts that
 
   - every request got exactly one successful response, in order;
+  - every verdict that carries an `expected` status agrees with it
+    (stamp a generated corpus with `smem corpus generate --expect M`,
+    which searches every cell, to compare served verdicts with a full
+    search);
   - the warm pass computed nothing: every cell came from the cache;
   - warm verdicts are identical to cold verdicts; and
   - if GOLDEN is given (test/golden/verdicts.expected for the built-in
@@ -58,6 +62,21 @@ def main():
             for v in r["payload"]["verdicts"]
         ]
 
+    disagree = [
+        (i, v["subject"], v["authority"], v["status"], v["expected"])
+        for i, r in enumerate(resps)
+        for v in r["payload"]["verdicts"]
+        if "expected" in v and v["status"] != v["expected"]
+    ]
+    for i, subject, model, got, want in disagree[:10]:
+        fail_line = (f"response {i}: {subject} under {model} is {got}, "
+                     f"expected {want}")
+        print(f"serve-smoke: {fail_line}", file=sys.stderr)
+    if disagree:
+        fail(f"{len(disagree)} verdict(s) differ from their expected status")
+    checked = sum(
+        1 for r in resps for v in r["payload"]["verdicts"] if "expected" in v)
+
     computed_warm = sum(r["computed"] for r in warm)
     if computed_warm != 0:
         fail(f"warm pass computed {computed_warm} cells; expected all cache hits")
@@ -86,7 +105,8 @@ def main():
                  f"want {len(want)}")
 
     hits = sum(r["cached"] for r in warm)
-    print(f"serve-smoke: ok — {n} requests/pass, {hits} warm cells all cached"
+    print(f"serve-smoke: ok — {n} requests/pass, {hits} warm cells all cached, "
+          f"{checked} verdicts equal their expected status"
           + (", verdicts match golden" if golden_path else ""))
 
 

@@ -127,6 +127,56 @@ let extended_family () =
     | _ -> false);
   check Alcotest.bool "coh || pram" true (rel "coh" "pram" = Classify.Incomparable)
 
+(* The projection edges Figure 5 gained so the service can infer
+   cells (DESIGN.md "Figure 5 decides cells" proves each), checked on
+   every history of the standard scopes.  Atomic -> SC is left to
+   test_models' timed property: these histories carry no timing, and
+   without it the two models coincide. *)
+let projection_edges_exhaustive () =
+  let edges =
+    [
+      ("sc", "wo");
+      ("sc", "causal-coh");
+      ("causal-coh", "causal");
+      ("causal-coh", "pc-g");
+      ("pram", "slow");
+      ("slow", "local");
+    ]
+  in
+  let histories = ref 0 in
+  List.iter
+    (fun scope ->
+      Enumerate.iter scope ~f:(fun h ->
+          incr histories;
+          let verdicts = Hashtbl.create 8 in
+          let allows key =
+            match Hashtbl.find_opt verdicts key with
+            | Some v -> v
+            | None ->
+                let v = Model.check (model key) h in
+                Hashtbl.add verdicts key v;
+                v
+          in
+          List.iter
+            (fun (s, w) ->
+              if allows s && not (allows w) then
+                Alcotest.failf "%s allows and %s forbids %a" s w
+                  Smem_core.History.pp h)
+            edges))
+    Classify.standard_scopes;
+  check Alcotest.int "every history of the three scopes" 24697 !histories
+
+(* Classify recomputes Figure 5, so it must not use Figure 5 to skip a
+   search: one Model.check per (history, model). *)
+let classify_searches_every_cell () =
+  let module Stats = Smem_core.Stats in
+  let models = Registry.comparable in
+  Stats.reset ();
+  let m = Classify.classify ~models Enumerate.default in
+  check Alcotest.int "one search per (history, model)"
+    (m.Classify.total * List.length models)
+    (Stats.snapshot ()).Stats.checks
+
 let merge_is_sane () =
   let c1 = { Enumerate.procs = [ 1 ]; nlocs = 1; max_value = 1; labeled = false } in
   let models = [ model "sc"; model "pram" ] in
@@ -178,7 +228,17 @@ let () =
       ( "enumerate",
         [ tc "counts" enumerate_counts; tc "shapes" enumerate_shapes ] );
       ("figure 5", [ tc "relations, edges and witnesses" figure5 ]);
-      ("extended family", [ tc "known containments hold in scope" extended_family ]);
-      ("classify", [ tc "merge" merge_is_sane; tc "dot" dot_output ]);
+      ( "extended family",
+        [
+          tc "known containments hold in scope" extended_family;
+          tc "projection edges hold on the standard scopes"
+            projection_edges_exhaustive;
+        ] );
+      ( "classify",
+        [
+          tc "merge" merge_is_sane;
+          tc "dot" dot_output;
+          tc "searches every cell" classify_searches_every_cell;
+        ] );
       ("distinguish", [ tc "verdicts and witnesses" distinguish_verdicts ]);
     ]

@@ -106,6 +106,32 @@ let tso_forwarding_divergence () =
   check Alcotest.bool "operational TSO allows" true
     (Smem_core.Tso_operational.check h)
 
+(* EXPERIMENTS.md finding 7: TSO is not contained in §7's coherent
+   causal memory, though it is in causal memory and in coherence.
+   Coherence orders the two y writes one way or the other, and either
+   way full program order carries a write past the other processor's
+   read of its location; TSO's reads bypass their processor's earlier
+   writes.  The witness needs three locations, which is why no
+   two-location exhaustive scope finds it. *)
+let tso_not_within_causal_coh () =
+  let h =
+    H.make
+      [
+        [ H.write "x" 1; H.write "y" 2; H.read "z" 0 ];
+        [ H.write "z" 1; H.write "y" 1; H.read "x" 0 ];
+      ]
+  in
+  List.iter
+    (fun (key, want) -> check Alcotest.bool key want (allows key h))
+    [
+      ("tso", true);
+      ("causal", true);
+      ("coh", true);
+      ("pc", true);
+      ("causal-coh", false);
+      ("sc", false);
+    ]
+
 (* An empty-ish history is allowed by everything. *)
 let trivial_history_everywhere () =
   let h = H.make [ [ H.write "x" 1 ]; [ H.read "x" 0 ] ] in
@@ -157,6 +183,7 @@ let containment_props =
     containment ~name:"CausalCoh ⊆ Causal" "causal-coh" "causal" ~labeled:`No ();
     containment ~name:"CausalCoh ⊆ Coherence" "causal-coh" "coh" ~labeled:`No ();
     containment ~name:"SC ⊆ CausalCoh" "sc" "causal-coh" ~labeled:`No ();
+    containment ~name:"CausalCoh ⊆ PC-G" "causal-coh" "pc-g" ~labeled:`No ();
     containment ~nlocs:3 ~name:"SC ⊆ RC_sc (separated sync)" "sc" "rc-sc"
       ~labeled:`Separated ();
     containment ~name:"RC_sc ⊆ RC_pc (mixed labels)" "rc-sc" "rc-pc"
@@ -388,6 +415,8 @@ let () =
           tc "PRAM witness is valid" pram_witness_valid;
           tc "causal witness is valid" causal_witness_valid;
           tc "TSO store-forwarding divergence" tso_forwarding_divergence;
+          tc "TSO not within causal-coh (three locations)"
+            tso_not_within_causal_coh;
           tc "trivial history allowed everywhere" trivial_history_everywhere;
           tc "unwritable value forbidden everywhere" unwritable_value_nowhere;
           tc "single-processor agreement" single_processor_agreement;

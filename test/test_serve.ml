@@ -21,6 +21,7 @@ module Store = Smem_serve.Store
 module Daemon = Smem_serve.Daemon
 module Registry = Smem_core.Registry
 module Corpus = Smem_litmus.Corpus
+module Test = Smem_litmus.Test
 module Helpers = Smem_testlib.Helpers
 
 let check = Alcotest.check
@@ -96,23 +97,25 @@ let cache_rejects_bad_args () =
     (Invalid_argument "Cache.create: capacity must be positive") (fun () ->
       ignore (Cache.create ~capacity:0 ()))
 
-let cache_shards_on_full_key () =
-  (* A hot history queried under many models must not serialize on one
-     shard: the shard hash covers (digest, model), not digest alone. *)
+let cache_digests_spread_over_shards () =
+  (* A request reads and writes one history's row whole, so the digest
+     alone picks the shard; distinct histories must still spread over
+     the shards rather than serialize on one mutex. *)
   let shards = 8 in
   let c = Cache.create ~shards ~capacity:1024 () in
-  let models =
-    [ "sc"; "tso"; "pc"; "causal"; "pram"; "coh"; "tso-op"; "rc-sc";
-      "rc-pc"; "atomic"; "m10"; "m11"; "m12"; "m13"; "m14"; "m15" ]
-  in
   let indices =
-    List.map (fun m -> Cache.shard_index c ~digest:"hot" ~model:m) models
+    List.init 64 (fun i ->
+        Cache.shard_index c ~digest:(Digest.to_hex (Digest.string (string_of_int i))))
   in
   List.iter
     (fun ix -> check Alcotest.bool "index in range" true (ix >= 0 && ix < shards))
     indices;
-  check Alcotest.bool "one digest spreads over several shards" true
-    (List.length (List.sort_uniq compare indices) >= 2)
+  check Alcotest.int "64 digests reach every shard" shards
+    (List.length (List.sort_uniq compare indices));
+  (* every model's verdict of one history lives in that history's row *)
+  List.iter (fun m -> Cache.add c ~digest:"hot" ~model:m true) [ "sc"; "tso"; "pram" ];
+  check Alcotest.int "one row holds the three verdicts" 3
+    (List.length (Cache.find_row c ~digest:"hot" ~models:[]))
 
 let cache_parallel_find_or_add () =
   (* Four domains hammer one shard with disjoint key ranges: every
@@ -201,6 +204,109 @@ let service_renaming_hits =
       let v1, _ = Service.check_model service sc h in
       let v2, cached = Service.check_model service sc renamed in
       v1 = v2 && cached)
+
+(* ---------------- service: Figure 5 never changes a verdict ---------- *)
+
+let statuses (r : Response.t) =
+  match r.Response.payload with
+  | Response.Verdicts vs -> List.map (fun v -> v.Verdict.status) vs
+  | _ -> Alcotest.fail "check did not answer with verdicts"
+
+let check_inline ?(models = []) service text =
+  Service.handle service (Request.Check { test = Request.Inline text; models })
+
+(* Every catalogue model's own search, cell by cell. *)
+let searched h =
+  List.map
+    (fun m -> Some (Verdict.status_of_bool (Model.check m h)))
+    Registry.all
+
+(* A 20-model check answers exactly what each model's search answers,
+   with and without a cache, at jobs 1 and 2.  With a cache, the
+   weaker half of the row is asked for first, so the full check also
+   infers from cached cells. *)
+let served_equals_searched h =
+  let text =
+    Smem_litmus.Print.to_string (Test.of_history ~name:"q" ~expect:[] h)
+  in
+  let h =
+    match Smem_litmus.Parse.test_of_string text with
+    | Ok t -> t.Test.history
+    | Error _ -> Alcotest.fail "printed history does not parse"
+  in
+  let want = searched h in
+  let half =
+    List.filteri (fun i _ -> i mod 2 = 1)
+      (List.map (fun (m : Model.t) -> m.Model.key) Registry.all)
+  in
+  List.for_all
+    (fun (jobs, cached) ->
+      let cache = if cached then Some (Cache.create ~capacity:64 ()) else None in
+      let service = Service.create ?cache ~jobs () in
+      if cached then ignore (check_inline ~models:half service text);
+      statuses (check_inline service text) = want
+      && statuses (check_inline service text) = want)
+    [ (1, false); (2, false); (1, true); (2, true) ]
+
+let inference_never_changes_a_verdict labeled =
+  QCheck.Test.make
+    ~name:
+      (Printf.sprintf "served = searched on every cell (%s)"
+         (match labeled with `No -> "unlabeled" | _ -> "labeled"))
+    ~count:60
+    (Helpers.arb_history ~labeled_allowed:labeled ())
+    served_equals_searched
+
+let inference_on_generated_corpus () =
+  let tests = Smem_corpus.Corpus.generate ~seed:42 ~count:200 () in
+  let service = Service.create ~cache:(Cache.create ~capacity:1024 ()) () in
+  List.iter
+    (fun (t : Test.t) ->
+      let show = List.map (Option.map Verdict.bool_of_status) in
+      check
+        (Alcotest.list (Alcotest.option Alcotest.bool))
+        t.Test.name
+        (show (searched t.Test.history))
+        (show (statuses (check_inline service (Smem_litmus.Print.to_string t)))))
+    tests
+
+(* A row whose cached cells break a containment can only come from a
+   corrupted cache: nothing is inferred from it, every missing cell is
+   searched, and the cached cells are served as they are (so the
+   corruption stays visible to a cached-vs-recompute check). *)
+let contradicting_row_is_searched () =
+  let t = Option.get (Corpus.find "fig1") in
+  let h = t.Test.history in
+  let cache = Cache.create ~capacity:64 () in
+  let digest = Canon.digest h in
+  (* SC allows, TSO forbids: impossible, SC is contained in TSO *)
+  Cache.add cache ~digest ~model:"sc" true;
+  Cache.add cache ~digest ~model:"tso" false;
+  let implied () =
+    Option.value (Smem_obs.Metrics.find "check.implied") ~default:0
+  in
+  Smem_core.Stats.reset ();
+  let implied0 = implied () in
+  let r =
+    Service.handle (Service.create ~cache ())
+      (Request.Check { test = Request.Named "fig1"; models = [] })
+  in
+  let searched = (Smem_core.Stats.snapshot ()).Smem_core.Stats.checks in
+  check Alcotest.int "nothing implied" 0 (implied () - implied0);
+  check Alcotest.int "every missing cell searched" (List.length Registry.all - 2)
+    searched;
+  check Alcotest.int "two cells cached" 2 r.Response.cached;
+  List.iter2
+    (fun (m : Model.t) got ->
+      let want =
+        match m.Model.key with
+        | "sc" -> true
+        | "tso" -> false
+        | _ -> Model.check m h
+      in
+      check (Alcotest.option Alcotest.bool) m.Model.key (Some want)
+        (Option.map Verdict.bool_of_status got))
+    Registry.all (statuses r)
 
 (* ---------------- service: corpus twice ---------------- *)
 
@@ -753,6 +859,96 @@ let store_tolerates_garbage_and_truncation () =
       check Alcotest.int "appends resume" 1 (Store.appended s2);
       Store.close s2)
 
+let read_lines path = In_channel.with_open_bin path In_channel.input_lines
+
+let write_lines path lines =
+  Out_channel.with_open_bin path (fun oc ->
+      List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+
+(* A record decided under another definition of its model (here: a
+   tso record whose fingerprint no longer matches) is stale: after a
+   restart that cell is searched again, and the rest are served warm. *)
+let store_stale_fingerprint_restarts_that_cell () =
+  let path = Filename.temp_file "smem_store" ".log" in
+  Sys.remove path;
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let request cache =
+        Service.handle (Service.create ~cache ())
+          (Request.Check
+             { test = Request.Named "fig1"; models = [ "sc"; "tso"; "pram" ] })
+      in
+      let c1 = Cache.create ~capacity:64 () in
+      let s1 = Store.attach ~path c1 in
+      let cold = request c1 in
+      check Alcotest.int "cold: nothing cached" 0 cold.Response.cached;
+      check Alcotest.int "cold: every cell logged" 3 (Store.appended s1);
+      Store.close s1;
+      let lines = read_lines path in
+      check Alcotest.string "v2 header" "# smem-store/2" (List.hd lines);
+      write_lines path
+        (List.map
+           (fun l ->
+             match String.split_on_char ' ' l with
+             | [ d; "tso"; fp; v ] ->
+                 check (Alcotest.option Alcotest.string) "tso's fingerprint"
+                   (Store.fingerprint "tso") (Some fp);
+                 String.concat " " [ d; "tso"; "0123456789abcdef"; v ]
+             | _ -> l)
+           lines);
+      let c2 = Cache.create ~capacity:64 () in
+      let s2 = Store.attach ~path c2 in
+      check Alcotest.int "two records replay" 2 (Store.replayed s2);
+      check Alcotest.int "one record stale" 1 (Store.stale s2);
+      let warm = request c2 in
+      check Alcotest.int "warm: two cells cached" 2 warm.Response.cached;
+      check Alcotest.int "warm: the stale cell searched again" 1
+        warm.Response.computed;
+      (match warm.Response.payload with
+      | Response.Verdicts vs ->
+          List.iter
+            (fun v ->
+              check Alcotest.bool
+                (v.Verdict.authority ^ " cached")
+                (v.Verdict.authority <> "tso") v.Verdict.cached)
+            vs;
+          check
+            (Alcotest.list (Alcotest.option Alcotest.bool))
+            "same verdicts"
+            (List.map (fun v -> Option.map Verdict.bool_of_status v.Verdict.status)
+               (match cold.Response.payload with
+               | Response.Verdicts vs -> vs
+               | _ -> []))
+            (List.map (fun v -> Option.map Verdict.bool_of_status v.Verdict.status) vs)
+      | _ -> Alcotest.fail "warm check did not answer with verdicts");
+      check Alcotest.int "the recomputed cell is logged anew" 1
+        (Store.appended s2);
+      Store.close s2)
+
+(* smem-store/1 kept no fingerprints: none of its records can be
+   trusted, so the log replays nothing and starts afresh as v2. *)
+let store_v1_log_is_stale () =
+  let path = Filename.temp_file "smem_store" ".log" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      write_lines path [ "# smem-store/1"; "d1 sc 1"; "d1 pram 0" ];
+      let c = Cache.create ~capacity:64 () in
+      let s = Store.attach ~path c in
+      check Alcotest.int "nothing replayed" 0 (Store.replayed s);
+      check Alcotest.int "both records stale" 2 (Store.stale s);
+      check (Alcotest.option Alcotest.bool) "no verdict loaded" None
+        (Cache.find c ~digest:"d1" ~model:"sc");
+      Cache.add c ~digest:"d1" ~model:"sc" false;
+      Store.close s;
+      match read_lines path with
+      | [ header; record ] ->
+          check Alcotest.string "restarted as v2" "# smem-store/2" header;
+          check Alcotest.int "one v2 record" 4
+            (List.length (String.split_on_char ' ' record))
+      | lines -> Alcotest.failf "%d lines in the restarted log" (List.length lines))
+
 (* ---------------- daemon ---------------- *)
 
 let temp_sock_path () =
@@ -858,7 +1054,7 @@ let () =
           tc "find_or_add" cache_find_or_add;
           tc "clear" cache_clear;
           tc "bad args" cache_rejects_bad_args;
-          tc "shards on the full (digest, model) key" cache_shards_on_full_key;
+          tc "distinct digests spread over shards" cache_digests_spread_over_shards;
           tc "parallel find_or_add: exact accounting" cache_parallel_find_or_add;
           tc "parallel find_or_add: shared keys" cache_parallel_same_key;
         ] );
@@ -869,8 +1065,17 @@ let () =
         :: tc "view-search boundary answers Too_large"
              service_too_large_boundary
         :: tc "one canon.digest per test" service_one_digest_per_test
+        :: tc "generated corpus: served = searched"
+             inference_on_generated_corpus
+        :: tc "a contradicting row is searched, not inferred"
+             contradicting_row_is_searched
         :: List.map QCheck_alcotest.to_alcotest
-             [ cached_equals_fresh; service_renaming_hits ] );
+             [
+               cached_equals_fresh;
+               service_renaming_hits;
+               inference_never_changes_a_verdict `No;
+               inference_never_changes_a_verdict `Mixed;
+             ] );
       ( "server",
         [
           tc "in-order responses, id echo" server_answers_in_order;
@@ -890,6 +1095,9 @@ let () =
           tc "roundtrip across restart" store_roundtrip;
           tc "garbage and truncation tolerated"
             store_tolerates_garbage_and_truncation;
+          tc "a stale fingerprint restarts that cell cold"
+            store_stale_fingerprint_restarts_that_cell;
+          tc "a v1 log is stale as a whole" store_v1_log_is_stale;
         ] );
       ( "daemon",
         [
