@@ -61,13 +61,17 @@ corpus: build
 	dune exec bin/smem.exe -- fuzz --seed 42 --count 100 --corpus _build/corpus-500.txt
 
 # The constraint-propagation engine gates: the 500-case solver ≡
-# enumerator differential over a generated corpus and the full corpus
-# matrix under --engine solve.  The crossover (the solver overtakes
+# enumerator differential over a generated corpus, the same over
+# mixed labels (an ordinary write next to labeled ones, which the
+# labeled-order steps must tell apart), and the full corpus matrix
+# under --engine solve.  The crossover (the solver overtakes
 # enumeration on co-pump) is a test_solve case, run by `make test`.
 solver: build
 	dune exec bin/smem.exe -- corpus generate --seed 42 --count 500 -o _build/corpus-solver.txt
 	dune exec bin/smem.exe -- fuzz --seed 42 --count 500 --engines --no-machines \
 	  --corpus _build/corpus-solver.txt
+	dune exec bin/smem.exe -- fuzz --seed 42 --count 500 --engines --no-machines \
+	  --labels mixed --jobs 2 --stats
 	dune exec bin/smem.exe -- corpus --engine solve --stats
 
 # The extended-family gates: the corpus (including the queue/counter

@@ -119,7 +119,7 @@ let stats_arg =
         ~doc:
           "Print search statistics on exit: checks run, reads-from maps \
            and coherence orders enumerated, candidates pruned, \
-           topological sorts, and wall time.")
+           topological sorts, complete labeled orders, and wall time.")
 
 let metrics_arg =
   Arg.(

@@ -96,7 +96,7 @@ let certify (m : Model.t) ?name (h : History.t) =
                     (fun (r, wr) -> (f r, f wr))
                     w.Smem_core.Witness.rf;
                 sync = Option.map (List.map f) w.Smem_core.Witness.sync;
-                notes = w.Smem_core.Witness.notes;
+                notes = w.Smem_core.Witness.notes ();
               }
         | None ->
             let rf_maps, co_orders = Diagnose.candidate_space h in

@@ -49,8 +49,8 @@ let check ?rf_rel h ~rf ~co ~extra ~views =
         let seq = List.filter (Bitset.mem spec.ops) order in
         Some (spec.proc, seq)
   in
-  (* Notes are only rendered on success: formatting them eagerly made
-     every failing candidate pay two asprintf calls in the hot loop. *)
+  (* Notes are rendered only when someone reads them: a verdict-only
+     check never pays for the two asprintf calls. *)
   let notes () =
     let rf_note = Format.asprintf "reads-from: %a" (Reads_from.pp h) rf in
     let co_note = Format.asprintf "%a" (Coherence.pp h) co in
@@ -59,8 +59,7 @@ let check ?rf_rel h ~rf ~co ~extra ~views =
   let rec solve acc = function
     | [] ->
         Some
-          (Witness.per_proc ~rf:(Reads_from.pairs h rf) (List.rev acc)
-             ~notes:(notes ()))
+          (Witness.per_proc ~rf:(Reads_from.pairs h rf) (List.rev acc) ~notes)
     | spec :: rest -> (
         match solve_view spec with
         | None -> None

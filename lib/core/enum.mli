@@ -2,13 +2,25 @@
     quadruple, over the variables the quadruple implies.
 
     It picks a reads-from map ({!Reads_from.iter}), then a total order
-    on the labeled operations ({!Smem_relation.Rel.linear_extensions}
-    of program order), then a coherence order ({!Coherence.iter}) or a
-    global write order (constrained permutations of all writes), and
-    asks {!Leaf} about each candidate at the stage it completes — so
-    everything a stage fixes is computed once, and a stage that refutes
-    skips every candidate below it.  The first accepted candidate's
-    witness is returned. *)
+    on the labeled operations, then a coherence order
+    ({!Coherence.iter}) or a global write order (constrained
+    permutations of all writes), and asks {!Leaf} about each candidate
+    at the stage it completes — so everything a stage fixes is computed
+    once, and a stage that refutes skips every candidate below it.  The
+    first accepted candidate's witness is returned.
+
+    The labeled order grows one operation at a time, among the linear
+    extensions of program order: an operation is appended only when
+    {!Leaf.step} allows it, and a configuration (the placed set, each
+    location's last labeled writer) whose subtree held no legal complete
+    order is never entered again.  Ready operations are tried in
+    increasing id order, so the legal complete orders arrive in the
+    order a full enumeration would visit them, and the witness is the
+    one it would return.
+
+    @raise View.Too_large when the history has [Sys.int_size] or more
+    labeled operations under a quadruple with a labeled order (the
+    placed set is one machine word). *)
 
 type co_mode = Co_none | Co_per_loc | Co_global
 

@@ -31,6 +31,9 @@ type t = {
   extra : Rel.t option;  (* edges every view gains from the choices *)
   empty : Rel.t Lazy.t;
   labeled : Bitset.t Lazy.t;
+  value_rule : bool array;
+      (* per location, under weak ordering: a labeled read must return
+         the last labeled write's value (every write to it is labeled) *)
   rf : Reads_from.t option;
   rf_rel : Rel.t Lazy.t;  (* reads-from edges, for Engine.check *)
   sync : int array option;
@@ -166,6 +169,18 @@ let prepare (p : Model.params) h =
     extra = None;
     empty = lazy (Rel.create nops);
     labeled = lazy (Bitset.of_list nops (History.labeled h));
+    value_rule =
+      (match p.Model.mutual with
+      | Model.Labeled_total ->
+          (* Object legality replays queues and counters, whose reads
+             do not return the last write's value. *)
+          Array.init (History.nlocs h) (fun l ->
+              (p.Model.legality <> Model.Object_legal
+              || Sort.of_loc h l = Sort.Register)
+              && List.for_all
+                   (fun w -> Op.is_labeled (History.op h w))
+                   (History.writes_to h l))
+      | _ -> [||]);
     rf = None;
     rf_rel = lazy (invalid_arg "Leaf: rf required");
     sync = None;
@@ -224,28 +239,33 @@ let with_rf t rf =
 
 (* ---- the labeled-order stage ---- *)
 
-let labeled_legal t ~rf seq =
-  match (t.p.Model.mutual, rf) with
-  | Model.Labeled_sc, Some rf ->
-      let h = t.h in
-      let last = Array.make (max 1 (History.nlocs h)) History.init in
-      Array.for_all
-        (fun id ->
-          let op = History.op h id in
-          if Op.is_write op then begin
-            last.(op.Op.loc) <- id;
-            true
-          end
-          else
-            let w = Reads_from.writer rf id in
-            if w = History.init then last.(op.Op.loc) = History.init
-            else if Op.is_labeled (History.op h w) then last.(op.Op.loc) = w
-            else true)
-        seq
-  | _ -> true
+let sync_start t = Array.make (max 1 (History.nlocs t.h)) History.init
+
+(* One labeled operation appended to a prefix whose last labeled writer
+   per location is [last] (DESIGN, "Labeled orders by prefix"). *)
+let step t ~rf last id =
+  let h = t.h in
+  let op = History.op h id in
+  let loc = op.Op.loc in
+  if Op.is_write op then begin
+    last.(loc) <- id;
+    true
+  end
+  else
+    match (t.p.Model.mutual, rf) with
+    | Model.Labeled_sc, Some rf ->
+        let w = Reads_from.writer rf id in
+        if w = History.init then last.(loc) = History.init
+        else if Op.is_labeled (History.op h w) then last.(loc) = w
+        else true
+    | Model.Labeled_total, _ when t.value_rule.(loc) ->
+        let w = last.(loc) in
+        op.Op.value = if w = History.init then 0 else (History.op h w).Op.value
+    | _ -> true
 
 let with_sync t seq =
-  if not (labeled_legal t ~rf:t.rf seq) then None
+  Stats.count_sync_order ();
+  if not (Array.for_all (step t ~rf:t.rf (sync_start t)) seq) then None
   else
     let seq = Array.copy seq in
     let order = Orders.total_order (History.nops t.h) seq in
@@ -294,10 +314,11 @@ let engine t ~co ~worder =
   let rf = get_rf t in
   Option.map
     (fun w ->
+      let worder = Option.map Array.copy worder in
       {
         w with
         Witness.sync = Option.map Array.to_list t.sync;
-        notes = notes t ~worder @ w.Witness.notes;
+        notes = (fun () -> notes t ~worder @ w.Witness.notes ());
       })
     (Engine.check t.h ~rf_rel:(Lazy.force t.rf_rel) ~rf ~co ~extra
        ~views:t.views)
@@ -316,11 +337,13 @@ let search t ~base ~worder =
   in
   let rec go acc = function
     | [] ->
+        let worder = Option.map Array.copy worder in
         Some
           (Witness.per_proc
              ?rf:(Option.map (Reads_from.pairs t.h) t.rf)
              ?sync:(Option.map Array.to_list t.sync)
-             (List.rev acc) ~notes:(notes t ~worder))
+             (List.rev acc)
+             ~notes:(fun () -> notes t ~worder))
     | (v : Engine.view_spec) :: rest -> (
         (* [base] contains [static]: only an owner's part is added. *)
         let order =

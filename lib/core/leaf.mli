@@ -12,7 +12,8 @@
     The check is staged so that a search pays for each part once per
     choice it depends on: {!prepare} once per history (po, ppo, po-loc,
     fences, view populations, static per-view orders), {!with_rf} once
-    per reads-from map, {!with_sync} once per labeled order, and
+    per reads-from map, {!step} once per labeled operation appended to
+    a labeled order and {!with_sync} once per complete one, and
     {!check} per coherence choice.  Each stage may refute outright.
     The enumerator ({!Enum}) and the constraint solver
     ([Smem_solve.Solve]) share it, so both accept exactly the same
@@ -52,15 +53,33 @@ val with_rf : t -> Reads_from.t -> t option
     [None] when the map alone refutes the candidate: a reflexive causal
     or session order, or an acquire failing {!acquire_ok}. *)
 
-val labeled_legal : t -> rf:Reads_from.t option -> int array -> bool
-(** Legality of a (prefix of a) labeled order under the reads-from map
-    (if the quadruple commits to one): for RC_sc, each labeled read
-    returns the latest labeled write before it (or the initial value);
-    trivially true otherwise. *)
+val sync_start : t -> int array
+(** The state of an empty labeled prefix for {!step}: each location's
+    last labeled writer, all {!History.init}. *)
+
+val step : t -> rf:Reads_from.t option -> int array -> int -> bool
+(** [step t ~rf last id]: may labeled operation [id] be appended to a
+    labeled prefix whose last labeled writer per location is [last]
+    (under the reads-from map, if the quadruple commits to one)?  A
+    write always may, and becomes its location's last labeled writer
+    in [last].  A read may when:
+    - RC_sc (with a map): it returns the latest labeled write before
+      it, or the initial value — unless its writer is ordinary;
+    - weak ordering: its location's writes are all labeled (and hold a
+      register under object legality), and it returns the last labeled
+      write's value, or 0 if there is none.  Exact, because every view
+      holding the read holds every write and respects the labeled
+      order (DESIGN, "Labeled orders by prefix");
+    - otherwise always.
+
+    The verdict and the update depend on [last], [rf] and [id] alone,
+    so a search may append, recurse and restore [last] itself. *)
 
 val with_sync : t -> int array -> t option
-(** Commit a total order on the labeled operations (copied):
-    [None] unless {!labeled_legal}. *)
+(** Commit a total order on the labeled operations (copied): [None]
+    unless {!step} allows each of its operations in turn, from
+    {!sync_start} — the fold of the step over the order.  Counted as
+    [search.sync_orders]. *)
 
 val check : t -> co -> Witness.t option
 (** The last stage: the full candidate's verdict, with its witness. *)

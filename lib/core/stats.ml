@@ -17,6 +17,7 @@ type snapshot = {
   co_candidates : int;
   pruned : int;
   toposorts : int;
+  sync_orders : int;
   wall_ns : int;
   solve_decisions : int;
   solve_propagations : int;
@@ -31,6 +32,7 @@ let rf_candidates = M.counter "search.rf_candidates"
 let co_candidates = M.counter "search.co_candidates"
 let pruned = M.counter "search.pruned"
 let toposorts = M.counter "search.toposorts"
+let sync_orders = M.counter "search.sync_orders"
 let wall_ns = M.counter "search.wall_ns"
 
 (* The propagation engine's own cost drivers, distinct from the
@@ -63,6 +65,7 @@ let snapshot () =
     co_candidates = M.value co_candidates;
     pruned = M.value pruned;
     toposorts = M.value toposorts;
+    sync_orders = M.value sync_orders;
     wall_ns = M.value wall_ns;
     solve_decisions = M.value solve_decisions;
     solve_propagations = M.value solve_propagations;
@@ -79,6 +82,7 @@ let diff a b =
     co_candidates = a.co_candidates - b.co_candidates;
     pruned = a.pruned - b.pruned;
     toposorts = a.toposorts - b.toposorts;
+    sync_orders = a.sync_orders - b.sync_orders;
     wall_ns = a.wall_ns - b.wall_ns;
     solve_decisions = a.solve_decisions - b.solve_decisions;
     solve_propagations = a.solve_propagations - b.solve_propagations;
@@ -140,6 +144,7 @@ let count_rf () = M.incr rf_candidates
 let count_co () = M.incr co_candidates
 let add_pruned n = if n > 0 then M.add pruned n
 let count_toposort () = M.incr toposorts
+let count_sync_order () = M.incr sync_orders
 let add_wall_ns n = if n > 0 then M.add wall_ns n
 let count_solve_decision () = M.incr solve_decisions
 let add_solve_propagations n = if n > 0 then M.add solve_propagations n
@@ -177,9 +182,10 @@ let pp ppf s =
     \  co orders enumerated  %d@,\
     \  rf candidates pruned  %d@,\
     \  topological sorts     %d@,\
+    \  labeled orders        %d@,\
     \  wall time (all checks, summed across workers)  %a@]"
-    s.checks s.rf_candidates s.co_candidates s.pruned s.toposorts pp_wall
-    s.wall_ns;
+    s.checks s.rf_candidates s.co_candidates s.pruned s.toposorts
+    s.sync_orders pp_wall s.wall_ns;
   if
     s.solve_decisions + s.solve_propagations + s.solve_conflicts
     + s.solve_nogoods + s.solve_nogood_hits + s.solve_leaves

@@ -22,6 +22,9 @@ type snapshot = {
           value-incompatible writes, plus one per read whose candidate
           set is empty (which prunes the entire search) *)
   toposorts : int;  (** topological sorts run by the acyclicity engine *)
+  sync_orders : int;
+      (** complete labeled orders handed to {!Leaf.with_sync} (RC_sc,
+          weak ordering) *)
   wall_ns : int;
       (** wall time spent inside {!Model.check}, in nanoseconds, summed
           across concurrent workers (so it can exceed elapsed time) *)
@@ -61,6 +64,7 @@ val count_rf : unit -> unit
 val count_co : unit -> unit
 val add_pruned : int -> unit
 val count_toposort : unit -> unit
+val count_sync_order : unit -> unit
 val add_wall_ns : int -> unit
 val count_solve_decision : unit -> unit
 val add_solve_propagations : int -> unit

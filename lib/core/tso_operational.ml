@@ -90,5 +90,7 @@ let model =
        view-based TSO characterization)."
     (fun h ->
       if check h then
-        Some (Witness.per_proc [] ~notes:[ "accepted by store-buffer replay" ])
+        Some
+          (Witness.per_proc []
+             ~notes:(fun () -> [ "accepted by store-buffer replay" ]))
       else None)

@@ -2,7 +2,7 @@ type t = {
   views : (int * int list) list;
   rf : (int * int) list;
   sync : int list option;
-  notes : string list;
+  notes : unit -> string list;
 }
 
 let shared ?(rf = []) seq ~notes = { views = [ (-1, seq) ]; rf; sync = None; notes }
@@ -19,5 +19,5 @@ let pp h ppf t =
   (match t.sync with
   | Some seq -> Format.fprintf ppf "sync order: %a@," (History.pp_ops h) seq
   | None -> ());
-  List.iter (fun note -> Format.fprintf ppf "note: %s@," note) t.notes;
+  List.iter (fun note -> Format.fprintf ppf "note: %s@," note) (t.notes ());
   Format.fprintf ppf "@]"

@@ -25,17 +25,24 @@ type t = {
       (** the total order on labeled operations (RC_sc, weak ordering);
           it cannot be recovered from the views because other
           processors' labeled reads appear in no view. *)
-  notes : string list;  (** human-readable facts about the witness *)
+  notes : unit -> string list;
+      (** human-readable facts about the witness, rendered on demand:
+          a check that keeps only the verdict ({!Model.check}) never
+          formats them, and {!pp} and certificates render them each
+          time they ask.  A plain function rather than a [Lazy.t], so
+          two domains may render the same witness at once. *)
 }
 
-val shared : ?rf:(int * int) list -> int list -> notes:string list -> t
+val shared :
+  ?rf:(int * int) list -> int list -> notes:(unit -> string list) -> t
 (** A single shared view (sequential consistency). *)
 
 val per_proc :
   ?rf:(int * int) list ->
   ?sync:int list ->
   (int * int list) list ->
-  notes:string list ->
+  notes:(unit -> string list) ->
   t
 
 val pp : History.t -> Format.formatter -> t -> unit
+(** The views, the labeled order and the notes, one per line. *)

@@ -245,49 +245,6 @@ let strongly_connected_components t =
   (* Tarjan emits components in reverse topological order already. *)
   (component, !count)
 
-let linear_extensions ?universe t ~f =
-  let universe =
-    match universe with
-    | Some u ->
-        if Bitset.capacity u <> t.size then
-          invalid_arg "Rel.linear_extensions: capacity mismatch";
-        u
-    | None -> Bitset.of_list t.size (List.init t.size Fun.id)
-  in
-  let n = Bitset.cardinal universe in
-  let indeg = Array.make t.size 0 in
-  iter_pairs
-    (fun a b -> if Bitset.mem universe a && Bitset.mem universe b then indeg.(b) <- indeg.(b) + 1)
-    t;
-  let out = Array.make n (-1) in
-  let placed = Bitset.create t.size in
-  (* Backtracking over the ready frontier.  Membership in the frontier is
-     recomputed from [indeg] and [placed]: simple and fast enough for the
-     operation counts of litmus-scale histories. *)
-  let rec go depth =
-    if depth = n then f out
-    else begin
-      let accepted = ref false in
-      Bitset.iter
-        (fun a ->
-          if (not !accepted) && (not (Bitset.mem placed a)) && indeg.(a) = 0 then begin
-            out.(depth) <- a;
-            Bitset.add placed a;
-            Bitset.iter
-              (fun b -> if Bitset.mem universe b then indeg.(b) <- indeg.(b) - 1)
-              t.rows.(a);
-            if go (depth + 1) then accepted := true;
-            Bitset.iter
-              (fun b -> if Bitset.mem universe b then indeg.(b) <- indeg.(b) + 1)
-              t.rows.(a);
-            Bitset.remove placed a
-          end)
-        universe;
-      !accepted
-    end
-  in
-  go 0
-
 let pp ppf t =
   Format.fprintf ppf "@[<hov 1>{%a}@]"
     (Format.pp_print_list

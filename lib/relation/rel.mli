@@ -91,13 +91,4 @@ val strongly_connected_components : t -> int array * int
     numbered in reverse topological order ([0] has no edges into later
     components). *)
 
-val linear_extensions :
-  ?universe:Bitset.t -> t -> f:(int array -> bool) -> bool
-(** [linear_extensions r ~f] enumerates the linear extensions of [r]
-    restricted to [universe] (default: the whole universe), calling [f]
-    on each.  Enumeration stops — and the call returns [true] — as soon
-    as [f] returns [true]; returns [false] when all extensions are
-    exhausted without [f] accepting.  The array passed to [f] is reused
-    across calls: copy it to retain it. *)
-
 val pp : Format.formatter -> t -> unit

@@ -374,6 +374,7 @@ let run ctx =
       let po = Orders.po h in
       let used = Array.make (max 1 nops) false in
       let seq = Array.make (max 1 m) (-1) in
+      let last = Leaf.sync_start ctx.leaf in
       let rec go depth =
         if depth = m then
           match Lazy.force stage with
@@ -394,11 +395,10 @@ let run ctx =
                       || not (Rel.mem po l' l || reaches_any ctx l' l))
                     labeled
                 in
+                let loc = (H.op h l).Op.loc in
+                let saved = last.(loc) in
                 seq.(depth) <- l;
-                if
-                  available
-                  && Leaf.labeled_legal ctx.leaf ~rf:(Lazy.force rf)
-                       (Array.sub seq 0 (depth + 1))
+                if available && Leaf.step ctx.leaf ~rf:(Lazy.force rf) last l
                 then begin
                   Stats.count_solve_decision ();
                   let fr = push ctx in
@@ -415,7 +415,8 @@ let run ctx =
                     used.(l) <- false;
                     pop ctx
                   end
-                end
+                end;
+                last.(loc) <- saved
               end)
             labeled;
           !ok

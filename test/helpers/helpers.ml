@@ -140,6 +140,131 @@ let arb_program ?labeled_allowed ?max_procs ?max_ops ?nlocs () =
   QCheck.make ~print:print_program
     (gen_program ?labeled_allowed ?max_procs ?max_ops ?nlocs ())
 
+(* ---------------- full enumerations ---------------- *)
+
+(* Every linear extension of [r] restricted to [universe] (default: the
+   whole universe), in the order of a backtracking walk that tries the
+   ready elements in increasing index order; stops, returning [true], as
+   soon as [f] accepts.  [f]'s array is reused: copy it to keep it. *)
+let linear_extensions ?universe r ~f =
+  let n = Rel.size r in
+  let universe =
+    match universe with
+    | Some u -> u
+    | None -> Smem_relation.Bitset.of_list n (List.init n Fun.id)
+  in
+  let mem = Smem_relation.Bitset.mem universe in
+  let members = Smem_relation.Bitset.elements universe in
+  let indeg = Array.make n 0 in
+  Rel.iter_pairs
+    (fun a b -> if mem a && mem b then indeg.(b) <- indeg.(b) + 1)
+    r;
+  let out = Array.make (List.length members) (-1) in
+  let placed = Array.make n false in
+  let shift a d =
+    Smem_relation.Bitset.iter
+      (fun b -> if mem b then indeg.(b) <- indeg.(b) + d)
+      (Rel.successors r a)
+  in
+  let rec go depth =
+    depth = Array.length out && f out
+    || depth < Array.length out
+       && List.exists
+            (fun a ->
+              (not placed.(a))
+              && indeg.(a) = 0
+              &&
+              (out.(depth) <- a;
+               placed.(a) <- true;
+               shift a (-1);
+               let accepted = go (depth + 1) in
+               shift a 1;
+               placed.(a) <- false;
+               accepted))
+            members
+  in
+  go 0
+
+(* The enumerator as it was before labeled orders were searched by
+   prefix: a reads-from map, then every linear extension of program
+   order on the labeled operations, each handed whole to
+   [Leaf.with_sync], then the coherence choice; the differential
+   baseline of the prefix walk.  [Leaf.with_sync] applies weak
+   ordering's value rule, which the full enumeration did not have: an
+   order it refutes must be one whose views fail anyway, and the
+   reference checks that by searching them under the order
+   ([Failure] when they all succeed). *)
+let reference_witness (p : Smem_core.Model.params) h =
+  let module Enum = Smem_core.Enum in
+  let module Leaf = Smem_core.Leaf in
+  let module Model = Smem_core.Model in
+  let leaf = Leaf.prepare p h in
+  let found = ref None in
+  let accept = function
+    | Some _ as w ->
+        found := w;
+        true
+    | None -> false
+  in
+  let co_phase =
+    match Enum.co_mode p with
+    | Enum.Co_none -> fun stage -> accept (Leaf.check stage Leaf.No_co)
+    | Enum.Co_per_loc ->
+        fun stage ->
+          Smem_core.Coherence.iter h ~f:(fun co ->
+              accept (Leaf.check stage (Leaf.Co co)))
+    | Enum.Co_global ->
+        let writes = Array.of_list (H.writes h) in
+        fun stage ->
+          Smem_relation.Perm.iter_constrained writes
+            ~precedes:(Smem_core.Coherence.default_respect h) ~f:(fun worder ->
+              accept (Leaf.check stage (Leaf.Write_order worder)))
+  in
+  let views_accept stage seq =
+    p.Model.legality = Model.Value_legal
+    && Enum.co_mode p = Enum.Co_none
+    &&
+    let total = Smem_core.Orders.total_order (H.nops h) seq in
+    List.for_all
+      (fun (v : Smem_core.Engine.view_spec) ->
+        Option.is_some
+          (Smem_core.View.exists h ~ops:v.Smem_core.Engine.ops
+             ~order:(Rel.union v.Smem_core.Engine.order total)
+             ~legality:Smem_core.View.By_value))
+      (Leaf.views stage)
+  in
+  let sync_phase stage =
+    if not (Enum.sync_needed p) then co_phase stage
+    else
+      let labeled =
+        Smem_relation.Bitset.of_list (H.nops h) (H.labeled h)
+      in
+      linear_extensions ~universe:labeled (Smem_core.Orders.po h) ~f:(fun seq ->
+          match Leaf.with_sync stage seq with
+          | Some stage -> co_phase stage
+          | None ->
+              if p.Model.mutual = Model.Labeled_total && views_accept stage seq
+              then
+                failwith
+                  (Format.asprintf
+                     "the labeled step refutes an order the views accept: %a"
+                     (H.pp_ops h) (Array.to_list seq));
+              false)
+  in
+  let (_ : bool) =
+    if Enum.rf_needed p then
+      let skip r =
+        p.Model.legality = Model.Object_legal
+        && Smem_core.Sort.of_loc h (H.op h r).Op.loc = Smem_core.Sort.Counter
+      in
+      Smem_core.Reads_from.iter ~skip h ~f:(fun rf ->
+          match Leaf.with_rf leaf rf with
+          | Some stage -> sync_phase stage
+          | None -> false)
+    else sync_phase leaf
+  in
+  !found
+
 (* ---------------- independent validators ---------------- *)
 
 (* Value-legality of a sequence: every read returns the most recent

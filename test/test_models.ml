@@ -273,7 +273,7 @@ let sc_reference h =
   let po = Smem_core.Orders.po h in
   let found = ref false in
   ignore
-    (Smem_relation.Rel.linear_extensions po ~f:(fun order ->
+    (Helpers.linear_extensions po ~f:(fun order ->
          if Helpers.legal_sequence h (Array.to_list order) then begin
            found := true;
            true
@@ -405,6 +405,21 @@ let prop_all_witnesses_legal =
                 w.Smem_core.Witness.views)
         Registry.all)
 
+(* A verdict-only check formats no witness notes: Model.check tso on
+   Figure 1 allocated 4 264 minor words while it rendered them, about
+   1 600 since. *)
+let check_formats_no_notes () =
+  let h = Corpus.fig1_tso.Test.history in
+  let tso = model "tso" in
+  ignore (Model.check tso h);
+  let w0 = Gc.minor_words () in
+  let allowed = Model.check tso h in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool "fig1 allowed under tso" true allowed;
+  if words > 2_500. then
+    Alcotest.failf
+      "Model.check tso fig1 allocates %.0f minor words (bound 2 500)" words
+
 let () =
   Alcotest.run "models"
     [
@@ -421,6 +436,7 @@ let () =
           tc "unwritable value forbidden everywhere" unwritable_value_nowhere;
           tc "single-processor agreement" single_processor_agreement;
           tc "Build validation and parsers" build_validation;
+          tc "Model.check formats no witness notes" check_formats_no_notes;
         ] );
       ( "containment properties",
         List.map QCheck_alcotest.to_alcotest

@@ -230,7 +230,7 @@ let stats_count_under_parallel_runner () =
 (* Naive SC: some legal linear extension of program order over all
    operations — no hoisting, no pruning, no engine. *)
 let naive_sc h =
-  Rel.linear_extensions (Smem_core.Orders.po h) ~f:(fun seq ->
+  Helpers.linear_extensions (Smem_core.Orders.po h) ~f:(fun seq ->
       Helpers.legal_sequence h (Array.to_list seq))
 
 (* Naive PRAM: per processor, some legal linear extension of program
@@ -239,8 +239,8 @@ let naive_pram h =
   let po = Smem_core.Orders.po h in
   List.for_all
     (fun p ->
-      Rel.linear_extensions ~universe:(H.view_ops_writes h p) po ~f:(fun seq ->
-          Helpers.legal_sequence h (Array.to_list seq)))
+      Helpers.linear_extensions ~universe:(H.view_ops_writes h p) po
+        ~f:(fun seq -> Helpers.legal_sequence h (Array.to_list seq)))
     (List.init (H.nprocs h) Fun.id)
 
 let prop_pruned_sc_matches_naive =

@@ -3,6 +3,7 @@
 module Bitset = Smem_relation.Bitset
 module Rel = Smem_relation.Rel
 module Perm = Smem_relation.Perm
+module Helpers = Smem_testlib.Helpers
 
 let check = Alcotest.check
 let tc name f = Alcotest.test_case name `Quick f
@@ -126,22 +127,23 @@ let rel_linear_extensions () =
   let empty = Rel.create 3 in
   let count = ref 0 in
   let all _ = incr count; false in
-  ignore (Rel.linear_extensions empty ~f:all);
+  ignore (Helpers.linear_extensions empty ~f:all);
   check Alcotest.int "3! extensions" 6 !count;
   (* A chain has exactly one. *)
   let chain = Rel.of_pairs 3 [ (0, 1); (1, 2) ] in
   count := 0;
-  ignore (Rel.linear_extensions chain ~f:all);
+  ignore (Helpers.linear_extensions chain ~f:all);
   check Alcotest.int "chain has 1" 1 !count;
   (* Early exit works. *)
   count := 0;
   let stop _ = incr count; true in
-  check Alcotest.bool "early exit true" true (Rel.linear_extensions empty ~f:stop);
+  check Alcotest.bool "early exit true" true
+    (Helpers.linear_extensions empty ~f:stop);
   check Alcotest.int "stopped after 1" 1 !count;
   (* Restricted universe. *)
   count := 0;
   let universe = Bitset.of_list 3 [ 0; 2 ] in
-  ignore (Rel.linear_extensions ~universe empty ~f:all);
+  ignore (Helpers.linear_extensions ~universe empty ~f:all);
   check Alcotest.int "2 elements -> 2" 2 !count
 
 let rel_scc () =
@@ -262,7 +264,7 @@ let prop_extensions_respect_order =
         let ok = ref true in
         let checked = ref 0 in
         ignore
-          (Rel.linear_extensions r ~f:(fun order ->
+          (Helpers.linear_extensions r ~f:(fun order ->
                incr checked;
                let pos = Array.make 6 0 in
                Array.iteri (fun i v -> pos.(v) <- i) order;

@@ -89,6 +89,131 @@ let prop_random_separated =
       agree_everywhere ~what:"separated" h;
       true)
 
+(* ---------------- labeled orders by prefix ---------------- *)
+
+(* Both engines grow the labeled order of RC_sc and weak ordering one
+   operation at a time through [Leaf.step].  The baseline enumerates
+   every linear extension and hands each whole to [Leaf.with_sync]
+   ([Helpers.reference_witness]); the witnesses must be the same bytes,
+   which also pins the order the walk visits legal orders in.  The
+   solver decides reads in fail-first order, so its RC_sc witness may
+   take another reads-from map: there only the verdict must match. *)
+let labeled_models = [ model "wo"; model "rc-sc" ]
+
+let pp_witness h = function
+  | None -> "forbidden"
+  | Some w -> Format.asprintf "%a" (Witness.pp h) w
+
+let same_as_reference ~what h =
+  List.iter
+    (fun (m : Model.t) ->
+      let p = Option.get m.Model.params in
+      let reference = Helpers.reference_witness p h in
+      let expected = pp_witness h reference in
+      let rf_order_free = not (Smem_core.Enum.rf_needed p) in
+      List.iter
+        (fun (engine, w) ->
+          let got = pp_witness h w in
+          let same =
+            if engine = "enum" || rf_order_free then got = expected
+            else Option.is_some w = Option.is_some reference
+          in
+          if not same then
+            Alcotest.failf
+              "%s: %s under %s differs from the full enumeration on:\n\
+               %s\nexpected:\n%s\ngot:\n%s"
+              what m.Model.key engine
+              (Format.asprintf "%a" H.pp h)
+              expected got)
+        [ ("enum", m.Model.witness h); ("solve", Solve.witness m h) ])
+    labeled_models
+
+let prop_reference_mixed =
+  QCheck.Test.make ~name:"prefix walk = full enumeration, mixed labels"
+    ~count:300
+    (Helpers.arb_history ~labeled_allowed:`Mixed ())
+    (fun h ->
+      same_as_reference ~what:"mixed" h;
+      true)
+
+let prop_reference_separated =
+  QCheck.Test.make ~name:"prefix walk = full enumeration, separated labels"
+    ~count:300
+    (Helpers.arb_history ~labeled_allowed:`Separated ())
+    (fun h ->
+      same_as_reference ~what:"separated" h;
+      true)
+
+let generated_corpus_reference () =
+  let tests = Smem_corpus.Corpus.generate ~seed:42 ~count:2000 () in
+  List.iter
+    (fun (t : Test.t) -> same_as_reference ~what:t.Test.name t.Test.history)
+    tests
+
+let history_of rows =
+  match Smem_litmus.Parse.test_of_string ("test t \"\"\n" ^ rows) with
+  | Ok t -> t.Test.history
+  | Error e -> Alcotest.failf "%a" Smem_litmus.Parse.pp_error e
+
+(* A fully labeled Bakery prefix, seed 1's c00579 ("bakery3/pc-g"): 12
+   labeled operations, 3 960 linear extensions, every one of which the
+   full enumeration handed to [Leaf.with_sync].  The steps refute each
+   before it completes. *)
+let bakery_prefix =
+  history_of
+    "p0: w* l0 1 ; r* l1 0 ; r* l2 0 ; r* l3 0 ; w* l1 1 ; w* l0 0 ; r* l4 0\n\
+     p1: w* l4 1 ; r* l1 0 ; r* l2 0 ; r* l3 0\n\
+     p2: w* l5 1\n"
+
+let sync_orders_counted () =
+  let h = bakery_prefix in
+  List.iter
+    (fun (m : Model.t) ->
+      List.iter
+        (fun (engine, witness) ->
+          Smem_core.Stats.reset ();
+          let w0 = Gc.minor_words () in
+          let allowed = Option.is_some (witness m h) in
+          let words = Gc.minor_words () -. w0 in
+          let s = Smem_core.Stats.snapshot () in
+          let what = m.Model.key ^ " under " ^ engine in
+          check Alcotest.bool (what ^ " forbids it") false allowed;
+          check Alcotest.int (what ^ ": complete labeled orders") 0
+            s.Smem_core.Stats.sync_orders;
+          (* The full enumeration allocated 2.91 M (wo) and 355 k
+             (rc-sc) minor words here; the walk about 3 k and 5 k. *)
+          if engine = "enum" && words > 20_000. then
+            Alcotest.failf "%s allocates %.0f minor words (bound 20 000)"
+              what words)
+        [
+          ("enum", fun (m : Model.t) -> m.Model.witness);
+          ("solve", Solve.witness);
+        ])
+    labeled_models;
+  Smem_core.Stats.reset ()
+
+(* Weak ordering's value rule covers only locations whose writes are
+   all labeled: here the ordinary [w x 1] lets [r* x 1] precede
+   [w* x 2] in the labeled order and still read 1 in its view. *)
+let value_rule_skips_ordinary_writes () =
+  let h = history_of "p0: w x 1 ; w* x 2\np1: r* x 1\n" in
+  let wo = model "wo" in
+  check Alcotest.bool "wo allows it (enum)" true (enum_allows wo h);
+  check Alcotest.bool "wo allows it (solve)" true (solve_allows wo h)
+
+(* The placed set is one word over the labeled operations. *)
+let labeled_word_limit () =
+  let labeled n =
+    H.make [ List.init n (fun i -> H.write ~labeled:true "x" (i + 1)) ]
+  in
+  let wo = model "wo" in
+  check Alcotest.bool "62 labeled operations" true
+    (enum_allows wo (labeled (Sys.int_size - 1)));
+  match enum_allows wo (labeled Sys.int_size) with
+  | _ -> Alcotest.fail "63 labeled operations: expected View.Too_large"
+  | exception Smem_core.View.Too_large { limit; _ } ->
+      check Alcotest.int "limit" (Sys.int_size - 1) limit
+
 (* ---------------- the co-pump family ---------------- *)
 
 let co_pump k =
@@ -173,6 +298,17 @@ let () =
       ( "random histories",
         List.map QCheck_alcotest.to_alcotest
           [ prop_random_histories; prop_random_separated ] );
+      ( "labeled orders",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_reference_mixed; prop_reference_separated ]
+        @ [
+            tc "2000-test generated corpus = full enumeration"
+              generated_corpus_reference;
+            tc "bakery prefix: no complete labeled order" sync_orders_counted;
+            tc "wo value rule skips ordinary writes"
+              value_rule_skips_ordinary_writes;
+            tc "labeled word limit" labeled_word_limit;
+          ] );
       ( "co-pump",
         [
           tc "forbidden for k >= 2, allowed at k = 1" co_pump_family;
