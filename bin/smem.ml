@@ -186,8 +186,10 @@ let engine_arg =
            variable by variable with constraint propagation (watched \
            views, conflict-driven nogood learning).  Both accept a \
            candidate through the same per-candidate check, so verdicts \
-           and witnesses are identical — $(b,smem fuzz --engines) checks \
-           the verdicts.  The one model without a quadruple, tso-op, \
+           are identical — $(b,smem fuzz --engines) checks them.  \
+           Certificates are byte-identical on the built-in corpus; on \
+           generated corpora the witnesses may differ, and the kernel \
+           accepts both.  The one model without a quadruple, tso-op, \
            uses its own search under either engine.")
 
 let setup_engine engine =

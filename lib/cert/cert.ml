@@ -1,4 +1,5 @@
 open Smem_core
+module Json = Smem_obs.Json
 
 type row_op = {
   kind : Op.kind;

@@ -76,6 +76,6 @@ val parse : string -> (t, string) result
 
 val to_sexp : t -> Sexp.t
 val of_sexp : Sexp.t -> (t, string) result
-val to_json : t -> Json.t
-val of_json : Json.t -> (t, string) result
+val to_json : t -> Smem_obs.Json.t
+val of_json : Smem_obs.Json.t -> (t, string) result
 val pp : Format.formatter -> t -> unit

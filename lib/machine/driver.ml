@@ -98,10 +98,70 @@ let run_random (module M : Machine_sig.MACHINE) program ~rand =
   loop ();
   history_of_trace program (List.rev !trace)
 
+(* One memoized depth-first walk over (machine state, program counters,
+   reads observed so far), issue steps before internal steps.  A read
+   proceeds only if [read_ok proc pc value]; [finish] sees the reads of
+   each complete run and stops the walk by returning [true].  Returns
+   whether it stopped, and the number of states visited.  The states
+   are deep: the default [Hashtbl.hash] reads only a bounded prefix of
+   them, so most would share a bucket. *)
+let walk (module M : Machine_sig.MACHINE) program ~read_ok ~finish =
+  let module Visited = Hashtbl.Make (struct
+    type t = M.t * int array * int list array
+
+    let equal = ( = )
+    let hash = Hashtbl.hash_param 100 256
+  end) in
+  let visited = Visited.create 997 in
+  let code = Array.map Array.of_list program.code in
+  let procs = List.init program.nprocs Fun.id in
+  let rec explore state pcs observed =
+    let key = (state, pcs, observed) in
+    (not (Visited.mem visited key))
+    && begin
+         Visited.add visited key ();
+         if Array.for_all2 (fun pc c -> pc = Array.length c) pcs code then
+           finish observed
+         else
+           let issue p =
+             let pc = pcs.(p) in
+             pc < Array.length code.(p)
+             &&
+             let instr = code.(p).(pc) in
+             let pcs' = Funarray.set pcs p (pc + 1) in
+             match instr.kind with
+             | Op.Read ->
+                 let v, s' =
+                   M.read state ~proc:p ~loc:instr.loc ~labeled:instr.labeled
+                 in
+                 let seen = v :: observed.(p) in
+                 read_ok p pc v
+                 && explore s' pcs' (Funarray.set_row observed p seen)
+             | Op.Write ->
+                 let s' =
+                   M.write state ~proc:p ~loc:instr.loc ~value:instr.value
+                     ~labeled:instr.labeled
+                 in
+                 explore s' pcs' observed
+           in
+           List.exists issue procs
+           || List.exists
+                (fun s' -> explore s' pcs observed)
+                (M.internal state)
+       end
+  in
+  let stopped =
+    explore
+      (M.create ~nprocs:program.nprocs ~nlocs:program.nlocs)
+      (Array.make program.nprocs 0)
+      (Array.make program.nprocs [])
+  in
+  (stopped, Visited.length visited)
+
 (* Guided search: schedule nondeterminism is explored exhaustively, but
    a read may only be issued when the machine would return exactly the
    value the target history assigns to it. *)
-let reachable (module M : Machine_sig.MACHINE) program target =
+let reachable ((module M : Machine_sig.MACHINE) as m) program target =
   Smem_obs.Metrics.incr replays;
   Smem_obs.Trace.span ~cat:"machine"
     ~args:[ ("machine", Smem_obs.Json.Str M.name) ]
@@ -111,91 +171,21 @@ let reachable (module M : Machine_sig.MACHINE) program target =
     Array.init program.nprocs (fun p ->
         H.proc_ops target p |> Array.map (fun id -> (H.op target id).Op.value))
   in
-  let visited = Hashtbl.create 997 in
-  let rec explore state pcs =
-    let key = (state, pcs) in
-    if Hashtbl.mem visited key then false
-    else begin
-      Hashtbl.add visited key ();
-      let all_done =
-        Array.for_all2 (fun pc code -> pc = List.length code) pcs program.code
-      in
-      if all_done then true
-      else begin
-        let issue p =
-          let pc = pcs.(p) in
-          if pc >= List.length program.code.(p) then false
-          else begin
-            let instr = List.nth program.code.(p) pc in
-            let pcs' = Funarray.set pcs p (pc + 1) in
-            match instr.kind with
-            | Op.Read ->
-                let v, s' = M.read state ~proc:p ~loc:instr.loc ~labeled:instr.labeled in
-                v = expected.(p).(pc) && explore s' pcs'
-            | Op.Write ->
-                let s' =
-                  M.write state ~proc:p ~loc:instr.loc ~value:instr.value
-                    ~labeled:instr.labeled
-                in
-                explore s' pcs'
-          end
-        in
-        List.exists issue (List.init program.nprocs Fun.id)
-        || List.exists (fun s' -> explore s' pcs) (M.internal state)
-      end
-    end
+  let ok, states =
+    walk m program
+      ~read_ok:(fun p pc v -> v = expected.(p).(pc))
+      ~finish:(fun _ -> true)
   in
-  let ok =
-    explore
-      (M.create ~nprocs:program.nprocs ~nlocs:program.nlocs)
-      (Array.make program.nprocs 0)
-  in
-  Smem_obs.Metrics.add replay_states (Hashtbl.length visited);
+  Smem_obs.Metrics.add replay_states states;
   ok
 
-let outcomes (module M : Machine_sig.MACHINE) program =
-  let results = Hashtbl.create 97 in
-  let visited = Hashtbl.create 997 in
-  (* Read observations are accumulated per processor and stitched into
-     the global read order (processor-major) at the end of each run. *)
-  let rec explore state pcs observed =
-    let key = (state, pcs, observed) in
-    if not (Hashtbl.mem visited key) then begin
-      Hashtbl.add visited key ();
-      let all_done =
-        Array.for_all2 (fun pc code -> pc = List.length code) pcs program.code
-      in
-      if all_done then begin
-        let outcome =
-          List.concat (Array.to_list (Array.map List.rev observed))
-        in
-        Hashtbl.replace results outcome ()
-      end
-      else begin
-        let issue p =
-          let pc = pcs.(p) in
-          if pc < List.length program.code.(p) then begin
-            let instr = List.nth program.code.(p) pc in
-            let pcs' = Funarray.set pcs p (pc + 1) in
-            match instr.kind with
-            | Op.Read ->
-                let v, s' = M.read state ~proc:p ~loc:instr.loc ~labeled:instr.labeled in
-                explore s' pcs' (Funarray.set_row observed p (v :: observed.(p)))
-            | Op.Write ->
-                let s' =
-                  M.write state ~proc:p ~loc:instr.loc ~value:instr.value
-                    ~labeled:instr.labeled
-                in
-                explore s' pcs' observed
-          end
-        in
-        List.iter issue (List.init program.nprocs Fun.id);
-        List.iter (fun s' -> explore s' pcs observed) (M.internal state)
-      end
-    end
+(* Read observations are accumulated per processor and stitched into
+   the global read order (processor-major) at the end of each run. *)
+let outcomes m program =
+  let results = ref [] in
+  let finish observed =
+    results := List.concat_map List.rev (Array.to_list observed) :: !results;
+    false
   in
-  explore (M.create ~nprocs:program.nprocs ~nlocs:program.nlocs)
-    (Array.make program.nprocs 0)
-    (Array.make program.nprocs []);
-  Hashtbl.fold (fun outcome () acc -> outcome :: acc) results []
-  |> List.sort_uniq compare
+  ignore (walk m program ~read_ok:(fun _ _ _ -> true) ~finish);
+  List.sort_uniq compare !results

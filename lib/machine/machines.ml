@@ -1,15 +1,18 @@
 let all : Machine_sig.machine list =
-  [
-    (module Sc_machine);
-    (module Tso_machine);
-    (module Pcg_machine);
-    (module Causal_machine);
-    (module Pram_machine);
-    (module Slow_machine);
-    (module Local_machine);
-    (module Rc_machine.Sc_flavor);
-    (module Rc_machine.Pc_flavor);
-  ]
+  (module Sc_machine)
+  :: (module Tso_machine)
+  :: List.map
+       (fun (name, d) -> Replica_machine.machine ~name d)
+       Replica_machine.
+         [
+           ("pc-g", Pc_g);
+           ("causal", Causal);
+           ("pram", Pram);
+           ("slow", Slow);
+           ("local", Local);
+           ("rc-sc", Rc_sc);
+           ("rc-pc", Rc_pc);
+         ]
 
 let name (module M : Machine_sig.MACHINE) = M.name
 

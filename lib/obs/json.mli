@@ -1,7 +1,7 @@
 (** Minimal JSON, hand-rolled (integers only — nothing in the toolkit
     carries floats).  The single machine-facing serialization shared by
-    verdict certificates ({!Smem_cert.Json} re-exports this module),
-    Chrome trace files ({!Trace}) and the [smem-api] wire codec. *)
+    verdict certificates, Chrome trace files ({!Trace}) and the
+    [smem-api] wire codec. *)
 
 type t =
   | Null

@@ -167,6 +167,44 @@ let driver_reachability_matches_corpus () =
   check Alcotest.bool "bakery-sec5 not on rc-sc" false (reach "bakery-sec5" "rc-sc");
   check Alcotest.bool "bakery-sec5 on rc-pc" true (reach "bakery-sec5" "rc-pc")
 
+(* Guided replay of every built-in corpus test of at most 10
+   operations, counting the states [Driver.reachable] visits on each
+   machine.  The counts depend on which machine states are equal and,
+   since a replay stops at its first complete run, on the order of
+   internal successors: the explorers' memo tables, seeded random
+   schedules and the generated corpus depend on both. *)
+let driver_replay_states_pinned () =
+  let tests =
+    List.filter (fun t -> H.nops t.Test.history <= 10) Corpus.all
+  in
+  let counted () =
+    Option.value ~default:0 (Smem_obs.Metrics.find "machine.replay_states")
+  in
+  let states m =
+    let before = counted () in
+    List.iter
+      (fun t ->
+        let h = t.Test.history in
+        ignore (Driver.reachable m (Driver.program_of_history h) h))
+      tests;
+    counted () - before
+  in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "replay states per machine"
+    [
+      ("sc", 201);
+      ("tso", 284);
+      ("pc-g", 679);
+      ("causal", 308);
+      ("pram", 260);
+      ("slow", 268);
+      ("local", 244);
+      ("rc-sc", 660);
+      ("rc-pc", 772);
+    ]
+    (List.map (fun m -> (Machines.name m, states m)) Machines.all)
+
 (* ---------------- soundness properties ---------------- *)
 
 (* Machine soundness: a random schedule of a random program on machine M
@@ -272,6 +310,33 @@ let pram_lb_unreachable () =
     (po_rf_acyclic h);
   check Alcotest.bool "the PRAM machine cannot reach it" false
     (Driver.reachable (machine "pram") (Driver.program_of_history h) h)
+
+(* The RC machines' soundness gap (EXPERIMENTS.md finding 3): an
+   acquire that reads an ordinary write.  SC allows the history and
+   both RC machines reach it, yet both RC models forbid it.  It is not
+   properly labeled, which is why the fuzz oracle's RC soundness check
+   skips it. *)
+let rc_machines_reach_improperly_labeled () =
+  let h =
+    H.make
+      [
+        [ H.write "x" 1; H.write "x" 1 ];
+        [ H.read ~labeled:true "x" 1; H.write ~labeled:true "x" 1 ];
+      ]
+  in
+  let model key =
+    match Registry.find key with Some m -> m | None -> assert false
+  in
+  check Alcotest.bool "sc allows it" true (Model.check (model "sc") h);
+  check Alcotest.bool "not properly labeled" false
+    (Smem_lattice.Figure5.properly_labeled h);
+  List.iter
+    (fun key ->
+      check Alcotest.bool (key ^ " model forbids it") false
+        (Model.check (model key) h);
+      check Alcotest.bool (key ^ " machine reaches it") true
+        (Driver.reachable (machine key) (Driver.program_of_history h) h))
+    [ "rc-sc"; "rc-pc" ]
 
 (* Whole-outcome-set agreement on the corpus skeletons: the set of
    read-value vectors a machine can produce equals the set of vectors
@@ -401,6 +466,8 @@ let () =
           tc "causal delivery dependencies" causal_machine_dependencies;
           tc "rc release visibility differs" rc_machines_differ_on_release;
           tc "rc-sc release flushes ordinary writes" rc_sc_release_flushes_ordinary;
+          tc "rc machines reach an improperly labeled history their models forbid"
+            rc_machines_reach_improperly_labeled;
           tc "names unique" machine_names_unique;
         ] );
       ( "driver",
@@ -408,6 +475,7 @@ let () =
           tc "program_of_history" driver_program_of_history;
           tc "outcome enumeration (SB)" driver_outcomes_sc_sb;
           tc "reachability spot checks" driver_reachability_matches_corpus;
+          tc "replay states pinned per machine" driver_replay_states_pinned;
         ] );
       ( "soundness",
         List.map QCheck_alcotest.to_alcotest

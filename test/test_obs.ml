@@ -1,13 +1,12 @@
 (* Tests of the observability layer: the monotonic clock, the metrics
    registry (including aggregation from pool workers on other domains),
    span recording and its Chrome trace-event JSON sink (parsed back via
-   Smem_cert.Json — deliberately through the re-export, which pins the
-   type equality), and the pool's exception-propagation contract. *)
+   Smem_obs.Json), and the pool's exception-propagation contract. *)
 
 module Clock = Smem_obs.Clock
 module Metrics = Smem_obs.Metrics
 module Trace = Smem_obs.Trace
-module Json = Smem_cert.Json
+module Json = Smem_obs.Json
 module Pool = Smem_parallel.Pool
 
 let check = Alcotest.check
