@@ -18,22 +18,14 @@
     written with locations [x, y] and the same test written with
     [a, b] hit the same cache entry.
 
-    For histories of at most {!exact_limit} processors the
-    representative is exact: the encoding is minimized over all
-    processor permutations, so every member of the orbit canonicalizes
-    to the same history.  Above the limit a deterministic heuristic
-    (sorting rows by a renaming-invariant signature) is used instead;
-    it is still idempotent and verdict-preserving — two equivalent
-    histories merely aren't {e guaranteed} to collapse to one digest,
-    which costs cache hits, never correctness. *)
-
-val exact_limit : int
-(** [6] — the processor count up to which the canonical form is
-    minimized over all [nprocs!] row permutations. *)
-
-val is_exact : History.t -> bool
-(** Whether [canonicalize] is exact (orbit-collapsing) for this
-    history, i.e. [nprocs h <= exact_limit]. *)
+    The representative has the least encoding over all processor
+    orders.  The search places rows one at a time and branches only
+    where rows tie, within a fixed bound on the rows it encodes; every
+    history of at most six processors fits the bound.  A history whose
+    ties overrun it follows the first tied row at each step: still
+    idempotent, renaming-invariant and verdict-preserving, though two
+    members of its orbit are then not {e guaranteed} one digest, which
+    costs cache hits, never correctness. *)
 
 val canonicalize : History.t -> History.t
 (** The canonical representative.  Idempotent; preserves every model's
@@ -50,5 +42,5 @@ val digest : History.t -> string
 (** Hex MD5 of [encode h] — the stable content digest. *)
 
 val equivalent : History.t -> History.t -> bool
-(** [encode a = encode b].  For histories within {!exact_limit} this
-    decides orbit equivalence exactly. *)
+(** [encode a = encode b].  Within the work bound this decides orbit
+    equivalence exactly. *)

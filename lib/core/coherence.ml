@@ -28,8 +28,6 @@ let position t w =
 let precedes t w1 w2 =
   t.loc_of.(w1) >= 0 && t.loc_of.(w1) = t.loc_of.(w2) && position t w1 < position t w2
 
-let writes_in_order t loc = t.per_loc.(loc)
-
 let to_rel t =
   let rel = Rel.create t.nops in
   Array.iter

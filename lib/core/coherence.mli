@@ -18,9 +18,6 @@ val precedes : t -> int -> int -> bool
 (** [precedes co w1 w2] — both writes, same location, [w1] strictly
     before [w2]. *)
 
-val writes_in_order : t -> int -> int array
-(** [writes_in_order co loc] — the writes to [loc] in coherence order. *)
-
 val to_rel : t -> Smem_relation.Rel.t
 (** All [(w1, w2)] pairs with [w1] coherence-before [w2]. *)
 

@@ -37,6 +37,19 @@ val co_mode : Model.params -> co_mode
     session views, which may serialize writes oppositely; otherwise
     none. *)
 
+val sync_walk :
+  History.t ->
+  Leaf.t ->
+  rf:Reads_from.t option ->
+  f:(int array -> bool) ->
+  bool
+(** [sync_walk h leaf ~rf ~f] hands [f] each complete labeled order of
+    [h] that {!Leaf.step} allows throughout, in the order described
+    above, until [f] accepts ([true]); [f]'s array is reused.  Apply it
+    to [h] once per history: the program order on the labeled
+    operations is computed then.  The failed-configuration memo lives
+    for one call. *)
+
 val witness : Model.params -> History.t -> Witness.t option
 
 val model :

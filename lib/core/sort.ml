@@ -7,13 +7,6 @@ let of_loc_name name =
 
 let of_loc h l = of_loc_name (History.loc_name h l)
 let prefix = function Register -> "" | Queue -> "q:" | Counter -> "c:"
-let is_register = function Register -> true | Queue | Counter -> false
-
-let has_objects h =
-  let rec go l =
-    l < History.nlocs h && ((not (is_register (of_loc h l))) || go (l + 1))
-  in
-  go 0
 
 (* Queues are tiny (litmus scale): a plain head-first list with O(n)
    enqueue keeps the states immutable, which is what the backtracking

@@ -30,11 +30,6 @@ val of_loc : History.t -> int -> t
 val prefix : t -> string
 (** The name prefix declaring the sort ([""] for registers). *)
 
-val is_register : t -> bool
-
-val has_objects : History.t -> bool
-(** Does any location of the history carry a non-register sort? *)
-
 (** {1 Sequential replay}
 
     The incremental object-state machine shared by the witness search

@@ -41,11 +41,13 @@ exception Enough
 let add acc ~doc h =
   let nops = H.nops h in
   if nops >= 2 && nops <= acc.max_ops then begin
-    let c = Canon.canonicalize h in
-    let d = Canon.digest c in
+    (* Most candidates are duplicates: only an unseen one is
+       canonicalized (its digest is its canonical copy's, by
+       idempotence). *)
+    let d = Canon.digest h in
     if not (Hashtbl.mem acc.seen d) then begin
       Hashtbl.add acc.seen d ();
-      acc.out <- (c, doc) :: acc.out;
+      acc.out <- (Canon.canonicalize h, doc) :: acc.out;
       acc.n <- acc.n + 1;
       if acc.n >= acc.target then raise Enough
     end

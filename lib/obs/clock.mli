@@ -8,14 +8,11 @@
     unspecified (typically boot time): readings are only meaningful as
     differences. *)
 
-val now_ns : unit -> int64
-(** Current monotonic reading in nanoseconds. *)
-
 val now : unit -> int
-(** [now_ns] as a native [int].  63-bit nanoseconds overflow after
-    ~146 years of uptime, so this is safe everywhere the toolkit runs;
-    the search counters ({!Smem_core.Stats}) and trace events store
-    plain ints. *)
+(** Current monotonic reading in nanoseconds, as a native [int].
+    63-bit nanoseconds overflow after ~146 years of uptime, so this is
+    safe everywhere the toolkit runs; the search counters
+    ({!Smem_core.Stats}) and trace events store plain ints. *)
 
 val elapsed_ns : int -> int
 (** [elapsed_ns t0] is [now () - t0], clamped to [0] (the clamp only

@@ -59,9 +59,6 @@ let of_rel r =
     closed;
   t
 
-let succ t u = t.fwd.(u)
-let pred t v = t.bwd.(v)
-
 let snapshot t =
   { s_fwd = Array.map Bitset.copy t.fwd; s_bwd = Array.map Bitset.copy t.bwd }
 

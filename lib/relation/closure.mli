@@ -34,13 +34,6 @@ val add : t -> int -> int -> unit
     an edge with [reaches t v u] true creates a cycle the structure
     cannot represent — callers must test first. *)
 
-val succ : t -> int -> Bitset.t
-(** The strict-descendant row of a node.  Exposed read-only for the
-    watched-index scans ({!Bitset.next}); mutating it corrupts the
-    closure. *)
-
-val pred : t -> int -> Bitset.t
-
 val snapshot : t -> snapshot
 (** Capture the current reachability state (a deep row copy). *)
 

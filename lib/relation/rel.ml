@@ -106,13 +106,6 @@ let transitive_closure t =
   done;
   out
 
-let reflexive_transitive_closure t =
-  let out = transitive_closure t in
-  for a = 0 to out.size - 1 do
-    Bitset.add out.rows.(a) a
-  done;
-  out
-
 let is_transitive t = equal (transitive_closure t) t
 
 let irreflexive t =

@@ -66,8 +66,6 @@ val restrict : t -> Bitset.t -> t
 val transitive_closure : t -> t
 (** Warshall's algorithm on bitset rows. *)
 
-val reflexive_transitive_closure : t -> t
-
 val is_transitive : t -> bool
 
 val irreflexive : t -> bool

@@ -31,7 +31,6 @@ module Perm = Smem_relation.Perm
 module H = Smem_core.History
 module Op = Smem_core.Op
 module Model = Smem_core.Model
-module Orders = Smem_core.Orders
 module Engine = Smem_core.Engine
 module Enum = Smem_core.Enum
 module Leaf = Smem_core.Leaf
@@ -238,7 +237,6 @@ let forced_static h (p : Model.params) views =
 let run ctx =
   let h = ctx.h in
   let p = ctx.params in
-  let nops = H.nops h in
   let writer_legal = p.Model.legality = Model.Writer_legal in
   let assigned r w = ctx.writer.(r) = w in
   (* The reads-from stage is built lazily: most complete rf assignments
@@ -366,64 +364,31 @@ let run ctx =
         go 0
   in
   (* -------- synchronization phase -------- *)
-  let sync_phase ~rf stage =
-    if not (Enum.sync_needed p) then co_phase stage
-    else begin
-      let labeled = Array.of_list (H.labeled h) in
-      let m = Array.length labeled in
-      let po = Orders.po h in
-      let used = Array.make (max 1 nops) false in
-      let seq = Array.make (max 1 m) (-1) in
-      let last = Leaf.sync_start ctx.leaf in
-      let rec go depth =
-        if depth = m then
-          match Lazy.force stage with
-          | None -> false
-          | Some st -> (
-              match Leaf.with_sync st (Array.sub seq 0 m) with
-              | Some st -> co_phase (Lazy.from_val (Some st))
-              | None -> false)
-        else begin
-          let ok = ref false in
-          Array.iter
-            (fun l ->
-              if (not !ok) && not used.(l) then begin
-                let available =
-                  Array.for_all
-                    (fun l' ->
-                      used.(l') || l' = l
-                      || not (Rel.mem po l' l || reaches_any ctx l' l))
-                    labeled
-                in
-                let loc = (H.op h l).Op.loc in
-                let saved = last.(loc) in
-                seq.(depth) <- l;
-                if available && Leaf.step ctx.leaf ~rf:(Lazy.force rf) last l
-                then begin
-                  Stats.count_solve_decision ();
-                  let fr = push ctx in
-                  used.(l) <- true;
-                  let conflict = ref None in
-                  for i = 0 to depth - 1 do
-                    if !conflict = None then
-                      conflict := add_edge ctx fr seq.(i) l
-                  done;
-                  (match !conflict with
-                  | Some _ -> Stats.count_solve_conflict ()
-                  | None -> if go (depth + 1) then ok := true);
-                  if not !ok then begin
-                    used.(l) <- false;
-                    pop ctx
-                  end
-                end;
-                last.(loc) <- saved
-              end)
-            labeled;
-          !ok
-        end
-      in
-      go 0
-    end
+  (* The enumerator's walk over labeled orders by prefix; each complete
+     order it yields enters the view graphs as one frame, its chain. *)
+  let sync_phase =
+    if not (Enum.sync_needed p) then fun ~rf:_ stage -> co_phase stage
+    else
+      let walk = Enum.sync_walk h in
+      fun ~rf stage ->
+        match Lazy.force stage with
+        | None -> false
+        | Some st ->
+            walk st ~rf:(Lazy.force rf) ~f:(fun seq ->
+                match Leaf.with_sync st seq with
+                | None -> false
+                | Some st -> (
+                    Stats.count_solve_decision ();
+                    let fr = push ctx in
+                    match add_chain fr seq with
+                    | Some _ ->
+                        Stats.count_solve_conflict ();
+                        pop ctx;
+                        false
+                    | None ->
+                        let ok = co_phase (Lazy.from_val (Some st)) in
+                        if not ok then pop ctx;
+                        ok))
   in
   (* -------- reads-from phase -------- *)
   if not (Enum.rf_needed p) then

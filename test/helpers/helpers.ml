@@ -265,6 +265,83 @@ let reference_witness (p : Smem_core.Model.params) h =
   in
   !found
 
+(* Canonicalization as it was before rows were placed one at a time:
+   every processor order encoded whole, with its own renaming, and the
+   least encoding kept; the differential baseline of [Canon.encode]. *)
+let reference_encode h =
+  let module Sort = Smem_core.Sort in
+  let encode_order order =
+    let buf = Buffer.create 256 in
+    let loc_map = Hashtbl.create 8 in
+    let value_maps = Hashtbl.create 8 in
+    let rename_loc l =
+      match Hashtbl.find_opt loc_map l with
+      | Some l' -> l'
+      | None ->
+          let l' = Hashtbl.length loc_map in
+          Hashtbl.add loc_map l l';
+          Hashtbl.add value_maps l' (Hashtbl.create 4);
+          l'
+    in
+    let rename_value l' v =
+      if v = 0 then 0
+      else
+        let vm = Hashtbl.find value_maps l' in
+        match Hashtbl.find_opt vm v with
+        | Some v' -> v'
+        | None ->
+            let v' = Hashtbl.length vm + 1 in
+            Hashtbl.add vm v v';
+            v'
+    in
+    List.iter
+      (fun p ->
+        Buffer.add_char buf '|';
+        Array.iter
+          (fun id ->
+            let op = H.op h id in
+            let sort = Sort.of_loc h op.Op.loc in
+            let l' = rename_loc op.Op.loc in
+            let v' =
+              match sort with
+              | Sort.Counter -> op.Op.value
+              | Sort.Register | Sort.Queue -> rename_value l' op.Op.value
+            in
+            Buffer.add_char buf
+              (match op.Op.kind with Op.Read -> 'r' | Op.Write -> 'w');
+            if Op.is_labeled op then Buffer.add_char buf '*';
+            (match sort with
+            | Sort.Register -> ()
+            | Sort.Queue -> Buffer.add_char buf 'q'
+            | Sort.Counter -> Buffer.add_char buf 'c');
+            Buffer.add_string buf (string_of_int l');
+            Buffer.add_char buf '=';
+            Buffer.add_string buf (string_of_int v');
+            (match H.interval h id with
+            | None -> ()
+            | Some (s, f) ->
+                Buffer.add_char buf '@';
+                Buffer.add_string buf (string_of_int s);
+                Buffer.add_char buf ':';
+                Buffer.add_string buf (string_of_int f));
+            Buffer.add_char buf ';')
+          (H.proc_ops h p))
+      order;
+    Buffer.contents buf
+  in
+  let rec orders = function
+    | [] -> [ [] ]
+    | rows ->
+        List.concat_map
+          (fun p ->
+            List.map (List.cons p) (orders (List.filter (( <> ) p) rows)))
+          rows
+  in
+  List.fold_left
+    (fun best order -> min best (encode_order order))
+    (encode_order (List.init (H.nprocs h) Fun.id))
+    (orders (List.init (H.nprocs h) Fun.id))
+
 (* ---------------- independent validators ---------------- *)
 
 (* Value-legality of a sequence: every read returns the most recent

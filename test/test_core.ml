@@ -547,15 +547,12 @@ let canon_collapses_known_orbit () =
   let b =
     H.make [ [ H.write "b" 7; H.read "a" 0 ]; [ H.write "a" 7; H.read "b" 0 ] ]
   in
-  check Alcotest.bool "same orbit, same digest" true (Canon.equivalent a b);
-  check Alcotest.bool "exact below limit" true (Canon.is_exact a)
+  check Alcotest.bool "same orbit, same digest" true (Canon.equivalent a b)
 
-(* The signature-sort fallback, on histories with distinct rows: seven
-   processors is past [exact_limit], so canonicalization orders rows by
-   signature instead of trying all 7! permutations — the digest must
-   still collapse the same orbits (permutations, renamings) and keep
-   distinct outcomes apart. *)
-let canon_fallback_seven_procs () =
+(* Seven processors with distinct rows: the search places them without
+   a tie, so the digest collapses the orbit (permutations, renamings)
+   and keeps distinct outcomes apart. *)
+let canon_exact_seven_procs () =
   let row i =
     [
       H.write "x" (i + 1);
@@ -564,7 +561,6 @@ let canon_fallback_seven_procs () =
     ]
   in
   let h = H.make (List.init 7 row) in
-  check Alcotest.bool "fallback path taken" false (Canon.is_exact h);
   check Alcotest.string "idempotent" (Canon.encode h)
     (Canon.encode (Canon.canonicalize h));
   let reversed = rebuild ~perm:(fun p -> 6 - p) h in
@@ -588,11 +584,9 @@ let canon_fallback_seven_procs () =
   check Alcotest.bool "distinct outcomes stay apart" true
     (Canon.digest h <> Canon.digest other)
 
-(* Above [exact_limit] the orbit is *not* guaranteed to collapse (two
-   rows with equal signatures tie-break on their original index), so
-   the random property asserts exactly what the fallback promises:
-   idempotence and renaming invariance.  Permutation invariance on a
-   distinct-signature history is covered deterministically above. *)
+(* Past the work bound two members of an orbit are not guaranteed one
+   digest, so the random property asserts what holds at every size:
+   idempotence and renaming invariance. *)
 let canon_fallback_qcheck =
   QCheck.Test.make
     ~name:"fallback (>= 7 procs): idempotent and renaming-invariant"
@@ -610,17 +604,172 @@ let canon_fallback_qcheck =
       Canon.encode (Canon.canonicalize c) = Canon.encode c
       && Canon.digest renamed = Canon.digest h)
 
-let canon_large_heuristic () =
-  (* Above [exact_limit] the heuristic must still be idempotent and
-     invariant under renamings (the sort key is renaming-invariant). *)
+let canon_first_tied_row () =
+  (* Eight rows that tie at every step: the tree of ties holds 8! orders,
+     far past the work bound, so the search follows the first tied row.
+     It must still be idempotent and invariant under renamings. *)
   let row i = [ H.write "x" (i + 1); H.read "y" 0 ] in
-  let h = H.make (List.init (Canon.exact_limit + 2) row) in
-  check Alcotest.bool "not exact" false (Canon.is_exact h);
+  let h = H.make (List.init 8 row) in
   check Alcotest.string "idempotent" (Canon.encode h)
     (Canon.encode (Canon.canonicalize h));
   let renamed = rebuild ~rename_loc:(fun s -> s ^ "'") h in
   check Alcotest.string "renaming-invariant" (Canon.digest h)
     (Canon.digest renamed)
+
+(* A ring: processor [i] writes location [i] and reads location [i + 1]
+   (mod [n]), renamed by [name].  Every row ties with every other at the
+   first step, and the first placed row fixes the rest. *)
+let ring ?(name = Printf.sprintf "x%d") n =
+  H.make
+    (List.init n (fun i ->
+         [ H.write (name i) 1; H.read (name ((i + 1) mod n)) 0 ]))
+
+let canon_ring_collapses () =
+  List.iter
+    (fun n ->
+      let h = ring n in
+      let what = Printf.sprintf "%d procs: " n in
+      let reversed = rebuild ~perm:(fun p -> n - 1 - p) h in
+      let shuffled = rebuild ~perm:(fun p -> (3 * p + 1) mod n) h in
+      check Alcotest.string (what ^ "reversal") (Canon.digest h)
+        (Canon.digest reversed);
+      check Alcotest.string (what ^ "shuffle") (Canon.digest h)
+        (Canon.digest shuffled);
+      check Alcotest.string (what ^ "idempotent") (Canon.encode h)
+        (Canon.encode (Canon.canonicalize h)))
+    [ 7; 8 ]
+
+(* Ties are where the search branches: 2–6 copies of one row shape,
+   over locations renamed per copy, in three processor orders, against
+   the least encoding over every processor order. *)
+let canon_symmetric_reference () =
+  let shapes =
+    [
+      ("ring", fun n -> ring ~name:(Printf.sprintf "r%d") n);
+      ( "one location",
+        fun n ->
+          H.make
+            (List.init n (fun i -> [ H.write "x" (i + 1); H.read "x" 0 ])) );
+      ( "own location",
+        fun n ->
+          H.make
+            (List.init n (fun i ->
+                 let l = Printf.sprintf "p%d" i in
+                 [ H.write l 1; H.read l 1; H.read "y" 0 ])) );
+      ( "labeled flags",
+        fun n ->
+          H.make
+            (List.init n (fun i ->
+                 [
+                   H.write ~labeled:true (Printf.sprintf "f%d" i) 1;
+                   H.read ~labeled:true
+                     (Printf.sprintf "f%d" ((i + 1) mod n))
+                     0;
+                   H.write "d" (i + 1);
+                 ])) );
+      ( "queues",
+        fun n ->
+          H.make
+            (List.init n (fun i ->
+                 [
+                   H.write "q:a" (i + 1);
+                   H.read "q:a" (((i + 1) mod n) + 1);
+                   H.write "c:k" 1;
+                 ])) );
+      (* Processor i reads what its parent writes: 0 and 1 form a
+         cycle, the rest hang below it, so the tied first rows lead to
+         different encodings. *)
+      ( "in-tree",
+        fun n ->
+          let parent i = if i = 0 then 1 else (i - 1) / 2 in
+          H.make
+            (List.init n (fun i ->
+                 [
+                   H.write (Printf.sprintf "t%d" i) 1;
+                   H.read (Printf.sprintf "t%d" (parent i)) 0;
+                 ])) );
+      (* Each row writes a location of its own and reads [y], but the
+         last reads [z], and a least order places it last.  At six
+         copies the tree of ties holds 976 row encodings, so a work
+         bound below that would send the search down the first tied
+         row, which depends on the processor order. *)
+      ( "one odd row",
+        fun n ->
+          H.make
+            (List.init n (fun i ->
+                 [
+                   H.write (Printf.sprintf "o%d" i) 1;
+                   H.read (if i = n - 1 then "z" else "y") 0;
+                 ])) );
+      (* Each row's encoding is a prefix of the next one's. *)
+      ( "prefixes",
+        fun n ->
+          H.make
+            (List.init n (fun i ->
+                 H.write (Printf.sprintf "a%d" i) 1
+                 :: List.init i (fun _ -> H.read "y" 0))) );
+    ]
+  in
+  List.iter
+    (fun (shape, make) ->
+      for n = 2 to 6 do
+        let h = make n in
+        let expected = Helpers.reference_encode h in
+        List.iter
+          (fun (order, perm) ->
+            check Alcotest.string
+              (Printf.sprintf "%s, %d copies, %s" shape n order)
+              expected
+              (Canon.encode (rebuild ~perm h)))
+          [
+            ("as built", Fun.id);
+            ("reversed", fun p -> n - 1 - p);
+            ("rotated", fun p -> (p + 1) mod n);
+          ]
+      done)
+    shapes
+
+(* Histories of 1–6 processors over registers, a queue and a counter,
+   with mixed labels and some timing intervals.  Rows are copies of up
+   to three drawn rows, some with [x] and [y] swapped, so rows tie
+   often and tied rows differ in how they meet the others. *)
+let gen_canon_history =
+  let open QCheck.Gen in
+  let event =
+    let* loc = oneofl [ "x"; "y"; "q:a"; "c:k" ] in
+    let* labeled = bool in
+    let* at =
+      frequency
+        [
+          (3, return None);
+          ( 1,
+            map2 (fun s d -> Some (s, s + d)) (int_range 0 4) (int_range 0 2)
+          );
+        ]
+    in
+    let* write = bool in
+    let* v = if write then int_range 1 3 else int_range 0 3 in
+    return (fun swap ->
+        let loc =
+          match loc with "x" when swap -> "y" | "y" when swap -> "x" | l -> l
+        in
+        if write then H.write ~labeled ?at loc v else H.read ~labeled ?at loc v)
+  in
+  let* drawn = list_size (int_range 1 3) (list_size (int_range 0 3) event) in
+  let* nprocs = int_range 1 6 in
+  let* rows =
+    list_repeat nprocs
+      (let* row = oneofl drawn in
+       let* swap = bool in
+       return (List.map (fun e -> e swap) row))
+  in
+  return (H.make rows)
+
+let canon_reference =
+  QCheck.Test.make ~name:"encode = least encoding over all processor orders"
+    ~count:300
+    (QCheck.make ~print:Helpers.print_history gen_canon_history)
+    (fun h -> Canon.encode h = Helpers.reference_encode h)
 
 let () =
   Alcotest.run "core"
@@ -682,8 +831,8 @@ let () =
       ( "canon",
         tc "distinguishes non-equivalent" canon_distinguishes
         :: tc "collapses a known orbit" canon_collapses_known_orbit
-        :: tc "heuristic above exact limit" canon_large_heuristic
-        :: tc "signature-sort fallback at 7 procs" canon_fallback_seven_procs
+        :: tc "first tied row past the work bound" canon_first_tied_row
+        :: tc "exact at 7 procs" canon_exact_seven_procs
         :: List.map QCheck_alcotest.to_alcotest
              [
                canon_idempotent;
@@ -691,5 +840,11 @@ let () =
                canon_renaming_invariant;
                canon_timing_preserved;
                canon_fallback_qcheck;
-             ] );
+             ]
+        @ [
+            tc "seven-processor ring collapses" canon_ring_collapses;
+            tc "symmetric rows = every processor order"
+              canon_symmetric_reference;
+            QCheck_alcotest.to_alcotest canon_reference;
+          ] );
     ]

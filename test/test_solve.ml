@@ -181,8 +181,9 @@ let sync_orders_counted () =
           check Alcotest.int (what ^ ": complete labeled orders") 0
             s.Smem_core.Stats.sync_orders;
           (* The full enumeration allocated 2.91 M (wo) and 355 k
-             (rc-sc) minor words here; the walk about 3 k and 5 k. *)
-          if engine = "enum" && words > 20_000. then
+             (rc-sc) minor words here; the walk about 3 k and 5 k.
+             The solver runs the same walk. *)
+          if words > 20_000. then
             Alcotest.failf "%s allocates %.0f minor words (bound 20 000)"
               what words)
         [
