@@ -79,7 +79,7 @@ solver: build
 # expectations enforced, kernel-verified certificates for on-demand
 # grammar instances, and the recomputed containment lattice exercised
 # through the fuzz oracle's metamorphic checks over every Figure-5
-# containment (82 pairs; zero violations expected).
+# containment (97 pairs; zero violations expected).
 family-smoke: build
 	dune exec bin/smem.exe -- corpus \
 	  -m pc-g -m 'pc-part(blocks=2)' -m 'pc-part(blocks=4)' -m coh \

@@ -10,8 +10,8 @@
 type labels = [ `No | `Mixed | `Separated ]
 (** Labeling discipline: no labeled accesses, attribute drawn per
     access, or the last location dedicated to synchronization (the
-    paper's properly-labeled discipline — required for the conditional
-    RC containments of {!Smem_lattice.Figure5}). *)
+    paper's properly-labeled discipline, under which the conditional
+    RC containments of {!Smem_lattice.Figure5} always apply). *)
 
 type config = {
   seed : int;

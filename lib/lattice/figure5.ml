@@ -1,11 +1,9 @@
 module H = Smem_core.History
 module Op = Smem_core.Op
 
-type containment = {
-  stronger : string;
-  weaker : string;
-  proper_labels_only : bool;
-}
+type guard = Registers_only | Acquires_unmixed
+
+type containment = { stronger : string; weaker : string; guards : guard list }
 
 (* Strongest first, as the registry lists them; parameterized keys
    resolve through the Model_ref grammar. *)
@@ -14,6 +12,7 @@ let model_keys =
     "atomic";
     "sc";
     "tso";
+    "tso-op";
     "pc";
     "rc-sc";
     "rc-pc";
@@ -23,6 +22,7 @@ let model_keys =
     "pc-part(blocks=4)";
     "causal-coh";
     "causal";
+    "causal-obj";
     "coh";
     "pram";
     "session(ryw,mr,mw,wfr)";
@@ -32,16 +32,17 @@ let model_keys =
     "local";
   ]
 
-let edge ?(proper = false) stronger weaker =
-  { stronger; weaker; proper_labels_only = proper }
+let edge ?guard stronger weaker =
+  { stronger; weaker; guards = Option.to_list guard }
 
 (* Every edge is a theorem with a proof in DESIGN.md ("Figure 5 decides
    cells"): the service infers verdicts from this list, so an edge that
-   merely agrees with a corpus does not belong here. *)
+   merely agrees with a corpus does not belong here.  A guard is
+   exactly the condition its edge's proof uses. *)
 let hasse =
   [
     edge "sc" "tso";
-    edge ~proper:true "sc" "rc-sc";
+    edge ~guard:Acquires_unmixed "sc" "rc-sc";
     edge "tso" "pc";
     edge "tso" "causal";
     edge "rc-sc" "rc-pc";
@@ -76,51 +77,62 @@ let hasse =
     edge "causal-coh" "pc-g";
     edge "pram" "slow";
     edge "slow" "local";
+    (* An SC serialization replays on the store-buffer machine, and its
+       writers satisfy every session guarantee, writes-follow-reads
+       included.  Object causal memory is causal memory when every
+       location is a register. *)
+    edge "sc" "tso-op";
+    edge "sc" "session(ryw,mr,mw,wfr)";
+    edge ~guard:Registers_only "causal" "causal-obj";
+    edge ~guard:Registers_only "causal-obj" "causal";
   ]
 
-(* Transitive closure over two path strengths: a pair holds
-   unconditionally iff some path to it uses only unconditional edges;
-   it holds under proper labeling iff any path exists at all. *)
-let containments =
-  let keys = Array.of_list model_keys in
-  let n = Array.length keys in
-  let index k =
-    let rec go i = if keys.(i) = k then i else go (i + 1) in
-    go 0
-  in
-  let strong = Array.make_matrix n n false in
-  let any = Array.make_matrix n n false in
+let all_guards = [ Registers_only; Acquires_unmixed ]
+
+(* Every subset of [all_guards] in its order, fewest guards first. *)
+let combos = [ []; [ Registers_only ]; [ Acquires_unmixed ]; all_guards ]
+
+let keys = Array.of_list model_keys
+let n = Array.length keys
+
+let index k =
+  let rec go i = if keys.(i) = k then i else go (i + 1) in
+  go 0
+
+(* The transitive closure of the edges whose guards are all in [gs], as
+   (stronger, weaker) index pairs in key order.  causal and causal-obj
+   reach each other, so self-pairs are left out. *)
+let closure gs =
+  let m = Array.make_matrix n n false in
   List.iter
     (fun c ->
-      let i = index c.stronger and j = index c.weaker in
-      any.(i).(j) <- true;
-      if not c.proper_labels_only then strong.(i).(j) <- true)
+      if List.for_all (fun g -> List.mem g gs) c.guards then
+        m.(index c.stronger).(index c.weaker) <- true)
     hasse;
-  let close m =
-    for k = 0 to n - 1 do
-      for i = 0 to n - 1 do
-        for j = 0 to n - 1 do
-          if m.(i).(k) && m.(k).(j) then m.(i).(j) <- true
-        done
+  for k = 0 to n - 1 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if m.(i).(k) && m.(k).(j) then m.(i).(j) <- true
       done
     done
-  in
-  close strong;
-  close any;
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    for j = n - 1 downto 0 do
-      if any.(i).(j) then
-        acc :=
-          {
-            stronger = keys.(i);
-            weaker = keys.(j);
-            proper_labels_only = not strong.(i).(j);
-          }
-          :: !acc
-    done
   done;
-  !acc
+  let ids = List.init n Fun.id in
+  List.concat_map
+    (fun i ->
+      List.filter_map
+        (fun j -> if i <> j && m.(i).(j) then Some (i, j) else None)
+        ids)
+    ids
+
+let closures = List.map (fun gs -> (gs, closure gs)) combos
+
+(* A pair's guards are the fewest under which some path reaches it. *)
+let containments =
+  List.map
+    (fun (i, j) ->
+      let guards, _ = List.find (fun (_, ps) -> List.mem (i, j) ps) closures in
+      { stronger = keys.(i); weaker = keys.(j); guards })
+    (List.assoc all_guards closures)
 
 let properly_labeled h =
   let n = H.nlocs h in
@@ -137,23 +149,33 @@ let properly_labeled h =
   done;
   !ok
 
+let holds guard h =
+  match guard with
+  | Registers_only ->
+      Array.for_all
+        (fun (o : Op.t) ->
+          Smem_core.Sort.of_loc h o.Op.loc = Smem_core.Sort.Register)
+        (H.ops h)
+  | Acquires_unmixed ->
+      let mixed l =
+        let writes = List.map (H.op h) (H.writes_to h l) in
+        List.exists Op.is_labeled writes && List.exists Op.is_ordinary writes
+      in
+      Array.for_all
+        (fun (o : Op.t) -> not (Op.is_acquire o && mixed o.Op.loc))
+        (H.ops h)
+
 let resolve key =
   match Smem_core.Registry.find key with
   | Some m -> m
   | None -> invalid_arg ("Figure5: model key not in registry: " ^ key)
 
-(* Resolved once, at start-up, not lazily: [pairs] runs on every
-   served test, from any domain. *)
-let resolved ~proper_labels =
-  List.filter_map
-    (fun c ->
-      if c.proper_labels_only && not proper_labels then None
-      else Some (resolve c.stronger, resolve c.weaker))
-    containments
+(* Resolved once per guard combination, at start-up, not lazily:
+   [pairs] runs on every served test, from any domain. *)
+let resolved =
+  let models = Array.map resolve keys in
+  List.map
+    (fun (gs, ps) -> (gs, List.map (fun (i, j) -> (models.(i), models.(j))) ps))
+    closures
 
-let with_labels = resolved ~proper_labels:true
-let without_labels = resolved ~proper_labels:false
-let all_pairs ~proper_labels =
-  if proper_labels then with_labels else without_labels
-
-let pairs h = all_pairs ~proper_labels:(properly_labeled h)
+let pairs h = List.assoc (List.filter (fun g -> holds g h) all_guards) resolved

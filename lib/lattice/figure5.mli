@@ -11,58 +11,73 @@
     corpus or on exhaustive scopes does not admit an edge (TSO ⊆
     causal-coh holds on every small scope and is false).
 
-    One containment is conditional.  [SC ⊆ RC_sc] (and transitively
-    [SC ⊆ RC_pc], [atomic ⊆ RC_sc], [atomic ⊆ RC_pc]) holds only for
-    {e properly labeled} histories, where synchronization locations are
-    disjoint from data locations; for arbitrary labelings an acquire
-    may legally (under SC) read an ordinary write to a location that
-    also carries labeled writes, which RC_sc forbids (EXPERIMENTS.md
-    §3).  Such containments are marked [proper_labels_only] and hold
-    only on histories satisfying {!properly_labeled}. *)
+    Three edges are conditional, each guarded by exactly the condition
+    its proof uses.  [SC ⊆ RC_sc] holds when no acquire reads a
+    location that holds both labeled and ordinary writes
+    ({!Acquires_unmixed}): there an acquire may legally (under SC) read
+    an ordinary write, which RC forbids (EXPERIMENTS.md §3).  Causal
+    memory and object causal memory contain each other when every
+    location is a register ({!Registers_only}); on queues and counters
+    they differ. *)
+
+type guard =
+  | Registers_only
+      (** every location is a register ({!Smem_core.Sort.Register}) *)
+  | Acquires_unmixed
+      (** no acquire reads a location whose writes include both labeled
+          and ordinary ones *)
 
 type containment = {
   stronger : string;  (** model key whose history set is contained *)
   weaker : string;  (** model key whose history set contains it *)
-  proper_labels_only : bool;
-      (** holds only on {!properly_labeled} histories *)
+  guards : guard list;
+      (** holds on histories satisfying every listed guard; [[]] means
+          unconditionally *)
 }
 
 val model_keys : string list
-(** The nineteen nodes, strongest first: the seven models of Figure 5 —
-    [sc], [tso], [pc], [rc-sc], [rc-pc], [causal], [pram] — plus
-    [atomic], [wo], [pc-g], the partition-consistency chain
+(** The twenty-one nodes, strongest first: the seven models of Figure 5
+    — [sc], [tso], [pc], [rc-sc], [rc-pc], [causal], [pram] — plus
+    [atomic], [tso-op], [wo], [pc-g], the partition-consistency chain
     ([pc-part(blocks=2)], [pc-part(blocks=4)], [coh]), [causal-coh],
-    the session-guarantee chain ([session(ryw,mr,mw,wfr)],
-    [session(ryw,mr,mw)], [session(ryw,mr)]), [slow] and [local].
-    Parameterized keys resolve through the {!Smem_core.Model_ref}
-    grammar. *)
+    [causal-obj], the session-guarantee chain
+    ([session(ryw,mr,mw,wfr)], [session(ryw,mr,mw)],
+    [session(ryw,mr)]), [slow] and [local].  Every catalogue model is
+    a node.  Parameterized keys resolve through the
+    {!Smem_core.Model_ref} grammar. *)
 
 val hasse : containment list
-(** The 23 proved edges: Figure 5's SC → TSO, SC → RC_sc (properly
-    labeled), TSO → PC, TSO → Causal, RC_sc → RC_pc, PC → PRAM,
-    Causal → PRAM; the extended families' SC → PC-G → pc-part(2) →
-    pc-part(4) → coh, PC-G → PRAM, PC → coh, PRAM →
+(** The 27 proved edges: Figure 5's SC → TSO, SC → RC_sc (guarded by
+    {!Acquires_unmixed}), TSO → PC, TSO → Causal, RC_sc → RC_pc, PC →
+    PRAM, Causal → PRAM; the extended families' SC → PC-G → pc-part(2)
+    → pc-part(4) → coh, PC-G → PRAM, PC → coh, PRAM →
     session(ryw,mr,mw) → session(ryw,mr) and session(ryw,mr,mw,wfr) →
-    session(ryw,mr,mw); and the projections atomic → SC, SC → WO,
-    SC → causal-coh → {causal, PC-G}, PRAM → slow → local.  Not a
-    transitive reduction: SC → PC-G also follows through causal-coh. *)
+    session(ryw,mr,mw); the projections atomic → SC, SC → WO, SC →
+    causal-coh → {causal, PC-G}, PRAM → slow → local; and SC → tso-op,
+    SC → session(ryw,mr,mw,wfr), and causal ↔ causal-obj (both guarded
+    by {!Registers_only}).  Not a transitive reduction: SC → PC-G also
+    follows through causal-coh. *)
 
 val containments : containment list
-(** The transitive closure of {!hasse}: 82 pairs.  A closure pair is
-    [proper_labels_only] iff every path establishing it crosses a
-    conditional edge (4 pairs). *)
+(** The transitive closure of {!hasse}, self-pairs left out: 97 pairs.
+    A pair's guards are the fewest under which some path of edges
+    reaches it: 82 pairs are unconditional, 11 need
+    {!Registers_only} and 4 {!Acquires_unmixed}. *)
+
+val holds : guard -> Smem_core.History.t -> bool
+(** Whether a history satisfies a guard. *)
 
 val properly_labeled : Smem_core.History.t -> bool
 (** Synchronization discipline of the paper's §5: every location is
     accessed either only by labeled operations or only by ordinary
-    ones.  Histories with no labeled operation qualify trivially. *)
+    ones.  Histories with no labeled operation qualify trivially.  It
+    implies {!Acquires_unmixed}; the fuzz oracle asserts the RC
+    machines' soundness only on such histories. *)
 
 val pairs :
   Smem_core.History.t -> (Smem_core.Model.t * Smem_core.Model.t) list
-(** The containments applicable to a history — all unconditional pairs,
-    plus the conditional ones when the history is properly labeled —
-    resolved against {!Smem_core.Registry} (once, at start-up) as
-    [(stronger, weaker)] model pairs. *)
-
-val all_pairs : proper_labels:bool -> (Smem_core.Model.t * Smem_core.Model.t) list
-(** Same resolution from an explicit flag instead of a history. *)
+(** The containments applicable to a history: the transitive closure of
+    the edges whose guards it satisfies, resolved against
+    {!Smem_core.Registry} as [(stronger, weaker)] model pairs.  The
+    closure for each of the four guard combinations is computed and
+    resolved once, at start-up. *)

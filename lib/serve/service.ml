@@ -25,9 +25,11 @@ let span name args f =
   if Trace.active () then Trace.span ~cat:"serve" ~args:(args ()) name f
   else f ()
 
-(* The digest depends on the history alone (every model is blind to
-   the symmetries {!Canon} quotients by), so it is taken once per
-   history, and every model's lookup shares it. *)
+(* The digest depends on the history alone, so it is taken once per
+   history, and every model's lookup shares it.  Every model but the
+   partition models is blind to the symmetries {!Canon} quotients by;
+   a pc-part cell can be answered for another spelling of the test
+   (ROADMAP item 1). *)
 let digest h =
   span "canon.digest"
     (fun () -> [ ("nops", Json.Int (Smem_core.History.nops h)) ])

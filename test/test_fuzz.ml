@@ -28,60 +28,98 @@ let small = { Gen.default with Gen.count = 40; max_ops = 3 }
 
 (* ---------------- Figure 5 as data ---------------- *)
 
+let guards =
+  Alcotest.list
+    (Alcotest.testable
+       (fun ppf g ->
+         Format.pp_print_string ppf
+           (match g with
+           | Figure5.Registers_only -> "registers-only"
+           | Figure5.Acquires_unmixed -> "acquires-unmixed"))
+       ( = ))
+
+let registers = [ Figure5.Registers_only ]
+let unmixed = [ Figure5.Acquires_unmixed ]
+
 let figure5_closure () =
   let find s w =
     List.find_opt
       (fun (c : Figure5.containment) -> c.stronger = s && c.weaker = w)
       Figure5.containments
   in
-  let assert_pair s w proper =
+  let assert_pair s w want =
     match find s w with
     | None -> Alcotest.failf "missing containment %s <= %s" s w
     | Some c ->
-        check Alcotest.bool
-          (Printf.sprintf "%s <= %s proper-only flag" s w)
-          proper c.Figure5.proper_labels_only
+        check guards (Printf.sprintf "%s <= %s guards" s w) want
+          c.Figure5.guards
   in
-  (* transitive closure of the Hasse diagram, with conditionality
-     propagated through the SC -> RC_sc edge *)
-  assert_pair "sc" "tso" false;
-  assert_pair "sc" "pram" false;
-  assert_pair "tso" "causal" false;
-  assert_pair "rc-sc" "rc-pc" false;
-  assert_pair "sc" "rc-sc" true;
-  assert_pair "sc" "rc-pc" true;
+  (* transitive closure of the Hasse diagram, with each guard
+     propagated through its edge *)
+  assert_pair "sc" "tso" [];
+  assert_pair "sc" "pram" [];
+  assert_pair "tso" "causal" [];
+  assert_pair "rc-sc" "rc-pc" [];
+  assert_pair "sc" "rc-sc" unmixed;
+  assert_pair "sc" "rc-pc" unmixed;
   check Alcotest.bool "no pc <= causal" true (find "pc" "causal" = None);
   check Alcotest.bool "no tso <= rc-sc" true (find "tso" "rc-sc" = None);
   (* the extended families (PR 10) *)
-  assert_pair "sc" "pc-part(blocks=4)" false;
-  assert_pair "pc-g" "coh" false;
-  assert_pair "pc" "coh" false;
-  assert_pair "tso" "session(ryw,mr)" false;
-  assert_pair "session(ryw,mr,mw,wfr)" "session(ryw,mr)" false;
+  assert_pair "sc" "pc-part(blocks=4)" [];
+  assert_pair "pc-g" "coh" [];
+  assert_pair "pc" "coh" [];
+  assert_pair "tso" "session(ryw,mr)" [];
+  assert_pair "session(ryw,mr,mw,wfr)" "session(ryw,mr)" [];
   check Alcotest.bool "no causal <= session chain via wfr" true
     (find "causal" "session(ryw,mr,mw,wfr)" = None);
   check Alcotest.bool "no pram <= session(+wfr)" true
     (find "pram" "session(ryw,mr,mw,wfr)" = None);
   check Alcotest.bool "no tso <= pc-g" true (find "tso" "pc-g" = None);
   (* the projection edges *)
-  assert_pair "atomic" "local" false;
-  assert_pair "atomic" "rc-pc" true;
-  assert_pair "sc" "wo" false;
-  assert_pair "sc" "causal" false;
-  assert_pair "causal-coh" "coh" false;
-  assert_pair "pc-g" "local" false;
+  assert_pair "atomic" "local" [];
+  assert_pair "atomic" "rc-pc" unmixed;
+  assert_pair "sc" "wo" [];
+  assert_pair "sc" "causal" [];
+  assert_pair "causal-coh" "coh" [];
+  assert_pair "pc-g" "local" [];
   (* TSO allows a history causal-coh forbids (EXPERIMENTS.md finding 7) *)
   check Alcotest.bool "no tso <= causal-coh" true (find "tso" "causal-coh" = None);
   check Alcotest.bool "no wo <= rc-pc" true (find "wo" "rc-pc" = None);
-  (* atomic reaches all eighteen others (two conditionally); 82 pairs
-     in total across the nineteen-node lattice, four of them
-     conditional *)
-  check Alcotest.int "82 containments" 82 (List.length Figure5.containments);
-  check Alcotest.int "four conditional" 4
-    (List.length
-       (List.filter
-          (fun (c : Figure5.containment) -> c.proper_labels_only)
-          Figure5.containments))
+  (* every catalogue model is a node *)
+  assert_pair "sc" "tso-op" [];
+  assert_pair "atomic" "tso-op" [];
+  assert_pair "sc" "session(ryw,mr,mw,wfr)" [];
+  assert_pair "atomic" "session(ryw,mr,mw,wfr)" [];
+  assert_pair "causal" "causal-obj" registers;
+  assert_pair "causal-obj" "causal" registers;
+  assert_pair "tso" "causal-obj" registers;
+  assert_pair "causal-obj" "local" registers;
+  check Alcotest.bool "no tso <= tso-op (not proved)" true
+    (find "tso" "tso-op" = None);
+  check Alcotest.bool "no self-pair" true
+    (List.for_all
+       (fun (c : Figure5.containment) -> c.stronger <> c.weaker)
+       Figure5.containments);
+  List.iter
+    (fun (m : Model.t) ->
+      check Alcotest.bool
+        (m.Model.key ^ " is a node")
+        true
+        (List.mem m.Model.key Figure5.model_keys))
+    Registry.all;
+  (* atomic reaches all twenty others (seven conditionally); 97 pairs
+     in total across the twenty-one-node lattice: 82 unconditional, 11
+     on registers only, 4 where acquires read unmixed locations *)
+  let count gs =
+    List.length
+      (List.filter
+         (fun (c : Figure5.containment) -> c.guards = gs)
+         Figure5.containments)
+  in
+  check Alcotest.int "97 containments" 97 (List.length Figure5.containments);
+  check Alcotest.int "82 unconditional" 82 (count []);
+  check Alcotest.int "11 on registers only" 11 (count registers);
+  check Alcotest.int "4 on unmixed acquires" 4 (count unmixed)
 
 let figure5_properly_labeled () =
   let proper =
@@ -94,13 +132,30 @@ let figure5_properly_labeled () =
   let mixed =
     H.make [ [ H.write "x" 1; H.write ~labeled:true "x" 2 ]; [ H.read "x" 2 ] ]
   in
+  (* an acquire reading a location with labeled and ordinary writes *)
+  let acquire_mixed =
+    H.make
+      [
+        [ H.write "x" 1; H.write ~labeled:true "x" 2 ];
+        [ H.read ~labeled:true "x" 1 ];
+      ]
+  in
+  let queue = H.make [ [ H.write "q:a" 1 ]; [ H.read "q:a" 1 ] ] in
+  let queue_acquire_mixed =
+    H.make
+      [
+        [ H.write "x" 1; H.write ~labeled:true "x" 2; H.write "q:a" 1 ];
+        [ H.read ~labeled:true "x" 1 ];
+      ]
+  in
   check Alcotest.bool "disjoint sync locations qualify" true
     (Figure5.properly_labeled proper);
   check Alcotest.bool "mixed location disqualifies" false
     (Figure5.properly_labeled mixed);
   check Alcotest.bool "unlabeled history qualifies trivially" true
     (Figure5.properly_labeled (H.make [ [ H.write "x" 1 ]; [ H.read "x" 0 ] ]));
-  (* conditional pairs appear exactly when the history qualifies *)
+  (* conditional pairs appear exactly when the history meets their
+     guards *)
   let keys h =
     List.map
       (fun ((s : Model.t), (w : Model.t)) -> (s.Model.key, w.Model.key))
@@ -108,10 +163,41 @@ let figure5_properly_labeled () =
   in
   check Alcotest.bool "sc<=rc-sc asserted on proper history" true
     (List.mem ("sc", "rc-sc") (keys proper));
-  check Alcotest.bool "sc<=rc-sc skipped on mixed history" false
+  check Alcotest.bool "sc<=rc-sc asserted on mixed history without acquire"
+    true
     (List.mem ("sc", "rc-sc") (keys mixed));
+  check Alcotest.bool "sc<=rc-sc skipped when an acquire reads a mixed location"
+    false
+    (List.mem ("sc", "rc-sc") (keys acquire_mixed));
   check Alcotest.bool "rc-sc<=rc-pc always asserted" true
-    (List.mem ("rc-sc", "rc-pc") (keys mixed))
+    (List.mem ("rc-sc", "rc-pc") (keys acquire_mixed));
+  check Alcotest.bool "causal<=causal-obj skipped on a queue" false
+    (List.mem ("causal", "causal-obj") (keys queue));
+  (* [pairs h] is exactly the containments whose guards [h] meets, for
+     each of the four guard combinations *)
+  List.iter
+    (fun (name, h, reg, acq) ->
+      check Alcotest.bool (name ^ ": registers only") reg
+        (Figure5.holds Figure5.Registers_only h);
+      check Alcotest.bool (name ^ ": acquires unmixed") acq
+        (Figure5.holds Figure5.Acquires_unmixed h);
+      let want =
+        List.filter_map
+          (fun (c : Figure5.containment) ->
+            if List.for_all (fun g -> Figure5.holds g h) c.guards then
+              Some (c.stronger, c.weaker)
+            else None)
+          Figure5.containments
+      in
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+        (name ^ ": pairs") want (keys h))
+    [
+      ("proper", proper, true, true);
+      ("acquire-mixed", acquire_mixed, true, false);
+      ("queue", queue, false, true);
+      ("queue, acquire-mixed", queue_acquire_mixed, false, false);
+    ]
 
 (* The lattice oracle tests Figure 5, so it must not let the service
    infer a verdict from Figure 5: on a fresh caching service, one
@@ -149,7 +235,7 @@ let oracle_searches_every_model () =
         (Printf.sprintf "case %d: one search per model asked" i)
         want (Stats.snapshot ()).Stats.checks)
     (List.init 20 Fun.id);
-  check Alcotest.bool "some case asks about all nineteen models" true
+  check Alcotest.bool "some case asks about all twenty-one models" true
     (!every > 0);
   Stats.reset ()
 

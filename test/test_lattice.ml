@@ -141,6 +141,10 @@ let projection_edges_exhaustive () =
       ("causal-coh", "pc-g");
       ("pram", "slow");
       ("slow", "local");
+      ("sc", "tso-op");
+      ("sc", "session(ryw,mr,mw,wfr)");
+      ("causal", "causal-obj");
+      ("causal-obj", "causal");
     ]
   in
   let histories = ref 0 in
@@ -165,6 +169,37 @@ let projection_edges_exhaustive () =
             edges))
     Classify.standard_scopes;
   check Alcotest.int "every history of the three scopes" 24697 !histories
+
+(* SC -> RC_sc is guarded by the one condition its proof uses: no
+   acquire reads a location holding both labeled and ordinary writes.
+   On every labeled history of the Figure 1 scope the edge holds where
+   the guard does, and every history SC allows and RC_sc forbids fails
+   the guard (so the guard is not vacuous either). *)
+let sc_rc_guard_exhaustive () =
+  let module Figure5 = Smem_lattice.Figure5 in
+  let scope =
+    { Enumerate.procs = [ 2; 2 ]; nlocs = 2; max_value = 1; labeled = true }
+  in
+  let histories = ref 0 and guarded = ref 0 and separating = ref 0 in
+  Enumerate.iter scope ~f:(fun h ->
+      incr histories;
+      let guard = Figure5.holds Figure5.Acquires_unmixed h in
+      if guard then incr guarded;
+      if Model.check (model "sc") h then begin
+        let rc_sc = Model.check (model "rc-sc") h in
+        if not rc_sc then begin
+          incr separating;
+          if guard then
+            Alcotest.failf "the guard holds where sc allows and rc-sc forbids %a"
+              Smem_core.History.pp h
+        end;
+        if guard && not (rc_sc && Model.check (model "rc-pc") h) then
+          Alcotest.failf "sc allows, the guard holds, and rc-pc forbids %a"
+            Smem_core.History.pp h
+      end);
+  check Alcotest.int "every history of the labeled scope" 20736 !histories;
+  check Alcotest.int "the guard admits" 19776 !guarded;
+  check Alcotest.int "sc allows and rc-sc forbids" 52 !separating
 
 (* Classify recomputes Figure 5, so it must not use Figure 5 to skip a
    search: one Model.check per (history, model). *)
@@ -233,6 +268,8 @@ let () =
           tc "known containments hold in scope" extended_family;
           tc "projection edges hold on the standard scopes"
             projection_edges_exhaustive;
+          tc "sc <= rc-sc wherever its guard holds (labeled scope)"
+            sc_rc_guard_exhaustive;
         ] );
       ( "classify",
         [

@@ -444,27 +444,30 @@ let service_too_large_boundary () =
         (v.Verdict.status = Some Verdict.Allowed)
   | _ -> Alcotest.fail "expected a verdict below the boundary"
 
+(* The events of a trace recorded while [f] runs, with [f]'s result. *)
+let traced f =
+  let module Json = Smem_obs.Json in
+  let module Trace = Smem_obs.Trace in
+  let file = Filename.temp_file "smem_serve_test" ".json" in
+  Trace.start ~file ();
+  let r = Fun.protect ~finally:Trace.stop f in
+  let contents = In_channel.with_open_text file In_channel.input_all in
+  Sys.remove file;
+  match Json.of_string contents with
+  | Ok doc -> (
+      match Json.member "traceEvents" doc with
+      | Some (Json.Arr evs) -> (r, evs)
+      | _ -> Alcotest.fail "trace has no traceEvents array")
+  | Error e -> Alcotest.failf "trace is not valid JSON: %s" e
+
 (* The digest depends on the history alone, so a request canonicalizes
    each test once, before its cells fan out — never once per cell, and
    never on a worker domain.  Counted from the service's own
    [canon.digest] spans. *)
 let service_one_digest_per_test () =
   let module Json = Smem_obs.Json in
-  let module Trace = Smem_obs.Trace in
   let digests f =
-    let file = Filename.temp_file "smem_serve_test" ".json" in
-    Trace.start ~file ();
-    let r = Fun.protect ~finally:Trace.stop f in
-    let contents = In_channel.with_open_text file In_channel.input_all in
-    Sys.remove file;
-    let events =
-      match Json.of_string contents with
-      | Ok doc -> (
-          match Json.member "traceEvents" doc with
-          | Some (Json.Arr evs) -> evs
-          | _ -> Alcotest.fail "trace has no traceEvents array")
-      | Error e -> Alcotest.failf "trace is not valid JSON: %s" e
-    in
+    let r, events = traced f in
     let digests =
       List.filter
         (fun e -> Json.member "name" e = Some (Json.Str "canon.digest"))
@@ -514,6 +517,70 @@ let service_one_digest_per_test () =
   check Alcotest.int "cached counts agree" one.Response.cached two.Response.cached;
   check Alcotest.int "computed counts agree" one.Response.computed
     two.Response.computed
+
+(* Figure 5 reaches every catalogue model, but only through proved
+   edges under the guards their proofs use.  A cold 20-model check
+   still searches causal-obj where queues or counters make it differ
+   from causal, and rc-sc where an acquire reads a location with
+   labeled and ordinary writes; a register-only, properly labeled test
+   that atomic allows costs one search. *)
+let figure5_reaches_every_model () =
+  let module Json = Smem_obs.Json in
+  let cold test =
+    let service = Service.create ~cache:(Cache.create ~capacity:64 ()) () in
+    Smem_core.Stats.reset ();
+    let r, events =
+      traced (fun () ->
+          Service.handle service (Request.Check { test; models = [] }))
+    in
+    let searched =
+      List.filter_map
+        (fun e ->
+          match Json.member "name" e with
+          | Some (Json.Str name)
+            when String.starts_with ~prefix:"check/" name ->
+              Some (String.sub name 6 (String.length name - 6))
+          | _ -> None)
+        events
+    in
+    let verdicts =
+      List.combine
+        (List.map (fun (m : Model.t) -> m.Model.key) Registry.all)
+        (List.map (Option.map Verdict.bool_of_status) (statuses r))
+    in
+    ((fun key -> List.assoc key verdicts), searched)
+  in
+  List.iter
+    (fun name ->
+      let verdict, searched = cold (Request.Named name) in
+      check Alcotest.bool (name ^ ": causal-obj searched") true
+        (List.mem "causal-obj" searched);
+      check Alcotest.bool (name ^ ": causal-obj differs from causal") true
+        (verdict "causal-obj" <> verdict "causal"))
+    [ "queue-skip"; "counter-inc" ];
+  let verdict, searched =
+    cold
+      (Request.Inline
+         "test acq-mixed \"acquire of a mixed location\"\n\
+          p0: w x 1 ; w x 1\np1: r* x 1 ; w* x 1\n")
+  in
+  check Alcotest.bool "rc-sc searched" true (List.mem "rc-sc" searched);
+  check (Alcotest.option Alcotest.bool) "sc allows" (Some true) (verdict "sc");
+  check (Alcotest.option Alcotest.bool) "rc-sc forbids" (Some false)
+    (verdict "rc-sc");
+  let verdict, searched =
+    cold
+      (Request.Inline
+         "test mp-labeled \"message passing\"\n\
+          p0: w x 1 ; w* s 1\np1: r* s 1 ; r x 1\n")
+  in
+  check (Alcotest.option Alcotest.bool) "atomic allows" (Some true)
+    (verdict "atomic");
+  check (Alcotest.list Alcotest.string) "only atomic searched" [ "atomic" ]
+    searched;
+  check Alcotest.int "one search" 1
+    (Smem_core.Stats.snapshot ()).Smem_core.Stats.checks;
+  Smem_core.Stats.reset ()
 
 (* ---------------- server loop ---------------- *)
 
@@ -1069,6 +1136,8 @@ let () =
              inference_on_generated_corpus
         :: tc "a contradicting row is searched, not inferred"
              contradicting_row_is_searched
+        :: tc "Figure 5 reaches every catalogue model"
+             figure5_reaches_every_model
         :: List.map QCheck_alcotest.to_alcotest
              [
                cached_equals_fresh;
