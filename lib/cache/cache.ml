@@ -72,14 +72,19 @@ let locked s f =
   Mutex.lock s.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
 
+let rec holds model = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k model || holds model rest
+
 let find_row t ~digest ~models =
   let s = shard_of t ~digest in
   let row =
     locked s (fun () ->
         Option.value (Hashtbl.find_opt s.table digest) ~default:[])
   in
-  let held m = List.exists (fun (k, _) -> String.equal k m) row in
-  let hits = List.length (List.filter held models) in
+  let hits =
+    List.fold_left (fun n m -> if holds m row then n + 1 else n) 0 models
+  in
   let misses = List.length models - hits in
   ignore (Atomic.fetch_and_add t.hits hits);
   ignore (Atomic.fetch_and_add t.misses misses);
@@ -94,14 +99,18 @@ let merge row cells =
       (m, v) :: List.filter (fun (k, _) -> not (String.equal k m)) row)
     row cells
 
+let rec repeats = function
+  | [] -> false
+  | (k, _) :: rest -> holds k rest || repeats rest
+
 let add_row ?(notify = true) t ~digest cells =
   if cells <> [] then begin
     let s = shard_of t ~digest in
     let evicted =
       locked s (fun () ->
-          let old, evicted =
+          let row, evicted =
             match Hashtbl.find_opt s.table digest with
-            | Some row -> (row, 0)
+            | Some row -> (merge row cells, 0)
             | None ->
                 let evicted =
                   if Hashtbl.length s.table >= s.cap then begin
@@ -113,9 +122,11 @@ let add_row ?(notify = true) t ~digest cells =
                   else 0
                 in
                 Queue.push digest s.order;
-                ([], evicted)
+                (* A fresh row is the cells as given, unless a key
+                   repeats. *)
+                ((if repeats cells then merge [] cells else cells), evicted)
           in
-          Hashtbl.replace s.table digest (merge old cells);
+          Hashtbl.replace s.table digest row;
           evicted)
     in
     Metrics.add m_stores (List.length cells);

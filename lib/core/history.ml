@@ -1,5 +1,13 @@
 module Bitset = Smem_relation.Bitset
 
+(* The operation lists the search reads per candidate, ascending. *)
+type index = {
+  reads : int list;
+  writes : int list;
+  writes_to : int list array;  (* by location *)
+  labeled : int list;
+}
+
 type t = {
   ops : Op.t array;
   nprocs : int;
@@ -7,6 +15,10 @@ type t = {
   loc_names : string array;
   by_proc : int array array;
   timing : (int * int) option array;  (* indexed by op id *)
+  mutable index : index option;
+      (* built on first use, so a history that is never searched (a
+         parsed request answered from the cache) never pays for it;
+         two domains may both build it, with equal results *)
 }
 
 type event = {
@@ -90,6 +102,7 @@ let make rows =
     loc_names = Array.of_list (List.rev !names);
     by_proc = Array.of_list (List.map Array.of_list by_proc);
     timing = Array.of_list (List.rev !timing);
+    index = None;
   }
 
 let of_ops ~nprocs ~loc_names ops =
@@ -123,6 +136,7 @@ let of_ops ~nprocs ~loc_names ops =
     loc_names;
     by_proc;
     timing = Array.make (Array.length ops) None;
+    index = None;
   }
 
 let init = -1
@@ -145,13 +159,36 @@ let loc_of_name t name =
 
 let proc_ops t p = t.by_proc.(p)
 
-let select t pred =
-  Array.to_list t.ops |> List.filter pred |> List.map (fun (o : Op.t) -> o.Op.id)
+(* One pass, from the last operation down, so every list ascends. *)
+let build_index t =
+  let reads = ref [] and writes = ref [] and labeled = ref [] in
+  let writes_to = Array.make t.nlocs [] in
+  for id = Array.length t.ops - 1 downto 0 do
+    let o = t.ops.(id) in
+    if Op.is_read o then reads := id :: !reads
+    else begin
+      writes := id :: !writes;
+      writes_to.(o.Op.loc) <- id :: writes_to.(o.Op.loc)
+    end;
+    if Op.is_labeled o then labeled := id :: !labeled
+  done;
+  { reads = !reads; writes = !writes; writes_to; labeled = !labeled }
 
-let reads t = select t Op.is_read
-let writes t = select t Op.is_write
-let writes_to t loc = select t (fun o -> Op.is_write o && o.Op.loc = loc)
-let labeled t = select t Op.is_labeled
+let index t =
+  match t.index with
+  | Some i -> i
+  | None ->
+      let i = build_index t in
+      t.index <- Some i;
+      i
+
+let reads t = (index t).reads
+let writes t = (index t).writes
+
+let writes_to t loc =
+  if loc < 0 || loc >= t.nlocs then [] else (index t).writes_to.(loc)
+
+let labeled t = (index t).labeled
 let has_labeled t = labeled t <> []
 
 let all_ops_set t = Bitset.of_list (nops t) (List.init (nops t) Fun.id)

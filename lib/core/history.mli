@@ -69,7 +69,9 @@ val proc_ops : t -> int -> int array
 (** Identifiers of a processor's operations in program order. *)
 
 val reads : t -> int list
-(** Identifiers of all read operations, ascending. *)
+(** Identifiers of all read operations, ascending.  This list and the
+    three below are built together, in one pass, the first time one of
+    them is asked for; later calls return the same lists. *)
 
 val writes : t -> int list
 (** Identifiers of all write operations, ascending. *)

@@ -71,16 +71,18 @@ let ppo_within h ~members =
   in
   ppo_of_rows h rows
 
+(* Untimed histories, the common case, skip the n^2 interval scan. *)
 let real_time h =
   let rel = Rel.create (History.nops h) in
   let n = History.nops h in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      match (History.interval h a, History.interval h b) with
-      | Some (_, fa), Some (sb, _) when a <> b && fa < sb -> Rel.add rel a b
-      | _ -> ()
-    done
-  done;
+  if History.has_timing h then
+    for a = 0 to n - 1 do
+      for b = 0 to n - 1 do
+        match (History.interval h a, History.interval h b) with
+        | Some (_, fa), Some (sb, _) when a <> b && fa < sb -> Rel.add rel a b
+        | _ -> ()
+      done
+    done;
   rel
 
 let causal_with h ~po ~rf =

@@ -170,12 +170,62 @@ let resolve key =
   | Some m -> m
   | None -> invalid_arg ("Figure5: model key not in registry: " ^ key)
 
-(* Resolved once per guard combination, at start-up, not lazily:
-   [pairs] runs on every served test, from any domain. *)
+let models = Array.map resolve keys
+let guards_of h = List.filter (fun g -> holds g h) all_guards
+
+(* Everything below is built once, at start-up, not lazily: it is read
+   for every served test, from any domain. *)
 let resolved =
-  let models = Array.map resolve keys in
   List.map
     (fun (gs, ps) -> (gs, List.map (fun (i, j) -> (models.(i), models.(j))) ps))
     closures
 
-let pairs h = List.assoc (List.filter (fun g -> holds g h) all_guards) resolved
+let pairs h = List.assoc (guards_of h) resolved
+
+(* A node's position, by its resolved model's key: the key a cache row
+   holds. *)
+let positions =
+  let tbl = Hashtbl.create 32 in
+  Array.iteri
+    (fun i (m : Smem_core.Model.t) -> Hashtbl.replace tbl m.key i)
+    models;
+  tbl
+
+let position key = Hashtbl.find_opt positions key
+
+(* Masks over positions: [above.(i)] holds the nodes stronger than
+   node [i] (contained in it), [below.(i)] the nodes weaker than it. *)
+type implications = { above : int array; below : int array }
+
+let masks =
+  assert (n < Sys.int_size);
+  List.map
+    (fun (gs, ps) ->
+      let above = Array.make n 0 and below = Array.make n 0 in
+      List.iter
+        (fun (i, j) ->
+          above.(j) <- above.(j) lor (1 lsl i);
+          below.(i) <- below.(i) lor (1 lsl j))
+        ps;
+      (gs, { above; below }))
+    closures
+
+let implications h = List.assoc (guards_of h) masks
+
+(* Verdicts that break a containment leave both rules applicable; then
+   the pair listed first in [pairs h] (lexicographic positions) wins:
+   (j, i) with j < i comes before every (i, k). *)
+let implied t ~allowed ~forbidden i =
+  let up = allowed land t.above.(i) and down = forbidden land t.below.(i) in
+  if up land ((1 lsl i) - 1) <> 0 then Some true
+  else if down <> 0 then Some false
+  else if up <> 0 then Some true
+  else None
+
+let contradicts t ~allowed ~forbidden =
+  let broken = ref false in
+  for i = 0 to n - 1 do
+    if allowed land (1 lsl i) <> 0 && t.below.(i) land forbidden <> 0 then
+      broken := true
+  done;
+  !broken

@@ -78,6 +78,42 @@ val pairs :
   Smem_core.History.t -> (Smem_core.Model.t * Smem_core.Model.t) list
 (** The containments applicable to a history: the transitive closure of
     the edges whose guards it satisfies, resolved against
-    {!Smem_core.Registry} as [(stronger, weaker)] model pairs.  The
+    {!Smem_core.Registry} as [(stronger, weaker)] model pairs, in
+    lexicographic order of the two positions in {!model_keys}.  The
     closure for each of the four guard combinations is computed and
     resolved once, at start-up. *)
+
+(** {1 Inference over masks}
+
+    The same containments as bit masks, for the serving layer's fill:
+    a set of nodes is a word whose bit [i] is the node at position [i]
+    of {!model_keys}, and a set of known verdicts is two such words,
+    the nodes known to allow the history and those known to forbid
+    it. *)
+
+val position : string -> int option
+(** The position of the node whose resolved model has this key, or
+    [None] for a model that is not a node (a family instance outside
+    the catalogue, which is never inferred). *)
+
+type implications
+(** The containments applicable to one guard combination, as two masks
+    per node: the nodes stronger than it (contained in it) and the
+    nodes weaker than it (containing it). *)
+
+val implications : Smem_core.History.t -> implications
+(** The masks of the history's guard combination; like {!pairs}, built
+    once per combination at start-up. *)
+
+val implied :
+  implications -> allowed:int -> forbidden:int -> int -> bool option
+(** [implied t ~allowed ~forbidden i] is the verdict that the known
+    verdicts force on node [i] through a containment: [Some true] when
+    a stronger node allows, [Some false] when a weaker node forbids,
+    [None] otherwise.  When both apply (only verdicts that break a
+    containment allow that), the answer is that of the first
+    applicable pair of {!pairs}. *)
+
+val contradicts : implications -> allowed:int -> forbidden:int -> bool
+(** Whether the known verdicts break a containment: some node allows
+    while a weaker node forbids. *)

@@ -31,11 +31,7 @@ let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
-(* Kernighan popcount: adequate for the small universes used here. *)
-let popcount word =
-  let rec loop acc w = if w = 0 then acc else loop (acc + 1) (w land (w - 1)) in
-  loop 0 word
-
+let rec popcount w = if w = 0 then 0 else 1 + popcount (w land (w - 1))
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
 
 let copy t = { t with words = Array.copy t.words }
@@ -57,22 +53,35 @@ let union_into ~into s =
 
 let subset a b =
   same_capacity a b;
-  let ok = ref true in
-  Array.iteri (fun i w -> if w land lnot b.words.(i) <> 0 then ok := false) a.words;
-  !ok
+  Array.for_all2 (fun x y -> x land lnot y = 0) a.words b.words
 
 let equal a b =
   same_capacity a b;
   Array.for_all2 ( = ) a.words b.words
 
-let iter f t =
-  for w = 0 to Array.length t.words - 1 do
-    let word = t.words.(w) in
-    if word <> 0 then
-      for b = 0 to bits_per_word - 1 do
-        if word land (1 lsl b) <> 0 then f ((w * bits_per_word) + b)
-      done
+(* Each byte's lowest set bit (8 for the zero byte), and a nonzero
+   word's. *)
+let lowest_in_byte =
+  String.init 256 (fun b ->
+      let rec go i = if i = 8 || b land (1 lsl i) <> 0 then i else go (i + 1) in
+      Char.chr (go 0))
+
+let rec lowest w =
+  let b = w land 0xff in
+  if b <> 0 then Char.code (String.unsafe_get lowest_in_byte b)
+  else 8 + lowest (w lsr 8)
+
+let iter_word f base word =
+  let w = ref word in
+  while !w <> 0 do
+    f (base + lowest !w);
+    w := !w land (!w - 1)
   done
+
+let iter f t =
+  Array.iteri (fun w word -> iter_word f (w * bits_per_word) word) t.words
+
+let word t w = t.words.(w)
 
 (* Watched-index iteration: find the first member at or after a given
    index without rescanning the words below it.  The solver's
@@ -80,29 +89,19 @@ let iter f t =
    over a sparse row costs O(words after the watch) instead of
    O(capacity). *)
 let next t i =
-  if i >= t.capacity then -1
-  else begin
-    let i = max 0 i in
-    let w = ref (i / bits_per_word) in
-    let nwords = Array.length t.words in
-    (* Mask off the bits below [i] in its word, then skip empty words. *)
-    let word = ref (t.words.(!w) land lnot ((1 lsl (i mod bits_per_word)) - 1)) in
-    while !word = 0 && !w < nwords - 1 do
-      incr w;
-      word := t.words.(!w)
-    done;
-    if !word = 0 then -1
-    else begin
-      (* Lowest set bit of the word. *)
-      let bit = !word land - !word in
-      let b = ref 0 in
-      while bit lsr !b <> 1 do
-        incr b
-      done;
-      let r = (!w * bits_per_word) + !b in
+  let rec scan w word =
+    if word <> 0 then
+      let r = (w * bits_per_word) + lowest word in
       if r >= t.capacity then -1 else r
-    end
-  end
+    else if w + 1 < Array.length t.words then scan (w + 1) t.words.(w + 1)
+    else -1
+  in
+  if i >= t.capacity then -1
+  else
+    (* Mask off the bits below [i] in its word, then skip empty words. *)
+    let i = max 0 i in
+    let w = i / bits_per_word in
+    scan w (t.words.(w) land lnot ((1 lsl (i mod bits_per_word)) - 1))
 
 let iter_from f t i =
   let j = ref (next t i) in

@@ -50,7 +50,15 @@ val subset : t -> t -> bool
 val equal : t -> t -> bool
 
 val iter : (int -> unit) -> t -> unit
-(** Iterate elements in increasing order. *)
+(** Iterate elements in increasing order, visiting set bits only. *)
+
+val word : t -> int -> int
+(** [word s k] is the packed word whose bit [i] is element
+    [k * Sys.int_size + i]; {!Rel}'s rows pack elements the same way. *)
+
+val iter_word : (int -> unit) -> int -> int -> unit
+(** [iter_word f base w] applies [f (base + i)] to each set bit [i] of
+    the word [w], in increasing order. *)
 
 val next : t -> int -> int
 (** [next s i] is the smallest member [>= i], or [-1] when there is

@@ -10,18 +10,6 @@ let escape s =
     s;
   Buffer.contents buf
 
-let of_rel ?(name = "g") ~label rel =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);
-  for a = 0 to Rel.size rel - 1 do
-    Buffer.add_string buf (Printf.sprintf "  n%d [label=\"%s\"];\n" a (escape (label a)))
-  done;
-  Rel.iter_pairs
-    (fun a b -> Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" a b))
-    rel;
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf
-
 let of_edges ?(name = "g") ~nodes ~edges () =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "digraph %s {\n" name);

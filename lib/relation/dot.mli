@@ -1,9 +1,5 @@
-(** Minimal Graphviz DOT rendering for relations and abstract digraphs,
-    used by the CLI ([smem lattice --dot]) and the lattice module. *)
-
-val of_rel :
-  ?name:string -> label:(int -> string) -> Rel.t -> string
-(** Render a relation as a directed graph; [label] names each node. *)
+(** Minimal Graphviz DOT rendering for abstract digraphs, used by the
+    CLI ([smem lattice --dot]) and the lattice module. *)
 
 val of_edges :
   ?name:string ->

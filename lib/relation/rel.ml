@@ -1,78 +1,101 @@
-type t = { size : int; rows : Bitset.t array }
+(* Row [a] is words [a * w .. a * w + w - 1] of [bits], each packed as
+   a Bitset word (Bitset.word). *)
+type t = { size : int; w : int; bits : int array }
 
 let create size =
   if size < 0 then invalid_arg "Rel.create: negative size";
-  { size; rows = Array.init size (fun _ -> Bitset.create size) }
+  let w = max 1 ((size + Sys.int_size - 1) / Sys.int_size) in
+  { size; w; bits = Array.make (size * w) 0 }
 
 let size t = t.size
 
-let check t i =
-  if i < 0 || i >= t.size then invalid_arg "Rel: element out of range"
+let check t a b =
+  if a < 0 || a >= t.size || b < 0 || b >= t.size then
+    invalid_arg "Rel: element out of range"
+
+(* The word holding pair (a, b), and b's bit in it. *)
+let slot t a b = (a * t.w) + (b / Sys.int_size)
+let bit b = 1 lsl (b mod Sys.int_size)
+let has t a b = t.bits.(slot t a b) land bit b <> 0
 
 let mem t a b =
-  check t a;
-  Bitset.mem t.rows.(a) b
+  check t a b;
+  has t a b
 
 let add t a b =
-  check t a;
-  Bitset.add t.rows.(a) b
+  check t a b;
+  let i = slot t a b in
+  t.bits.(i) <- t.bits.(i) lor bit b
 
 let remove t a b =
-  check t a;
-  Bitset.remove t.rows.(a) b
+  check t a b;
+  let i = slot t a b in
+  t.bits.(i) <- t.bits.(i) land lnot (bit b)
 
-let copy t = { t with rows = Array.map Bitset.copy t.rows }
+let copy t = { t with bits = Array.copy t.bits }
 
 let of_pairs size pairs =
   let t = create size in
   List.iter (fun (a, b) -> add t a b) pairs;
   t
 
+let iter_row f t a =
+  for k = 0 to t.w - 1 do
+    Bitset.iter_word f (k * Sys.int_size) t.bits.((a * t.w) + k)
+  done
+
+let iter_successors f t a =
+  check t a a;
+  iter_row f t a
+
 let iter_pairs f t =
-  Array.iteri (fun a row -> Bitset.iter (fun b -> f a b) row) t.rows
+  for a = 0 to t.size - 1 do
+    iter_row (f a) t a
+  done
 
 let pairs t =
   let acc = ref [] in
   iter_pairs (fun a b -> acc := (a, b) :: !acc) t;
   List.rev !acc
 
-let cardinal t = Array.fold_left (fun acc row -> acc + Bitset.cardinal row) 0 t.rows
+let cardinal t = List.length (pairs t)
 
-let is_empty t = Array.for_all Bitset.is_empty t.rows
-
+let is_empty t = Array.for_all (fun w -> w = 0) t.bits
 let same_size a b = if a.size <> b.size then invalid_arg "Rel: size mismatch"
 
 let equal a b =
   same_size a b;
-  Array.for_all2 Bitset.equal a.rows b.rows
+  Array.for_all2 Int.equal a.bits b.bits
 
 let subrel a b =
   same_size a b;
-  Array.for_all2 Bitset.subset a.rows b.rows
+  Array.for_all2 (fun x y -> x land lnot y = 0) a.bits b.bits
 
-let union a b =
+let map2 f a b =
   same_size a b;
-  { size = a.size; rows = Array.map2 Bitset.union a.rows b.rows }
+  { a with bits = Array.map2 f a.bits b.bits }
+
+let union a b = map2 ( lor ) a b
+let inter a b = map2 ( land ) a b
+let diff a b = map2 (fun x y -> x land lnot y) a b
 
 let union_into ~into s =
   same_size into s;
-  Array.iteri (fun a row -> Bitset.union_into ~into:into.rows.(a) row) s.rows
+  Array.iteri (fun i w -> into.bits.(i) <- into.bits.(i) lor w) s.bits
 
-let inter a b =
-  same_size a b;
-  { size = a.size; rows = Array.map2 Bitset.inter a.rows b.rows }
-
-let diff a b =
-  same_size a b;
-  { size = a.size; rows = Array.map2 Bitset.diff a.rows b.rows }
+(* Fold row [src] of [from] into row [dst] of [into]. *)
+let or_row into dst from src =
+  for k = 0 to into.w - 1 do
+    let i = (dst * into.w) + k in
+    into.bits.(i) <- into.bits.(i) lor from.bits.((src * from.w) + k)
+  done
 
 let compose r s =
   same_size r s;
   let out = create r.size in
-  Array.iteri
-    (fun a row ->
-      Bitset.iter (fun b -> Bitset.union_into ~into:out.rows.(a) s.rows.(b)) row)
-    r.rows;
+  for a = 0 to r.size - 1 do
+    iter_row (or_row out a s) r a
+  done;
   out
 
 let transpose t =
@@ -80,17 +103,17 @@ let transpose t =
   iter_pairs (fun a b -> add out b a) t;
   out
 
-let successors t a =
-  check t a;
-  t.rows.(a)
-
 let restrict t keep =
-  if Bitset.capacity keep <> t.size then invalid_arg "Rel.restrict: capacity mismatch";
+  if Bitset.capacity keep <> t.size then
+    invalid_arg "Rel.restrict: capacity mismatch";
   let out = create t.size in
-  Array.iteri
-    (fun a row ->
-      if Bitset.mem keep a then out.rows.(a) <- Bitset.inter row keep)
-    t.rows;
+  Bitset.iter
+    (fun a ->
+      for k = 0 to t.w - 1 do
+        let i = (a * t.w) + k in
+        out.bits.(i) <- t.bits.(i) land Bitset.word keep k
+      done)
+    keep;
   out
 
 (* Warshall on rows: whenever [a -> k], fold row [k] into row [a].
@@ -98,10 +121,8 @@ let restrict t keep =
 let transitive_closure t =
   let out = copy t in
   for k = 0 to out.size - 1 do
-    let row_k = out.rows.(k) in
     for a = 0 to out.size - 1 do
-      if a <> k && Bitset.mem out.rows.(a) k then
-        Bitset.union_into ~into:out.rows.(a) row_k
+      if a <> k && has out a k then or_row out a out k
     done
   done;
   out
@@ -109,60 +130,39 @@ let transitive_closure t =
 let is_transitive t = equal (transitive_closure t) t
 
 let irreflexive t =
-  let ok = ref true in
-  for a = 0 to t.size - 1 do
-    if Bitset.mem t.rows.(a) a then ok := false
-  done;
-  !ok
+  let rec from a = a = t.size || ((not (has t a a)) && from (a + 1)) in
+  from 0
 
-(* Kahn's algorithm with a smallest-first frontier for determinism. *)
-let topological_sort t =
+(* Kahn's algorithm, placing the smallest ready element first:
+   [f i a] places [a] at position [i]; the result is how many were
+   placed, [size] exactly when [t] is acyclic. *)
+let kahn t f =
   let indeg = Array.make t.size 0 in
   iter_pairs (fun _ b -> indeg.(b) <- indeg.(b) + 1) t;
-  let frontier = ref [] in
-  for a = t.size - 1 downto 0 do
-    if indeg.(a) = 0 then frontier := a :: !frontier
-  done;
-  let order = ref [] in
+  let ready = Bitset.create t.size in
+  Array.iteri (fun a d -> if d = 0 then Bitset.add ready a) indeg;
   let placed = ref 0 in
-  let rec drain () =
-    match !frontier with
-    | [] -> ()
-    | a :: rest ->
-        frontier := rest;
-        order := a :: !order;
-        incr placed;
-        let unlocked = ref [] in
-        Bitset.iter
-          (fun b ->
-            indeg.(b) <- indeg.(b) - 1;
-            if indeg.(b) = 0 then unlocked := b :: !unlocked)
-          t.rows.(a);
-        frontier := List.merge compare (List.rev !unlocked) !frontier;
-        drain ()
-  in
-  drain ();
-  if !placed = t.size then Some (List.rev !order) else None
-
-let acyclic t =
-  (* DFS with colors: O(V + E) rather than closing the relation. *)
-  let color = Array.make t.size 0 in
-  (* 0 = white, 1 = on stack, 2 = done *)
-  let rec visit a =
-    if color.(a) = 1 then false
-    else if color.(a) = 2 then true
-    else begin
-      color.(a) <- 1;
-      let ok = Bitset.fold (fun b acc -> acc && visit b) t.rows.(a) true in
-      color.(a) <- 2;
-      ok
-    end
-  in
-  let ok = ref true in
-  for a = 0 to t.size - 1 do
-    if !ok && color.(a) = 0 then ok := visit a
+  let a = ref (Bitset.next ready 0) in
+  while !a >= 0 do
+    Bitset.remove ready !a;
+    f !placed !a;
+    incr placed;
+    iter_row
+      (fun b ->
+        indeg.(b) <- indeg.(b) - 1;
+        if indeg.(b) = 0 then Bitset.add ready b)
+      t !a;
+    a := Bitset.next ready 0
   done;
-  !ok
+  !placed
+
+let topological_sort t =
+  let order = Array.make t.size 0 in
+  if kahn t (fun i a -> order.(i) <- a) = t.size then
+    Some (Array.to_list order)
+  else None
+
+let acyclic t = kahn t (fun _ _ -> ()) = t.size
 
 exception Found_cycle of int list
 
@@ -171,7 +171,7 @@ let find_cycle t =
   let parent = Array.make t.size (-1) in
   let rec visit a =
     color.(a) <- 1;
-    Bitset.iter
+    iter_row
       (fun b ->
         if color.(b) = 1 then begin
           (* Walk parents from [a] back to [b] to recover the cycle. *)
@@ -182,7 +182,7 @@ let find_cycle t =
           parent.(b) <- a;
           visit b
         end)
-      t.rows.(a);
+      t a;
     color.(a) <- 2
   in
   try
@@ -209,14 +209,14 @@ let strongly_connected_components t =
     incr next_index;
     stack := v :: !stack;
     on_stack.(v) <- true;
-    Bitset.iter
+    iter_row
       (fun w ->
         if index.(w) < 0 then begin
           strongconnect w;
           lowlink.(v) <- min lowlink.(v) lowlink.(w)
         end
         else if on_stack.(w) then lowlink.(v) <- min lowlink.(v) index.(w))
-      t.rows.(v);
+      t v;
     if lowlink.(v) = index.(v) then begin
       let id = !count in
       incr count;

@@ -1,11 +1,12 @@
 (** Dense binary relations over the universe [0 .. size - 1].
 
-    A relation is represented as one successor {!Bitset.t} per element,
-    giving O(size^2 / word_size) space and fast closure/union kernels.
-    This is the workhorse representation for the ordering relations of
-    the memory-model framework (program order, causal order,
-    semi-causality, ...), whose universes are operation identifiers of a
-    single execution history and therefore small and dense. *)
+    One flat array of machine words of O(size^2 / word_size) space, not
+    a block per row: each element's successor row is [w] words ([w = 1]
+    up to [Sys.int_size] elements).  The set operations,
+    restriction and closure loop over words, and every iterator visits
+    set bits only, in increasing order.  The workhorse of the ordering
+    relations (program order, causal order, semi-causality, ...), whose
+    universes are the operations of one history: small and dense. *)
 
 type t
 
@@ -53,9 +54,9 @@ val compose : t -> t -> t
 
 val transpose : t -> t
 
-val successors : t -> int -> Bitset.t
-(** The successor set of an element.  The returned set is the internal
-    row: treat it as read-only. *)
+val iter_successors : (int -> unit) -> t -> int -> unit
+(** [iter_successors f r a] applies [f] to each successor of [a], in
+    increasing order. *)
 
 val iter_pairs : (int -> int -> unit) -> t -> unit
 

@@ -127,6 +127,8 @@ let resolve_scopes = function
 
 let m_implied = Smem_obs.Metrics.counter "check.implied"
 
+module Figure5 = Smem_lattice.Figure5
+
 (* The fill's walk order: registry position, strongest first; keys
    outside the catalogue (family instances) come last. *)
 let rank =
@@ -142,59 +144,82 @@ let rec lookup key = function
   | [] -> None
   | (k, v) :: rest -> if String.equal k key then Some v else lookup key rest
 
-(* The verdict the known cells force on [key] through a containment,
-   if any: allowed when a stronger model allows, forbidden when a
-   weaker one forbids. *)
-let implied pairs known key =
-  List.find_map
-    (fun ((s : Model.t), (w : Model.t)) ->
-      if String.equal w.Model.key key then
-        if lookup s.Model.key known = Some true then Some true else None
-      else if String.equal s.Model.key key then
-        if lookup w.Model.key known = Some false then Some false else None
-      else None)
-    pairs
-
-(* Known cells that break a containment: only a corrupted cache can
-   hold them, and then nothing is inferred from the row. *)
-let contradicts pairs known =
-  known <> []
-  && List.exists
-       (fun ((s : Model.t), (w : Model.t)) ->
-         lookup s.Model.key known = Some true
-         && lookup w.Model.key known = Some false)
-       pairs
-
 (* The missing cells of a row, strongest first: each is implied by a
    known cell or searched, then every decided cell is stored back as
-   one row. *)
+   one row.  The known verdicts of Figure 5's nodes are two masks over
+   their positions, so an implication is a few ANDs.  Answers each
+   missing cell's verdict, in [missing]'s order. *)
 let decide t digest h cached missing =
-  let pairs = Smem_lattice.Figure5.pairs h in
-  let infer = not (contradicts pairs cached) in
-  let _, decided =
-    List.fold_left
-      (fun ((known, decided) as acc) (m : Model.t) ->
-        let key = m.Model.key in
-        if Option.is_some (lookup key decided) then acc
-        else
-          let v =
-            match if infer then implied pairs known key else None with
-            | Some v ->
-                Smem_obs.Metrics.incr m_implied;
-                v
-            | None -> Model.check m h
-          in
-          ((key, v) :: known, (key, v) :: decided))
-      (cached, [])
-      (List.stable_sort (fun a b -> compare (rank a) (rank b)) missing)
+  let fig = Figure5.implications h in
+  let allowed = ref 0 and forbidden = ref 0 in
+  let know pos v =
+    Option.iter
+      (fun i ->
+        if v then allowed := !allowed lor (1 lsl i)
+        else forbidden := !forbidden lor (1 lsl i))
+      pos
   in
+  List.iter (fun (key, v) -> know (Figure5.position key) v) cached;
+  (* Known cells that break a containment: only a corrupted cache can
+     hold them, and then nothing is inferred from the row. *)
+  let infer =
+    not (Figure5.contradicts fig ~allowed:!allowed ~forbidden:!forbidden)
+  in
+  let cells =
+    Array.of_list
+      (List.map
+         (fun (m : Model.t) -> (rank m, Figure5.position m.Model.key, m))
+         missing)
+  in
+  let walk = Array.init (Array.length cells) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      let (ra, _, _), (rb, _, _) = (cells.(a), cells.(b)) in
+      compare ra rb)
+    walk;
+  let verdicts = Array.make (Array.length cells) false in
+  let decided = ref [] in
+  Array.iter
+    (fun k ->
+      let _, pos, (m : Model.t) = cells.(k) in
+      let key = m.Model.key in
+      (* A model asked twice is decided once.  A missing cell is not
+         cached, so a node already known was decided in this walk. *)
+      let earlier =
+        match pos with
+        | Some i when (!allowed lor !forbidden) land (1 lsl i) <> 0 ->
+            Some (!allowed land (1 lsl i) <> 0)
+        | Some _ -> None
+        | None -> lookup key !decided
+      in
+      verdicts.(k) <-
+        (match earlier with
+        | Some v -> v
+        | None ->
+            let inferred =
+              match pos with
+              | Some i when infer ->
+                  Figure5.implied fig ~allowed:!allowed ~forbidden:!forbidden i
+              | _ -> None
+            in
+            let v =
+              match inferred with
+              | Some v ->
+                  Smem_obs.Metrics.incr m_implied;
+                  v
+              | None -> Model.check m h
+            in
+            know pos v;
+            decided := (key, v) :: !decided;
+            v))
+    walk;
   (match (t.cache, digest) with
-  | Some c, Some digest -> Cache.add_row c ~digest decided
+  | Some c, Some digest -> Cache.add_row c ~digest !decided
   | _ -> ());
-  decided
+  verdicts
 
-(* One test's row, read with one lookup: answers each model's cell as
-   [(verdict, cached)]. *)
+(* One test's row, read with one lookup: each model's cell as
+   [(verdict, cached)], in [models]' order. *)
 let fill t digest h models =
   let cached =
     match (t.cache, digest) with
@@ -205,18 +230,26 @@ let fill t digest h models =
           (fun () -> Cache.find_row c ~digest ~models:keys)
     | _ -> []
   in
+  let known =
+    List.map (fun (m : Model.t) -> lookup m.Model.key cached) models
+  in
   let missing =
-    List.filter
-      (fun (m : Model.t) -> Option.is_none (lookup m.Model.key cached))
-      models
+    List.fold_right2
+      (fun m k acc -> if Option.is_none k then m :: acc else acc)
+      models known []
   in
   let decided =
-    if missing = [] then [] else decide t digest h cached missing
+    if missing = [] then [||] else decide t digest h cached missing
   in
-  fun (m : Model.t) ->
-    match lookup m.Model.key cached with
-    | Some v -> (v, true)
-    | None -> (Option.get (lookup m.Model.key decided), false)
+  let next = ref 0 in
+  List.map
+    (function
+      | Some v -> (v, true)
+      | None ->
+          let v = decided.(!next) in
+          incr next;
+          (v, false))
+    known
 
 (* One check/corpus cell. *)
 let cell test (model : Model.t) (got, cached) =
@@ -235,8 +268,7 @@ let check_cells t tests models =
       tests
   in
   let fill_test (tst, digest) =
-    let answer = fill t digest tst.Test.history models in
-    List.map (fun m -> cell tst m (answer m)) models
+    List.map2 (cell tst) models (fill t digest tst.Test.history models)
   in
   let results =
     List.concat

@@ -142,13 +142,13 @@ let reason ctx i u v sup =
   Queue.add v q;
   while (not (Queue.is_empty q)) && parent.(u) < 0 do
     let a = Queue.pop q in
-    Bitset.iter_from
+    Rel.iter_successors
       (fun b ->
         if parent.(b) < 0 then begin
           parent.(b) <- a;
           Queue.add b q
         end)
-      (Rel.successors g a) 0
+      g a
   done;
   let pairs = ref (match sup with Some p -> [ p ] | None -> []) in
   if parent.(u) >= 0 then begin

@@ -162,9 +162,7 @@ let linear_extensions ?universe r ~f =
   let out = Array.make (List.length members) (-1) in
   let placed = Array.make n false in
   let shift a d =
-    Smem_relation.Bitset.iter
-      (fun b -> if mem b then indeg.(b) <- indeg.(b) + d)
-      (Rel.successors r a)
+    Rel.iter_successors (fun b -> if mem b then indeg.(b) <- indeg.(b) + d) r a
   in
   let rec go depth =
     depth = Array.length out && f out

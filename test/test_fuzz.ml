@@ -463,6 +463,82 @@ let campaign_validates () =
     (Invalid_argument "Gen: between 1 and 6 locations") (fun () ->
       ignore (Campaign.run { small with Gen.nlocs = 7 }))
 
+(* The service infers through Figure5's masks; the fill used to scan
+   [pairs h] for the first applicable pair.  Over random sets of known
+   verdicts, contradictory ones included, the masks must answer as
+   that scan, on one history per guard combination. *)
+let figure5_masks_answer_as_the_scan () =
+  let keys = Array.of_list Figure5.model_keys in
+  let n = Array.length keys in
+  Array.iteri
+    (fun i k ->
+      check (Alcotest.option Alcotest.int) (k ^ " position") (Some i)
+        (Figure5.position k))
+    keys;
+  check (Alcotest.option Alcotest.int) "no position outside the nodes" None
+    (Figure5.position "pc-part(blocks=3)");
+  let history ~queue ~acquire =
+    H.make
+      [
+        [ H.write "x" 1; H.write ~labeled:true "x" 2 ]
+        @ if queue then [ H.write "q:a" 1 ] else [];
+        [ H.read ~labeled:acquire "x" 1 ];
+      ]
+  in
+  let rng = Random.State.make [| 27 |] in
+  List.iter
+    (fun (queue, acquire) ->
+      let h = history ~queue ~acquire in
+      check
+        (Alcotest.pair Alcotest.bool Alcotest.bool)
+        "guards broken" (queue, acquire)
+        ( not (Figure5.holds Figure5.Registers_only h),
+          not (Figure5.holds Figure5.Acquires_unmixed h) );
+      let pairs =
+        List.map
+          (fun ((s : Model.t), (w : Model.t)) -> (s.Model.key, w.Model.key))
+          (Figure5.pairs h)
+      in
+      let masks = Figure5.implications h in
+      for _ = 1 to 2000 do
+        let allowed = ref 0 and forbidden = ref 0 in
+        for i = 0 to n - 1 do
+          match Random.State.int rng 4 with
+          | 0 -> allowed := !allowed lor (1 lsl i)
+          | 1 -> forbidden := !forbidden lor (1 lsl i)
+          | _ -> ()
+        done;
+        let allowed = !allowed and forbidden = !forbidden in
+        let known k =
+          let i = Option.get (Figure5.position k) in
+          if allowed land (1 lsl i) <> 0 then Some true
+          else if forbidden land (1 lsl i) <> 0 then Some false
+          else None
+        in
+        check Alcotest.bool "contradicts"
+          (List.exists
+             (fun (s, w) -> known s = Some true && known w = Some false)
+             pairs)
+          (Figure5.contradicts masks ~allowed ~forbidden);
+        Array.iteri
+          (fun i key ->
+            if known key = None then
+              check
+                (Alcotest.option Alcotest.bool)
+                ("implied " ^ key)
+                (List.find_map
+                   (fun (s, w) ->
+                     if w = key then
+                       if known s = Some true then Some true else None
+                     else if s = key then
+                       if known w = Some false then Some false else None
+                     else None)
+                   pairs)
+                (Figure5.implied masks ~allowed ~forbidden i))
+          keys
+      done)
+    [ (false, false); (false, true); (true, false); (true, true) ]
+
 let () =
   Alcotest.run "fuzz"
     [
@@ -471,6 +547,8 @@ let () =
           tc "closure and flags" figure5_closure;
           tc "the oracle searches every model" oracle_searches_every_model;
           tc "properly-labeled gating" figure5_properly_labeled;
+          tc "masks answer as the scan of pairs"
+            figure5_masks_answer_as_the_scan;
         ] );
       ("gen", [ tc "seed reproducibility" gen_reproducible ]);
       ( "shrink",

@@ -46,6 +46,24 @@ let cache_basics () =
   check Alcotest.int "hits" 2 s.Cache.hits;
   check Alcotest.int "misses" 2 s.Cache.misses
 
+(* A fresh row keeps each key's last cell, a later row merges into it,
+   and a row read counts one hit or miss per cell asked. *)
+let cache_rows () =
+  let c = Cache.create ~capacity:16 () in
+  let find model = Cache.find c ~digest:"d" ~model in
+  Cache.add_row c ~digest:"d" [ ("sc", true); ("tso", false); ("sc", false) ];
+  check (Alcotest.option Alcotest.bool) "last write wins" (Some false)
+    (find "sc");
+  check Alcotest.int "one cell per key" 2 (Cache.stats c).Cache.entries;
+  Cache.add_row c ~digest:"d" [ ("tso", true); ("pc", true) ];
+  check (Alcotest.option Alcotest.bool) "merged" (Some true) (find "tso");
+  let row = Cache.find_row c ~digest:"d" ~models:[ "sc"; "pram"; "pc" ] in
+  check Alcotest.int "whole row" 3 (List.length row);
+  let s = Cache.stats c in
+  check Alcotest.int "entries" 3 s.Cache.entries;
+  check Alcotest.int "hits" 4 s.Cache.hits;
+  check Alcotest.int "misses" 1 s.Cache.misses
+
 let cache_bounded () =
   (* One shard makes eviction order deterministic: strict FIFO. *)
   let c = Cache.create ~shards:1 ~capacity:4 () in
@@ -1117,6 +1135,7 @@ let () =
       ( "cache",
         [
           tc "basics" cache_basics;
+          tc "rows: last write wins, one hit or miss per cell" cache_rows;
           tc "bounded + fifo eviction" cache_bounded;
           tc "find_or_add" cache_find_or_add;
           tc "clear" cache_clear;
