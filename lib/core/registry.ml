@@ -343,8 +343,17 @@ let suggest s =
     None candidates
   |> Option.map fst
 
+(* The catalogue by key, built once; only read afterwards, so worker
+   domains share it without a lock. *)
+let catalogue : (string, Model.t) Hashtbl.t =
+  let t = Hashtbl.create 64 in
+  List.iter
+    (fun (m : Model.t) -> Hashtbl.replace t m.Model.key m)
+    (List.rev all);
+  t
+
 let resolve s =
-  match List.find_opt (fun (m : Model.t) -> m.Model.key = s) all with
+  match Hashtbl.find_opt catalogue s with
   | Some m -> Ok m
   | None -> (
       match memo_find s with
@@ -372,11 +381,7 @@ let resolve s =
                          memoize under the canonical key and under the
                          input spelling, so both hit next time. *)
                       let m =
-                        match
-                          List.find_opt
-                            (fun (c : Model.t) -> c.Model.key = m.Model.key)
-                            all
-                        with
+                        match Hashtbl.find_opt catalogue m.Model.key with
                         | Some canonical -> canonical
                         | None -> memo_add m.Model.key m
                       in

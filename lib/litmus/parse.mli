@@ -14,8 +14,16 @@
     [w <loc> <value>], with [r*]/[w*] for labeled (acquire/release)
     accesses; an optional [@ <start> <finish>] suffix records a
     real-time interval for the atomic-memory model.  [expect <model-key> allowed|forbidden] lines attach
-    expectations.  [#] starts a comment; blank lines separate nothing.
-    Processors must be declared in order [p0, p1, ...]. *)
+    expectations.  [#] starts a comment, even inside the quoted doc;
+    blank lines separate nothing.  Processors must be declared in order
+    [p0, p1, ...].
+
+    Tokens are separated by spaces alone: a tab or a ['\r'] is part of
+    the token it touches, and a run of spaces inside the doc reads as
+    one.  Locations are numbered by first appearance, processor by
+    processor.  The text is read in one pass; a test without a
+    processor line raises [Invalid_argument "empty test"] instead of
+    returning an error. *)
 
 type error = { line : int; message : string }
 

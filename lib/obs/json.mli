@@ -12,7 +12,17 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
+(** One line: the value, then a newline.  Strings escape the double
+    quote, the backslash, newline, carriage return, tab and the other
+    control characters ([\u00XX]); any other byte is written as is. *)
+
 val of_string : string -> (t, string) result
+(** Decode one value, surrounded by nothing but whitespace.  String
+    escapes are RFC 8259's: [\uXXXX] decodes to UTF-8, a surrogate pair
+    to one code point; a lone surrogate, a non-hex digit or an unknown
+    escape is an error.  A number is an optional sign and decimal
+    digits within [int]'s range.  [Error] names the fault and its byte
+    offset. *)
 
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on anything else. *)

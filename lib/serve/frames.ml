@@ -26,19 +26,26 @@ type source = {
       (* would [read] return immediately, with bytes or EOF? *)
 }
 
+(* The bytes read but not yet delivered are [buf.[start .. stop - 1]],
+   and none of them is a newline, so each read scans only the bytes it
+   brought.  A complete line is copied out once.  The buffer is
+   compacted or doubled only to make room for a read, so framing a line
+   of n bytes costs O(n) time and allocation however the bytes
+   arrive. *)
 type t = {
   source : source;
-  chunk : Bytes.t;
-  pending : Buffer.t;  (* bytes read but not yet split into lines *)
-  mutable lines : string list;  (* complete lines, oldest first *)
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  lines : string Queue.t;  (* complete lines, oldest first *)
   mutable eof : bool;
 }
 
 let chunk_size = 65536
 
 let of_source source =
-  { source; chunk = Bytes.create chunk_size; pending = Buffer.create 256;
-    lines = []; eof = false }
+  { source; buf = Bytes.create chunk_size; start = 0; stop = 0;
+    lines = Queue.create (); eof = false }
 
 (* Would a [read] on [fd] return immediately?  True for regular files
    always (so file-fed tests and closed pipes still batch up to the
@@ -61,44 +68,56 @@ let source_of_fd fd =
 let of_fd fd = of_source (source_of_fd fd)
 let of_in_channel ic = of_fd (Unix.descr_of_in_channel ic)
 
-(* Split every complete line out of [pending] into [lines]. *)
-let split_pending t =
-  let s = Buffer.contents t.pending in
-  match String.rindex_opt s '\n' with
-  | None -> ()
-  | Some last ->
-      Buffer.clear t.pending;
-      Buffer.add_substring t.pending s (last + 1) (String.length s - last - 1);
-      let complete = String.sub s 0 last in
-      let strip_cr l =
-        let n = String.length l in
-        if n > 0 && l.[n - 1] = '\r' then String.sub l 0 (n - 1) else l
+(* Move every line that [buf.[from .. stop - 1]], the bytes just read,
+   completes into [lines]; a trailing '\r' is dropped. *)
+let split_new t from =
+  let buf = t.buf in
+  for i = from to t.stop - 1 do
+    if Bytes.unsafe_get buf i = '\n' then begin
+      let len = i - t.start in
+      let len =
+        if len > 0 && Bytes.get buf (i - 1) = '\r' then len - 1 else len
       in
-      t.lines <-
-        t.lines @ List.map strip_cr (String.split_on_char '\n' complete)
+      Queue.push (Bytes.sub_string buf t.start len) t.lines;
+      t.start <- i + 1
+    end
+  done
+
+(* Room for a whole chunk after [stop]: move the pending bytes to the
+   front, into a buffer at least twice as large when they would leave
+   less than a chunk free. *)
+let reserve t =
+  if Bytes.length t.buf - t.stop < chunk_size then begin
+    let pending = t.stop - t.start in
+    let buf =
+      if pending + chunk_size <= Bytes.length t.buf then t.buf
+      else Bytes.create (max (2 * Bytes.length t.buf) (pending + chunk_size))
+    in
+    Bytes.blit t.buf t.start buf 0 pending;
+    t.buf <- buf;
+    t.start <- 0;
+    t.stop <- pending
+  end
 
 let read_once t =
-  match t.source.read t.chunk 0 chunk_size with
+  reserve t;
+  match t.source.read t.buf t.stop chunk_size with
   | 0 -> t.eof <- true
   | n ->
-      Buffer.add_subbytes t.pending t.chunk 0 n;
-      split_pending t
+      let from = t.stop in
+      t.stop <- from + n;
+      split_new t from
 
 let readable_now t = t.source.readable ()
 
-let pop t =
-  match t.lines with
-  | l :: rest ->
-      t.lines <- rest;
-      Some l
-  | [] -> None
+let pop t = Queue.take_opt t.lines
 
-(* The unterminated tail, delivered once at EOF. *)
+(* The unterminated tail, delivered once at EOF, as read. *)
 let pop_tail t =
-  if Buffer.length t.pending = 0 then None
+  if t.start = t.stop then None
   else begin
-    let l = Buffer.contents t.pending in
-    Buffer.clear t.pending;
+    let l = Bytes.sub_string t.buf t.start (t.stop - t.start) in
+    t.start <- t.stop;
     Some l
   end
 

@@ -15,9 +15,11 @@
     {!of_source} — same framing code, no descriptor, no wall time.
 
     Lines are split on ['\n'] (a trailing ['\r'] is dropped); an
-    unterminated final line is delivered at EOF.  For the fd-backed
-    source, [EINTR] is retried and a peer reset
-    ([ECONNRESET]/[EPIPE]) reads as EOF. *)
+    unterminated final line is delivered at EOF, as read.  Each read
+    is scanned once and each line copied out once, so a line of n
+    bytes is framed in O(n) time and allocation, whatever the read
+    sizes.  For the fd-backed source, [EINTR] is retried and a peer
+    reset ([ECONNRESET]/[EPIPE]) reads as EOF. *)
 
 type source = {
   read : Bytes.t -> int -> int -> int;

@@ -288,8 +288,8 @@ let error_code_strings () =
                   (Response.error_code_to_string c))
     Response.
       [
-        Bad_request; Unknown_model; Unknown_test; Uncertifiable; Rejected;
-        Internal;
+        Bad_request; Unknown_model; Unknown_test; Uncertifiable; Too_large;
+        Rejected; Internal;
       ];
   check Alcotest.bool "unknown code" true
     (Response.error_code_of_string "flaky" = None)
@@ -303,6 +303,175 @@ let response_lines_are_single_lines () =
       check Alcotest.bool "no interior newline" false
         (String.contains (String.sub line 0 (String.length line - 1)) '\n'))
     all_responses
+
+(* ---------------- decoder ---------------- *)
+
+module Ref_json = Smem_testlib.Ref_json
+
+let json_t =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (String.trim (Json.to_string v)))
+    ( = )
+
+let decoded = Alcotest.result json_t Alcotest.pass
+
+(* Each escape of RFC 8259, and what is not one. *)
+let escape_cases =
+  [
+    ({|"a\bb"|}, Some "a\bb");
+    ({|"a\fb"|}, Some "a\012b");
+    ({|"\"\\\/\n\r\t"|}, Some "\"\\/\n\r\t");
+    ({|"caf\u00e9"|}, Some "caf\xc3\xa9");
+    ({|"\u00C9\u20ac"|}, Some "\xc3\x89\xe2\x82\xac");
+    ({|"A\u0000"|}, Some "A\000");
+    ({|"\ud83d\ude00"|}, Some "\xf0\x9f\x98\x80");
+    ({|"\x"|}, None);
+    ({|"\u0_41"|}, None);
+    ({|"\u+041"|}, None);
+    ({|"\u004g"|}, None);
+    ({|"\u004"|}, None);
+    ({|"\ud83d"|}, None);
+    ({|"\ud83dx"|}, None);
+    ({|"\ud83d\u0041"|}, None);
+    ({|"\ude00"|}, None);
+    ({|"\|}, None);
+  ]
+
+let decoder_escapes () =
+  List.iter
+    (fun (text, want) ->
+      match (Json.of_string text, want) with
+      | Ok (Json.Str s), Some w -> check Alcotest.string text w s
+      | Error _, None -> ()
+      | Ok v, _ ->
+          Alcotest.failf "%s decoded to %s" text (Json.to_string v)
+      | Error e, Some _ -> Alcotest.failf "%s refused: %s" text e)
+    escape_cases
+
+(* The same escapes as a check's corpus test name, decoded by the wire
+   codec as the server decodes a request line. *)
+let decoder_escapes_on_the_wire () =
+  List.iter
+    (fun (text, want) ->
+      let line =
+        Printf.sprintf
+          {|{"schema":"smem-api/2","version":2,"kind":"check","test":{"corpus":%s},"models":["sc"]}|}
+          text
+      in
+      match (Wire.parse_request_line line, want) with
+      | Ok (_, _, Request.Check { test = Request.Named n; _ }), Some w ->
+          check Alcotest.string text w n
+      | Error _, None -> ()
+      | Ok _, _ -> Alcotest.failf "%s: request accepted" text
+      | Error e, Some _ -> Alcotest.failf "%s: request refused: %s" text e)
+    escape_cases
+
+(* What the encoder writes did not change, and every string it writes
+   decodes back. *)
+let decoder_encoder_unchanged () =
+  check Alcotest.string "escapes written"
+    "\"\\u0008\\u000c\\n\\\"\\\\/\xc3\xa9\"\n"
+    (Json.to_string (Json.Str "\b\012\n\"\\/\xc3\xa9"));
+  let all_bytes = String.init 256 Char.chr in
+  check decoded "every byte round-trips" (Ok (Json.Str all_bytes))
+    (Json.of_string (Json.to_string (Json.Str all_bytes)))
+
+let gen_json_string =
+  let open QCheck.Gen in
+  string_size (int_bound 8)
+    ~gen:
+      (oneofl
+         [ 'a'; 'z'; ' '; '"'; '\\'; '/'; '\n'; '\r'; '\t'; '\b'; '\000';
+           '\031'; '\127'; '\xc3'; '\xa9'; 'u'; '0' ])
+
+let gen_json =
+  let open QCheck.Gen in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) (oneof [ small_signed_int; int ]);
+               map (fun s -> Json.Str s) gen_json_string;
+             ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair gen_json_string (self (n / 3)))) );
+             ])
+
+(* Printed values, request lines and byte-level mutations of both. *)
+let json_fragments =
+  [|
+    "\""; "\\"; "\\u"; "\\u00"; "\\u0041"; "\\n"; "\\\""; "{"; "}"; "[";
+    "]"; ","; ":"; " "; "\t"; "-"; "+"; "0"; "9"; "99999999999999999999";
+    "null"; "nul"; "true"; "fals"; "e"; "{\"k\":1}";
+  |]
+
+let gen_json_text =
+  let open QCheck.Gen in
+  let mutate text =
+    let n = String.length text in
+    let* i = int_bound (max 0 (n - 1)) in
+    let* kind = int_bound 2 in
+    let* frag = oneofa json_fragments in
+    let i = min i n in
+    let rest k = String.sub text (min (i + k) n) (n - min (i + k) n) in
+    return
+      (String.sub text 0 i
+      ^ match kind with 0 -> rest 1 | 1 -> frag ^ rest 1 | _ -> frag ^ rest 0)
+  in
+  let* base =
+    oneof
+      [
+        map (fun v -> String.trim (Json.to_string v)) gen_json;
+        map
+          (fun r -> Wire.request_line r)
+          (oneofl all_requests);
+      ]
+  in
+  let* k = int_bound 3 in
+  let rec go k text = if k = 0 then return text else mutate text >>= go (k - 1) in
+  go k base
+
+(* Does [text] hold only the escapes both decoders read alike: a
+   backslash before a quote, a backslash, a slash, n, r or t, and a
+   u-escape below 0x80? *)
+let old_escapes_only text =
+  let n = String.length text in
+  let hex c =
+    match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
+  in
+  let rec go i =
+    if i >= n - 1 then true
+    else if text.[i] <> '\\' then go (i + 1)
+    else
+      match text.[i + 1] with
+      | '"' | '\\' | '/' | 'n' | 'r' | 't' -> go (i + 2)
+      | 'u' ->
+          i + 5 < n
+          && hex text.[i + 2] && hex text.[i + 3] && hex text.[i + 4]
+          && hex text.[i + 5]
+          && int_of_string ("0x" ^ String.sub text (i + 2) 4) < 0x80
+          && go (i + 6)
+      | _ -> false
+  in
+  go 0
+
+let prop_decoder_reference =
+  QCheck.Test.make ~name:"decoder = reference" ~count:3000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_json_text) (fun text ->
+      (not (old_escapes_only text))
+      || Json.of_string text = Ref_json.of_string text)
 
 let () =
   Alcotest.run "api"
@@ -324,5 +493,12 @@ let () =
           tc "response ok" response_ok;
           tc "error codes" error_code_strings;
           tc "ndjson framing" response_lines_are_single_lines;
+        ] );
+      ( "decoder",
+        [
+          tc "RFC 8259 escapes" decoder_escapes;
+          tc "escapes in a check's test name" decoder_escapes_on_the_wire;
+          tc "encoder output unchanged" decoder_encoder_unchanged;
+          QCheck_alcotest.to_alcotest prop_decoder_reference;
         ] );
     ]

@@ -296,42 +296,45 @@ let runner_agreement () =
   check Alcotest.int "one mismatch" 1
     (List.length (List.filter (fun v -> not (Verdict.agrees v)) results2))
 
-(* Print/parse round-trip on random tests, covering labels, intervals
-   and expectations beyond what the corpus happens to use. *)
+(* Print/parse round-trip on random tests, covering labels, intervals,
+   object operations, empty rows, docs and expectations beyond what the
+   corpus happens to use. *)
 let gen_random_test =
   let open QCheck.Gen in
   let locs = [| "x"; "y"; "z" |] in
   let event =
     let* loc = oneofa locs in
-    let* labeled = bool in
-    let* timed = bool in
     let* at =
-      if timed then
-        let* s = int_range 0 9 in
-        let* d = int_range 0 4 in
-        return (Some (s, s + d))
-      else return None
+      opt
+        (let* s = int_range 0 9 in
+         let* d = int_range 0 4 in
+         return (s, s + d))
     in
-    let* is_write = bool in
-    if is_write then
-      let* v = int_range 1 3 in
-      return (Smem_core.History.write ~labeled ?at loc v)
-    else
-      let* v = int_range 0 3 in
-      return (Smem_core.History.read ~labeled ?at loc v)
+    let* v = int_range 0 3 in
+    let* labeled = bool in
+    oneofl
+      [
+        H.read ~labeled ?at loc v;
+        H.write ~labeled ?at loc (v + 1);
+        H.write ?at ("q:" ^ loc) (v + 1);
+        H.read ?at ("q:" ^ loc) v;
+        H.write ?at ("c:" ^ loc) 1;
+        H.read ?at ("c:" ^ loc) v;
+      ]
   in
-  let* nprocs = int_range 1 3 in
-  let* rows = list_repeat nprocs (list_size (int_range 1 4) event) in
+  let* nprocs = int_range 1 4 in
+  let* rows = list_repeat nprocs (list_size (int_range 0 4) event) in
   let* expectations =
     list_size (int_bound 3)
       (pair
-         (oneofa [| "sc"; "tso"; "causal" |])
+         (oneofa [| "sc"; "tso"; "causal-obj" |])
          (oneofa [| Test.Allowed; Test.Forbidden |]))
   in
+  let* doc = oneofl [ ""; "random round-trip test"; "two  spaces" ] in
   return
     {
       Test.name = "random";
-      doc = "random round-trip test";
+      doc;
       history = Smem_core.History.make rows;
       expectations = List.sort_uniq compare expectations;
     }
@@ -350,6 +353,201 @@ let prop_roundtrip_random =
           histories_equal t.Test.history t'.Test.history
           && intervals_equal t.Test.history t'.Test.history
           && t.Test.expectations = t'.Test.expectations)
+
+(* ---------------- scanner vs. reference ---------------- *)
+
+(* The one-pass scanner against the parser it replaced
+   (test/helpers/ref_parse.ml): on every input, the same tests (every
+   field of every operation, the location numbering, the intervals),
+   the same error, or the same exception. *)
+
+module Ref_parse = Smem_testlib.Ref_parse
+
+let render_test (t : Test.t) =
+  let h = t.Test.history in
+  let buf = Buffer.create 256 in
+  let add fmt = Printf.bprintf buf fmt in
+  add "test %S doc %S procs %d locs [" t.Test.name t.Test.doc (H.nprocs h);
+  for l = 0 to H.nlocs h - 1 do
+    add " %S" (H.loc_name h l)
+  done;
+  add " ]\n";
+  for p = 0 to H.nprocs h - 1 do
+    add "p%d:" p;
+    Array.iter
+      (fun id ->
+        let o = H.op h id in
+        add " #%d %d.%d %s%s l%d=%d%s" o.Op.id o.Op.proc o.Op.index
+          (match o.Op.kind with Op.Read -> "r" | Op.Write -> "w")
+          (match o.Op.attr with Op.Labeled -> "*" | Op.Ordinary -> "")
+          o.Op.loc o.Op.value
+          (match H.interval h id with
+          | Some (s, f) -> Printf.sprintf "@%d,%d" s f
+          | None -> ""))
+      (H.proc_ops h p);
+    add "\n"
+  done;
+  List.iter
+    (fun (k, v) ->
+      add "expect %S %s\n" k
+        (match v with Test.Allowed -> "allowed" | Test.Forbidden -> "forbidden"))
+    t.Test.expectations;
+  Buffer.contents buf
+
+let outcome parse text =
+  match parse text with
+  | Ok tests -> "ok\n" ^ String.concat "" (List.map render_test tests)
+  | Error (e : Parse.error) -> Printf.sprintf "error line %d: %s" e.line e.message
+  | exception e -> "raised " ^ Printexc.to_string e
+
+let agrees text =
+  outcome Parse.tests_of_string text = outcome Ref_parse.tests_of_string text
+
+let check_agrees what text =
+  check Alcotest.string
+    (Printf.sprintf "%s: %S" what text)
+    (outcome Ref_parse.tests_of_string text)
+    (outcome Parse.tests_of_string text)
+
+let printed =
+  lazy
+    (List.map Print.to_string
+       (Corpus.all @ Smem_corpus.Corpus.generate ~seed:42 ~count:200 ()))
+
+let scanner_builtin_and_generated () =
+  List.iter (check_agrees "printed") (Lazy.force printed);
+  (* every test of both corpora in one text *)
+  check_agrees "all in one" (String.concat "\n" (Lazy.force printed))
+
+let scanner_litmus_files () =
+  let dir =
+    List.find_opt Sys.file_exists [ "../litmus"; "litmus" ]
+    |> Option.value ~default:"../litmus"
+  in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".litmus")
+  |> List.iter (fun f ->
+         let ic = open_in (Filename.concat dir f) in
+         let text = really_input_string ic (in_channel_length ic) in
+         close_in ic;
+         check_agrees f text)
+
+(* The grammar's corners, each as the old parser read it. *)
+let scanner_quirks () =
+  let doc t =
+    match Parse.test_of_string t with
+    | Ok t -> t.Test.doc
+    | Error e -> Alcotest.failf "%a" Parse.pp_error e
+  in
+  check Alcotest.string "runs of spaces in a doc collapse" "a b c"
+    (doc "test t \"a   b  c\"\np0: w x 1\n");
+  check Alcotest.string "a doc may hold quotes" "a\"b"
+    (doc "test t  \"a\"b\"  \np0: w x 1\n");
+  check Alcotest.int "a # inside the doc starts a comment" 1
+    (parse_err "test t \"a # b\"\np0: w x 1\n").Parse.line;
+  check Alcotest.int "a tab is no separator" 2
+    (parse_err "test t\np0: w\tx 1\n").Parse.line;
+  check Alcotest.int "a \\r ends no token" 2
+    (parse_err "test t\r\np0: w x 1\r\n").Parse.line;
+  (match Parse.tests_of_string "test a\ntest b\np0: w x 1\n" with
+  | exception Invalid_argument m ->
+      check Alcotest.string "a test without rows" "empty test" m
+  | _ -> Alcotest.fail "a test without rows was accepted");
+  List.iter (check_agrees "corner")
+    [
+      "";
+      "\n\n# only a comment\n";
+      "test";
+      "test t";
+      "test t\np0:\n";
+      "test t\np0: ; ; w x 1 ;; r y 0 ;\n";
+      "test t\np0:w x 1\n";
+      "test t\np0: w x 1;r y 0\n";
+      "test t\np1: w x 1\n";
+      "test t\np0: w x 1\np00: w y 1\n";
+      "test t\np0: w x 1\np1 : w y 1\n";
+      "test t\n: w x 1\n";
+      "test t\np0: w x 1\nexpect sc\n";
+      "test t\np0: w x 1\nexpect sc allowed maybe\n";
+      "test t\np0: w x 1\nexpect sc maybe\n";
+      "expect sc allowed\n";
+      "test t \"d\" junk\np0: w x 1\n";
+      "test t \"\np0: w x 1\n";
+      "test t \"\"\np0: w x 1\n";
+      "test t\np0: w x 1 @ 3 2\n";
+      "test t\np0: w x 1 @ a 2\n";
+      "test t\np0: w x 1 @ 1 b\n";
+      "test t\np0: w x 1 @ 1\n";
+      "test t\np0: w x 1 2 3 4 5\n";
+      "test t\np0: w x 0x1f ; r x 1_0 ; r y +3 ; r y -0\n";
+      "test t\np0: w x 99999999999999999999\n";
+      "test t\np0: w x 4611686018427387903 ; r x -4611686018427387904\n";
+      "test t\np0: w x 4611686018427387904\n";
+      "test t\np0: enq q 0\n";
+      "test t\np0: enq q 2 ; deq q 0 ; inc c ; rdc c 1 ; inc c @ 1 2\n";
+      "test t\np0: inc c 2\n";
+      "test t\np0: inc c 2 @ 1 2\n";
+      "test t\np0: inc @ 1 2\n";
+      "test t\np0: enq q\n";
+      "test t\np0: x y 1\n";
+      "test t\np0: r* s 1 ; w* s 2 ; r x 1 @ 0 9\n";
+      "test t\np0: w q:x 1 ; w c:y 1\n";
+      "test a\np0: w x 1\ntest b\np0: r x 0\np1: w y 2\nexpect sc allowed\n";
+    ]
+
+let gen_printed_test = QCheck.Gen.map Print.to_string gen_random_test
+
+(* Byte-level mutations of a text: a byte dropped, doubled or replaced,
+   or a fragment inserted — separators, comments, tabs, '\r', bad
+   numbers, intervals, object operations, expect lines and further
+   tests. *)
+let fragments =
+  [|
+    " "; ";"; "#"; "\t"; "\r"; "\n"; ":"; "@"; "*"; "\""; "-"; "0"; "7";
+    "x"; "p1:"; " @ 1 2"; " @ 2 1"; "99999999999999999999"; "0x1f"; "1_0";
+    "+3"; "enq q 1"; "deq q 0"; "inc c"; "rdc c 1"; "r* s 1"; " ; ";
+    "\nexpect sc allowed\n"; "\nexpect tso maybe\n"; "\ntest u \"d  oc\"\n";
+    "\ntest v\np0: w x 1\n"; "\np1: r x 1\n";
+  |]
+
+let gen_mutated =
+  let open QCheck.Gen in
+  let mutate text =
+    let n = String.length text in
+    let* i = int_bound (max 0 (n - 1)) in
+    let* kind = int_bound 3 in
+    let* frag = oneofa fragments in
+    let before = String.sub text 0 i in
+    let after k = String.sub text (min (i + k) n) (n - min (i + k) n) in
+    return
+      (match kind with
+      | 0 -> before ^ after 1
+      | 1 -> before ^ String.sub text i (min 1 (n - i)) ^ after 0
+      | 2 -> before ^ frag ^ after 1
+      | _ -> before ^ frag ^ after 0)
+  in
+  let corpus_test st = oneofl (Lazy.force printed) st in
+  let* base =
+    oneof
+      [
+        corpus_test;
+        gen_printed_test;
+        map2 ( ^ ) gen_printed_test corpus_test;
+      ]
+  in
+  let* k = int_range 1 4 in
+  let rec go k text = if k = 0 then return text else mutate text >>= go (k - 1) in
+  go k base
+
+let prop_scanner_random =
+  QCheck.Test.make ~name:"scanner = reference on random tests" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_printed_test)
+    agrees
+
+let prop_scanner_mutated =
+  QCheck.Test.make ~name:"scanner = reference on mutated texts" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_mutated)
+    agrees
 
 let () =
   Alcotest.run "litmus"
@@ -381,5 +579,14 @@ let () =
         [
           tc "agreement and mismatch" runner_agreement;
           tc "shipped litmus files" litmus_files_check;
+        ] );
+      ( "scanner",
+        [
+          tc "= reference: built-in and generated tests"
+            scanner_builtin_and_generated;
+          tc "= reference: shipped litmus files" scanner_litmus_files;
+          tc "quirks kept" scanner_quirks;
+          QCheck_alcotest.to_alcotest prop_scanner_random;
+          QCheck_alcotest.to_alcotest prop_scanner_mutated;
         ] );
     ]

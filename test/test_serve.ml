@@ -873,6 +873,55 @@ let frames_drain_without_blocking () =
       Unix.close w;
       check (Alcotest.option Alcotest.string) "eof" None (Frames.next f))
 
+(* An in-memory source handing out at most [chunk] bytes per read. *)
+let chunked_source text ~chunk =
+  let pos = ref 0 in
+  {
+    Frames.read =
+      (fun buf off len ->
+        let k = min (min len chunk) (String.length text - !pos) in
+        Bytes.blit_string text !pos buf off k;
+        pos := !pos + k;
+        k);
+    readable = (fun () -> true);
+  }
+
+let all_lines f =
+  let rec go acc =
+    match Frames.next f with Some l -> go (l :: acc) | None -> List.rev acc
+  in
+  go []
+
+(* Framing is linear in the line: a 4 MB line read in 64 KB chunks
+   comes back intact, and framing it allocates a small multiple of its
+   length (rescanning and recopying the pending bytes on every read
+   allocated some 40 times the line, a multiple that grows with the
+   line). *)
+let frames_long_line_linear () =
+  let n = 4 * 1024 * 1024 in
+  let line = String.init n (fun i -> Char.chr (97 + (i mod 26))) in
+  let text = "\n" ^ line ^ "\r\n\nshort\r\ntail\r" in
+  let f = Frames.of_source (chunked_source text ~chunk:65536) in
+  let before = Gc.allocated_bytes () in
+  let lines = all_lines f in
+  let allocated = Gc.allocated_bytes () -. before in
+  check (Alcotest.list Alcotest.string)
+    "blank lines, stripped \\r, the tail as read"
+    [ ""; "<line>"; ""; "short"; "tail\r" ]
+    (List.map (fun l -> if l == List.nth lines 1 then "<line>" else l) lines);
+  check Alcotest.bool "the long line intact" true (List.nth lines 1 = line);
+  let ratio = allocated /. float n in
+  if ratio > 8. then
+    Alcotest.failf "framing a %d-byte line allocated %.0f bytes (%.1fx)" n
+      allocated ratio
+
+let frames_byte_at_a_time () =
+  let line = String.init 5000 (fun i -> Char.chr (65 + (i mod 26))) in
+  let text = line ^ "\n\r\n\n" ^ line ^ "\r\nend" in
+  check (Alcotest.list Alcotest.string) "lines"
+    [ line; ""; ""; line; "end" ]
+    (all_lines (Frames.of_source (chunked_source text ~chunk:1)))
+
 (* ---------------- sched ---------------- *)
 
 let sched_map_in_order () =
@@ -1175,8 +1224,11 @@ let () =
             server_answers_in_kind;
         ] );
       ( "frames",
-        [ tc "drain takes only what is available" frames_drain_without_blocking ]
-      );
+        [
+          tc "drain takes only what is available" frames_drain_without_blocking;
+          tc "a 4 MB line in 64 KB chunks, linear" frames_long_line_linear;
+          tc "a 5 KB line a byte at a time" frames_byte_at_a_time;
+        ] );
       ("sched", [ tc "map: ordered results, exceptions" sched_map_in_order ]);
       ( "store",
         [
