@@ -189,8 +189,8 @@ let engine_arg =
            are identical — $(b,smem fuzz --engines) checks them.  \
            Certificates are byte-identical on the built-in corpus; on \
            generated corpora the witnesses may differ, and the kernel \
-           accepts both.  The one model without a quadruple, tso-op, \
-           uses its own search under either engine.")
+           accepts both.  The solver hands object legality (causal-obj) \
+           and store forwarding (tso-op) to the enumerator.")
 
 let setup_engine engine =
   Smem_solve.Solve.install ();
@@ -244,7 +244,7 @@ let source_of_test (t : Test.t) =
    disagree — exactly the bug class certificates exist to catch). *)
 let certify_all ~service ~dir ~format ~models tests =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let written = ref 0 and skipped = ref 0 and rejected = ref 0 in
+  let written = ref 0 and rejected = ref 0 in
   List.iter
     (fun (t : Test.t) ->
       List.iter
@@ -263,8 +263,6 @@ let certify_all ~service ~dir ~format ~models tests =
               output_string oc body;
               close_out oc;
               incr written
-          | Response.Error { code = Response.Uncertifiable; _ } ->
-              incr skipped
           | Response.Error { message; _ } ->
               Format.eprintf "certificate REJECTED (%s under %s): %s@."
                 t.Test.name key message;
@@ -272,9 +270,7 @@ let certify_all ~service ~dir ~format ~models tests =
           | _ -> assert false)
         (model_keys models))
     tests;
-  Format.printf
-    "%d certificate(s) written to %s (%d cell(s) uncertifiable)@." !written
-    dir !skipped;
+  Format.printf "%d certificate(s) written to %s@." !written dir;
   if !rejected > 0 then begin
     Format.eprintf "%d certificate(s) rejected by the kernel@." !rejected;
     exit 1
@@ -346,12 +342,9 @@ let models_cmd =
             (fun (m : Response.model_info) ->
               Format.printf "%-24s %-34s %s@." m.Response.key m.Response.name
                 m.Response.description;
-              match m.Response.params with
-              | None -> ()
-              | Some rows ->
-                  Format.printf "%-24s   %s@." ""
-                    (String.concat "; "
-                       (List.map (fun (k, v) -> k ^ "=" ^ v) rows)))
+              Format.printf "%-24s   %s@." ""
+                (String.concat "; "
+                   (List.map (fun (k, v) -> k ^ "=" ^ v) m.Response.params)))
             models;
           Format.printf "@.parameterized families (smem check -m \
                          'family(arg=value,...)'):@.";
@@ -1168,14 +1161,12 @@ let fuzz_cmd =
             Format.printf "wrote %s@." path;
             (* Each shrunk repro ships with its verdict certificate so the
                violation can be audited without re-running the fuzzer. *)
-            match v.Oracle.certificate with
-            | None -> ()
-            | Some c ->
-                let cpath = Filename.concat dir (name ^ ".cert") in
-                let oc = open_out cpath in
-                output_string oc (Cert.to_string ~format:cert_format c);
-                close_out oc;
-                Format.printf "wrote %s@." cpath)
+            let cpath = Filename.concat dir (name ^ ".cert") in
+            let oc = open_out cpath in
+            output_string oc
+              (Cert.to_string ~format:cert_format v.Oracle.certificate);
+            close_out oc;
+            Format.printf "wrote %s@." cpath)
           outcome.Campaign.violations
     | _ -> ());
     if outcome.Campaign.violations <> [] then begin

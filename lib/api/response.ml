@@ -2,7 +2,6 @@ type error_code =
   | Bad_request
   | Unknown_model
   | Unknown_test
-  | Uncertifiable
   | Rejected
   | Too_large
   | Internal
@@ -17,7 +16,7 @@ type model_info = {
   key : string;
   name : string;
   description : string;
-  params : (string * string) list option;
+  params : (string * string) list;
 }
 
 type payload =
@@ -61,7 +60,6 @@ let error_code_to_string = function
   | Bad_request -> "bad-request"
   | Unknown_model -> "unknown-model"
   | Unknown_test -> "unknown-test"
-  | Uncertifiable -> "uncertifiable"
   | Rejected -> "rejected"
   | Too_large -> "too-large"
   | Internal -> "internal"
@@ -70,7 +68,6 @@ let error_code_of_string = function
   | "bad-request" -> Some Bad_request
   | "unknown-model" -> Some Unknown_model
   | "unknown-test" -> Some Unknown_test
-  | "uncertifiable" -> Some Uncertifiable
   | "rejected" -> Some Rejected
   | "too-large" -> Some Too_large
   | "internal" -> Some Internal

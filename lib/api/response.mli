@@ -11,7 +11,6 @@ type error_code =
   | Bad_request  (** malformed or unparseable request *)
   | Unknown_model
   | Unknown_test
-  | Uncertifiable  (** the model declares no parameter triple *)
   | Rejected
       (** the independent kernel rejected the certificate the engine
           emitted — the engine and the kernel disagree *)
@@ -38,10 +37,9 @@ type model_info = {
   key : string;
   name : string;
   description : string;
-  params : (string * string) list option;
+  params : (string * string) list;
       (** the parameter quadruple as [(dimension, value)] rows
-          ({!Smem_core.Model.params_strings}); [None] for operational
-          or ad-hoc models, which cannot be certified *)
+          ({!Smem_core.Model.params_strings}) *)
 }
 (** One catalogued model. *)
 

@@ -111,11 +111,28 @@ let ref_to_json ~proto s =
                          args) );
                 ])))
 
+(* Each part of a structured reference must keep the grammar's name
+   rule once trimmed, or its canonical string would read back
+   differently ("ryw,mr" would print as two flags).  Such a reference
+   names no model: [decode_request_line] answers [unknown-model]. *)
+exception Bad_reference of string
+
+let ref_name what s =
+  if Model_ref.valid_name s then s
+  else
+    let t = String.trim s in
+    if Model_ref.valid_name t then t
+    else
+      raise
+        (Bad_reference
+           (Printf.sprintf "model ref: %s %S is not a model name" what s))
+
 let ref_of_json = function
   | Json.Str s -> Ok s
   | Json.Obj _ as j -> (
       match Json.member "family" j with
       | Some (Json.Str family) ->
+          let family = ref_name "family" family in
           let* args =
             match Json.member "args" j with
             | None -> Ok []
@@ -125,9 +142,11 @@ let ref_of_json = function
                     let* acc = acc in
                     match Json.member "name" item with
                     | Some (Json.Str name) ->
+                        let name = ref_name "argument name" name in
                         let value =
                           match Json.member "value" item with
-                          | Some (Json.Str v) -> v
+                          | Some (Json.Str v) when String.trim v <> "" ->
+                              ref_name "value" v
                           | _ -> ""
                         in
                         Ok ((name, value) :: acc)
@@ -219,7 +238,8 @@ let proto_of_json j =
            (schema_of proto))
   | Some _ -> Error "version: expected an integer"
 
-let request_of_json j =
+(* Raises [Bad_reference]. *)
+let decode_request j =
   let* proto = proto_of_json j in
   let id =
     match Json.member "id" j with Some (Json.Int n) -> Some n | _ -> None
@@ -272,6 +292,9 @@ let request_of_json j =
     | other -> Error (Printf.sprintf "unknown request kind %S" other)
   in
   Ok (id, proto, req)
+
+let request_of_json j =
+  try decode_request j with Bad_reference message -> Error message
 
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
@@ -341,10 +364,7 @@ let payload_to_json = function
                        ("key", Json.Str m.Response.key);
                        ("name", Json.Str m.Response.name);
                        ("description", Json.Str m.Response.description);
-                       ( "params",
-                         match m.Response.params with
-                         | None -> Json.Null
-                         | Some kvs -> rows kvs );
+                       ("params", rows m.Response.params);
                      ])
                  models) );
           ( "families",
@@ -525,13 +545,7 @@ let payload_of_json ~kind j =
                     | Some (Json.Str key), Some (Json.Str name),
                       Some (Json.Str description) ->
                         let* params =
-                          match Json.member "params" item with
-                          | None | Some Json.Null -> Ok None
-                          | Some _ ->
-                              let* kvs =
-                                kv_rows "params" (Json.member "params" item)
-                              in
-                              Ok (Some kvs)
+                          kv_rows "params" (Json.member "params" item)
                         in
                         Ok
                           ({ Response.key; name; description; params } :: acc)
@@ -614,5 +628,11 @@ let parse_line of_json line =
   | Error e -> Error ("invalid JSON: " ^ e)
   | Ok j -> of_json j
 
-let parse_request_line line = parse_line request_of_json line
+let decode_request_line line =
+  match parse_line decode_request line with
+  | Ok _ as ok -> ok
+  | Error message -> Error (Response.Bad_request, message)
+  | exception Bad_reference message -> Error (Response.Unknown_model, message)
+
+let parse_request_line line = Result.map_error snd (decode_request_line line)
 let parse_response_line line = parse_line response_of_json line

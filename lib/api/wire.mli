@@ -43,7 +43,8 @@ val request_of_json :
 (** Parse a request in either protocol version, reporting which one
     the line spoke.  Structured and string model references are both
     accepted in both versions; structured references are normalized to
-    canonical grammar strings. *)
+    canonical grammar strings, and one with a part that breaks the
+    grammar's name rule is an [Error]. *)
 
 val response_to_json : ?proto:proto -> Response.t -> Smem_obs.Json.t
 (** Serialize a response; [proto] defaults to {!V2}.  With [~proto:V1]
@@ -57,7 +58,16 @@ val request_line : ?proto:proto -> ?id:int -> Request.t -> string
 
 val response_line : ?proto:proto -> Response.t -> string
 
+val decode_request_line :
+  string ->
+  (int option * proto * Request.t, Response.error_code * string) result
+(** Parse a request line, with the code a failure is answered with:
+    [unknown-model] when a structured model reference's part breaks
+    {!Smem_core.Model_ref.valid_name} once trimmed (the message names
+    the field), [bad-request] otherwise. *)
+
 val parse_request_line :
   string -> (int option * proto * Request.t, string) result
+(** {!decode_request_line} without the code. *)
 
 val parse_response_line : string -> (Response.t, string) result

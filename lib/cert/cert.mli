@@ -55,10 +55,12 @@ type t = {
 val version : int
 (** Current format version (1). *)
 
+val make : Model.t -> ?name:string -> History.t -> t
+(** Run the model's checker and package the verdict with its evidence. *)
+
 val certify : Model.t -> ?name:string -> History.t -> t option
-(** Run the model's checker and package the verdict with its evidence.
-    [None] when the model declares no parameter triple (it cannot be
-    certified — e.g. the operational TSO replay). *)
+(** [Some (make ...)]: every model has a parameter quadruple.  The
+    option stays because perfbench/replay.ml matches on it. *)
 
 val history : t -> History.t
 (** Rebuild the judged history; operation ids match the certificate's

@@ -71,8 +71,10 @@ let add_po_loc h m =
   done
 
 (* ppo keeps a program-order pair unless it is a write followed by a
-   read of a different location; closure restores indirect pairs. *)
-let ppo_of_rows h rows =
+   read of a different location; closure restores indirect pairs.
+   SPARC's LoadOp and StoreStore ([~any_loc]) drop every write→read
+   pair, and closure adds nothing to them. *)
+let ppo_of_rows ?(any_loc = false) h rows =
   let m = fresh_rel (History.nops h) in
   Array.iter
     (fun row ->
@@ -81,7 +83,7 @@ let ppo_of_rows h rows =
         for j = i + 1 to k - 1 do
           let a = History.op h row.(i) and b = History.op h row.(j) in
           let bypassable =
-            Op.is_write a && Op.is_read b && not (Op.same_loc a b)
+            Op.is_write a && Op.is_read b && (any_loc || not (Op.same_loc a b))
           in
           if not bypassable then m.(row.(i)).(row.(j)) <- true
         done
@@ -90,8 +92,9 @@ let ppo_of_rows h rows =
   closure m;
   m
 
-let ppo_all h =
-  ppo_of_rows h (Array.init (History.nprocs h) (fun p -> History.proc_ops h p))
+let ppo_all ?any_loc h =
+  ppo_of_rows ?any_loc h
+    (Array.init (History.nprocs h) (fun p -> History.proc_ops h p))
 
 let ppo_of_proc h p = ppo_of_rows h [| History.proc_ops h p |]
 
@@ -320,6 +323,7 @@ let view_orders h (params : Model.params) =
   let decode = function
     | Model.Program_order -> [ fixed (matrix (add_po h)) ]
     | Model.Partial_program_order -> [ fixed (ppo_all h) ]
+    | Model.Load_op_store_store -> [ fixed (ppo_all ~any_loc:true h) ]
     | Model.Own_program_order ->
         [ `Owner (fun m p -> add_po_of_proc h m (proc_exn p)) ]
     | Model.Po_loc -> [ fixed (matrix (add_po_loc h)) ]
@@ -456,7 +460,7 @@ type cell = Val of int | Wtr of int | Fifo of int list | Count of int
 let initial_cell legality sort =
   match (legality, sort) with
   | Model.Value_legal, _ -> Val 0
-  | Model.Writer_legal, _ -> Wtr History.init
+  | (Model.Writer_legal | Model.Forwarding), _ -> Wtr History.init
   | Model.Object_legal, Reg -> Val 0
   | Model.Object_legal, Que -> Fifo []
   | Model.Object_legal, Cnt -> Count 0
@@ -487,14 +491,35 @@ let cell_step ~writer cell (op : Op.t) =
           | _ -> None)
     | Count n -> if op.Op.value = n then Some cell else None
 
+(* [cell_step] behind SPARC's value axiom, restated: under forwarding
+   a read first sees its processor's program-order-latest earlier write
+   to its location that the view has not [placed] yet (one still in the
+   store buffer), and its location's cell only when there is none. *)
+let view_step h ~legality ~writer ~placed cell (op : Op.t) =
+  if legality <> Model.Forwarding || Op.is_write op then
+    cell_step ~writer cell op
+  else
+    let row = History.proc_ops h op.Op.proc in
+    let rec buffered i =
+      if i < 0 then cell_step ~writer cell op
+      else
+        let o = History.op h row.(i) in
+        if Op.is_write o && o.Op.loc = op.Op.loc && not placed.(o.Op.id) then
+          if writer.(op.Op.id) = o.Op.id then Some cell else None
+        else buffered (i - 1)
+    in
+    buffered (op.Op.index - 1)
+
 let walk_legal h ~legality ~writer seq =
   let mem = initial_cells h legality in
+  let placed = Array.make (max 1 (History.nops h)) false in
   List.for_all
     (fun id ->
       let op = History.op h id in
-      match cell_step ~writer mem.(op.Op.loc) op with
+      match view_step h ~legality ~writer ~placed mem.(op.Op.loc) op with
       | Some c ->
           mem.(op.Op.loc) <- c;
+          placed.(id) <- true;
           true
       | None -> false)
     seq
@@ -704,7 +729,9 @@ let derive_co h (params : Model.params) views =
 (* Reads-from and sync-order validation                               *)
 
 let rf_required (params : Model.params) =
-  params.Model.legality = Model.Writer_legal
+  (match params.Model.legality with
+  | Model.Writer_legal | Model.Forwarding -> true
+  | Model.Value_legal | Model.Object_legal -> false)
   || List.exists
        (function
          | Model.Causal_order | Model.Causal_plus_coherence -> true
@@ -1024,7 +1051,7 @@ let place_view h ~ops ~order ~legality ~writer =
       let a = ids.(!i) in
       if (not placed.(a)) && ready a then begin
         let op = History.op h a in
-        match cell_step ~writer mem.(op.Op.loc) op with
+        match view_step h ~legality ~writer ~placed mem.(op.Op.loc) op with
         | Some c ->
             let saved = mem.(op.Op.loc) in
             mem.(op.Op.loc) <- c;
@@ -1125,12 +1152,7 @@ let verify_checked ~max_search_ops (c : Cert.t) =
     let params =
       match Registry.find c.Cert.model with
       | None -> reject "unknown model %S" c.Cert.model
-      | Some m -> (
-          match m.Model.params with
-          | None ->
-              reject "model %S declares no parameter quadruple (not certifiable)"
-                c.Cert.model
-          | Some p -> p)
+      | Some m -> m.Model.params
     in
     let h =
       try Cert.history c

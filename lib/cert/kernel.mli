@@ -6,7 +6,9 @@
     (po/ppo/causal/semi-causal/fences/brackets recomputed from scratch),
     mutual consistency (the coherence order is {e derived} from the
     views and checked for agreement), and view legality (a replay of
-    each view against a location store).  None of the search engine's
+    each view against a location store; under store forwarding a read
+    first sees its processor's latest earlier write to its location
+    that the view has not placed yet).  None of the search engine's
     code (Engine, View, Orders, Reads_from, Coherence, Diagnose) is
     reused: relations are hand-rolled boolean matrices, so an engine bug
     cannot co-sign its own verdicts.

@@ -47,6 +47,8 @@ val check :
     committed reads-from assignment attached (certificates embed it).
 
     [?rf_rel] lets a caller that enumerates coherence orders inside a
-    reads-from loop pass [rf_edges h ~rf] computed once per map instead
-    of recomputing it for every coherence candidate; it must equal
-    [rf_edges h ~rf] and is never mutated. *)
+    reads-from loop pass the map's edges computed once per map instead
+    of recomputing them for every coherence candidate; it is never
+    mutated.  By default it is [rf_edges h ~rf]; store forwarding passes
+    {!Orders.forwarding}'s edges instead, which drop the edge of a
+    forwarded read. *)

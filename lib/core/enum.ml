@@ -2,8 +2,13 @@ module Perm = Smem_relation.Perm
 
 type co_mode = Co_none | Co_per_loc | Co_global
 
+let writer_legal (p : Model.params) =
+  match p.Model.legality with
+  | Model.Writer_legal | Model.Forwarding -> true
+  | Model.Value_legal | Model.Object_legal -> false
+
 let rf_needed (p : Model.params) =
-  p.Model.legality = Model.Writer_legal
+  writer_legal p
   || List.exists
        (function
          | Model.Causal_order | Model.Causal_plus_coherence -> true
@@ -23,7 +28,7 @@ let co_mode (p : Model.params) =
      serialize the same writes oppositely. *)
   | _ when List.exists session p.Model.ordering -> Co_none
   | Model.Coherence_agreement -> Co_per_loc
-  | _ -> if p.Model.legality = Model.Writer_legal then Co_per_loc else Co_none
+  | _ -> if writer_legal p then Co_per_loc else Co_none
 
 (* The labeled orders by prefix (DESIGN, "Labeled orders by prefix"):
    a depth-first walk over the linear extensions of program order on
@@ -144,6 +149,6 @@ let model ~key ~name ~description params =
     Model.key;
     name;
     description;
-    params = Some params;
+    params;
     witness = witness params;
   }

@@ -25,8 +25,8 @@
 type co_mode = Co_none | Co_per_loc | Co_global
 
 val rf_needed : Model.params -> bool
-(** Writer legality and the causal orderings commit to a reads-from
-    map. *)
+(** Writer legality (store forwarding included) and the causal
+    orderings commit to a reads-from map. *)
 
 val sync_needed : Model.params -> bool
 (** RC_sc and weak ordering commit to a labeled order. *)

@@ -35,7 +35,7 @@ type t = {
       (* per location, under weak ordering: a labeled read must return
          the last labeled write's value (every write to it is labeled) *)
   rf : Reads_from.t option;
-  rf_rel : Rel.t Lazy.t;  (* reads-from edges, for Engine.check *)
+  rf_rel : Rel.t Lazy.t;  (* the map's edges, for Engine.check *)
   sync : int array option;
 }
 
@@ -101,6 +101,7 @@ let part h (base : Model.ordering) =
   match base with
   | Model.Program_order -> part (Orders.po h)
   | Model.Partial_program_order -> part (Orders.ppo h)
+  | Model.Load_op_store_store -> part (Orders.load_op_store_store h)
   | Model.Own_program_order -> None
   | Model.Po_loc -> part (Orders.po_loc h)
   | Model.Real_time -> part (Orders.real_time h)
@@ -204,13 +205,10 @@ let acquire_ok h r w =
 
 let with_rf t rf =
   let h = t.h in
-  let t =
-    { t with rf = Some rf; rf_rel = lazy (Engine.rf_edges h ~rf) }
-  in
   (* An order rebuilt from the map must stay irreflexive: the causal
      orders are closed, so a self-loop is a cycle every view holding
      the operation inherits. *)
-  let rebuilt =
+  let rebuild t =
     if not t.rf_rebuilds then Some t
     else
       let parts =
@@ -227,6 +225,16 @@ let with_rf t rf =
           parts
       then Some { t with parts; shared = union_parts (History.nops h) parts }
       else None
+  in
+  (* Under forwarding the value axiom's edges stand in for the
+     reads-from edges, and refute some maps outright. *)
+  let rebuilt =
+    if t.p.Model.legality <> Model.Forwarding then
+      rebuild { t with rf = Some rf; rf_rel = lazy (Engine.rf_edges h ~rf) }
+    else
+      match Orders.forwarding h ~rf with
+      | None -> None
+      | Some rel -> rebuild { t with rf = Some rf; rf_rel = Lazy.from_val rel }
   in
   match rebuilt with
   | Some t when t.brackets ->
@@ -334,6 +342,8 @@ let search t ~base ~worder =
     | Model.Value_legal -> View.By_value
     | Model.Writer_legal -> View.By_writer (get_rf t)
     | Model.Object_legal -> View.By_object
+    | Model.Forwarding ->
+        invalid_arg "Leaf: forwarding needs a write serialization"
   in
   let rec go acc = function
     | [] ->
@@ -395,7 +405,7 @@ let check t co =
         | _ -> t
       in
       match p.Model.legality with
-      | Model.Writer_legal -> engine t ~co ~worder
+      | Model.Writer_legal | Model.Forwarding -> engine t ~co ~worder
       | Model.Value_legal | Model.Object_legal ->
           (* Views agreeing on co take it as an order, unless the
              coherent causal order already closed over it. *)

@@ -6,8 +6,10 @@
     - the {e ordering}, plus the edges of the {e mutual-consistency}
       choices, gives each view's order;
     - the {e legality} picks the back-end: {!Engine.check} for
-      writer-legal views that agree on a coherence order, {!View.exists}
-      otherwise (by value, by writer, or replaying object sorts).
+      writer-legal views that agree on a coherence order (under store
+      forwarding, with {!Orders.forwarding}'s edges in place of the
+      reads-from edges), {!View.exists} otherwise (by value, by
+      writer, or replaying object sorts).
 
     The check is staged so that a search pays for each part once per
     choice it depends on: {!prepare} once per history (po, ppo, po-loc,
@@ -51,7 +53,9 @@ val with_rf : t -> Reads_from.t -> t option
 (** Commit a reads-from map: hoists its edges and the orders built from
     it (causal, session writes-follow-reads, the acquire brackets).
     [None] when the map alone refutes the candidate: a reflexive causal
-    or session order, or an acquire failing {!acquire_ok}. *)
+    or session order, an acquire failing {!acquire_ok}, or a read of
+    another of its own processor's writes than forwarding allows
+    ({!Orders.forwarding}). *)
 
 val sync_start : t -> int array
 (** The state of an empty labeled prefix for {!step}: each location's
@@ -82,4 +86,6 @@ val with_sync : t -> int array -> t option
     [search.sync_orders]. *)
 
 val check : t -> co -> Witness.t option
-(** The last stage: the full candidate's verdict, with its witness. *)
+(** The last stage: the full candidate's verdict, with its witness.
+    @raise Invalid_argument under {!Model.Forwarding} with {!No_co}
+    (no quadruple in the catalogue has one). *)

@@ -11,6 +11,7 @@ type population =
 type ordering =
   | Program_order
   | Partial_program_order
+  | Load_op_store_store
   | Own_program_order
   | Po_loc
   | Real_time
@@ -29,7 +30,7 @@ type mutual =
   | Labeled_pc
   | Labeled_total
 
-type legality = Value_legal | Writer_legal | Object_legal
+type legality = Value_legal | Writer_legal | Object_legal | Forwarding
 
 type params = {
   population : population;
@@ -42,12 +43,9 @@ type t = {
   key : string;
   name : string;
   description : string;
-  params : params option;
+  params : params;
   witness : History.t -> Witness.t option;
 }
-
-let make ~key ~name ~description witness =
-  { key; name; description; params = None; witness }
 
 let population_to_string = function
   | Shared_all -> "shared-all"
@@ -63,6 +61,7 @@ let population_to_string = function
 let ordering_to_string = function
   | Program_order -> "po"
   | Partial_program_order -> "ppo"
+  | Load_op_store_store -> "loadop-storestore"
   | Own_program_order -> "own-po"
   | Po_loc -> "po-loc"
   | Real_time -> "real-time"
@@ -91,6 +90,7 @@ let legality_to_string = function
   | Value_legal -> "value"
   | Writer_legal -> "writer"
   | Object_legal -> "object"
+  | Forwarding -> "forwarding"
 
 let params_strings p =
   [
@@ -116,8 +116,8 @@ let engine () = !engine_mode
 let register_solver f = solver_hook := Some f
 
 let witness_of t h =
-  match (!engine_mode, !solver_hook, t.params) with
-  | Solve, Some f, Some _ -> f t h
+  match (!engine_mode, !solver_hook) with
+  | Solve, Some f -> f t h
   | _ -> t.witness h
 
 (* The span's name and [args] are built only while a trace sink is

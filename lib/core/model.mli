@@ -3,18 +3,16 @@
     membership and, when the history is allowed, exhibits the processor
     views that demonstrate it.
 
-    Every model but one is defined by its {e parameter quadruple} (§2
-    of the paper): the view population, the ordering requirement, and
-    the mutual-consistency requirement, plus the legality discipline
-    its views satisfy.  The quadruple is pure data: the enumerator
-    ([Enum]) and the solver decide membership from it, and the
-    certificate checking kernel ({!Smem_cert.Kernel}) re-derives every
-    obligation it names from a history alone, without calling the
-    search engine.  Varying it "identifies new memories" (§7): the
-    composer ({!Build}) and the named partitions of [pc-part] are
-    quadruples too.  The one model without a quadruple, the operational
-    TSO replay ([tso-op]), brings its own witness function and cannot
-    be certified. *)
+    Every model is defined by its {e parameter quadruple} (§2 of the
+    paper): the view population, the ordering requirement, and the
+    mutual-consistency requirement, plus the legality discipline its
+    views satisfy.  The quadruple is pure data: the enumerator ([Enum])
+    and the solver decide membership from it, and the certificate
+    checking kernel ({!Smem_cert.Kernel}) re-derives every obligation it
+    names from a history alone, without calling the search engine.
+    Varying it "identifies new memories" (§7): the composer ({!Build})
+    and the named partitions of [pc-part] are quadruples too, and so is
+    SPARC's TSO with store forwarding ([tso-op]). *)
 
 type partition =
   | Modulo of int  (** location [l] (interned id) is in block [l mod k] *)
@@ -54,6 +52,9 @@ type population =
 type ordering =
   | Program_order  (** po (SC, PRAM, PC-G, coherence) *)
   | Partial_program_order  (** ppo — reads bypass earlier writes (TSO) *)
+  | Load_op_store_store
+      (** SPARC's LoadOp and StoreStore: po minus every write→read
+          pair, not chained through reads (SPARC TSO) *)
   | Own_program_order  (** the view owner's po only (local, slow) *)
   | Po_loc  (** every processor's per-location po (slow) *)
   | Real_time  (** interval precedence (atomic) *)
@@ -105,6 +106,9 @@ type legality =
           Reads of rf-able sorts (registers, queues) still commit to a
           reads-from map — it seeds the causal order — while counter
           reads carry no reads-from edge. *)
+  | Forwarding
+      (** writer legality with SPARC's value axiom (store forwarding,
+          {!Orders.forwarding}); needs a write serialization *)
 
 type params = {
   population : population;
@@ -121,23 +125,10 @@ type t = {
   key : string;  (** stable machine-readable identifier, e.g. ["tso"] *)
   name : string;  (** display name, e.g. ["Total Store Ordering"] *)
   description : string;
-  params : params option;
-      (** the parameter quadruple (drives certificate checking); [None]
-          only for the operational TSO replay *)
+  params : params;  (** the parameter quadruple *)
   witness : History.t -> Witness.t option;
-      (** the [Enum] engine: for a model with [params], the enumerator
-          over the quadruple ([Enum.witness]) *)
+      (** the [Enum] engine ([Enum.witness], set by [Enum.model]) *)
 }
-
-val make :
-  key:string ->
-  name:string ->
-  description:string ->
-  (History.t -> Witness.t option) ->
-  t
-(** A model without parameters, decided by its own witness function
-    ([tso-op] is the one).  A model with parameters is built from them
-    alone, by [Enum.model]. *)
 
 (** {1 Parameter rendering}
 
@@ -168,8 +159,7 @@ val check : t -> History.t -> bool
     constraint-propagation engine in [Smem_solve] ([Solve]).  The mode
     is process-global and must be set before worker domains spawn; the
     solver registers itself via {!register_solver} (this library cannot
-    depend on it).  A model without a parameter quadruple always uses
-    its own witness function. *)
+    depend on it). *)
 
 type engine = Enum | Solve
 
@@ -182,5 +172,4 @@ val register_solver : (t -> History.t -> Witness.t option) -> unit
 
 val witness_of : t -> History.t -> Witness.t option
 (** The model's witness through the selected engine: the registered
-    solver when the mode is [Solve] and the model has a parameter
-    quadruple, its [witness] otherwise. *)
+    solver when the mode is [Solve], its [witness] otherwise. *)

@@ -8,7 +8,18 @@ let is_name_char c =
 
 let trim = String.trim
 
-let valid_name s = s <> "" && String.for_all is_name_char s
+(* A table and a loop of its own: the wire decoder checks every part of
+   every structured reference, and [String.for_all] allocates a closure
+   per call. *)
+let name_chars = Array.init 256 (fun c -> is_name_char (Char.chr c))
+
+let valid_name s =
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n && name_chars.(Char.code (String.unsafe_get s !i)) do
+    incr i
+  done;
+  n > 0 && !i = n
 
 let parse s =
   let s = trim s in

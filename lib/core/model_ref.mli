@@ -19,6 +19,11 @@ val parse : string -> (t, string) result
     nonempty runs of letters, digits, ['_'], ['-'], ['.'], [':'] and
     ['|'].  [Error] carries a human-readable reason. *)
 
+val valid_name : string -> bool
+(** The name rule {!parse} applies to a family, an argument name and an
+    argument value: a nonempty run of letters, digits, ['_'], ['-'],
+    ['.'], [':'] and ['|']. *)
+
 val to_string : t -> string
 (** Canonical form: [family] when there are no arguments, otherwise
     [family(k=v,...)] with bare flags printed without [=]. *)

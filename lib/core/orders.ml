@@ -40,9 +40,12 @@ let po_of_proc h p =
   rel
 
 (* The base of ppo keeps a program-order pair unless it is a write
-   followed by a read of a different location; the transitive closure
-   restores pairs reachable through intermediate operations. *)
-let ppo_of_rows h rows =
+   followed by a read of a different location, or of any location
+   under [~any_loc] (LoadOp and StoreStore); the transitive closure
+   restores pairs reachable through intermediate operations (under
+   [~any_loc] there are none: a chain from a write reaches only
+   writes). *)
+let ppo_of_rows ?(any_loc = false) h rows =
   let rel = Rel.create (History.nops h) in
   Array.iter
     (fun row ->
@@ -50,17 +53,43 @@ let ppo_of_rows h rows =
       for i = 0 to n - 1 do
         for j = i + 1 to n - 1 do
           let a = History.op h row.(i) and b = History.op h row.(j) in
-          let bypassable = Op.is_write a && Op.is_read b && not (Op.same_loc a b) in
+          let bypassable =
+            Op.is_write a && Op.is_read b && (any_loc || not (Op.same_loc a b))
+          in
           if not bypassable then Rel.add rel row.(i) row.(j)
         done
       done)
     rows;
   Rel.transitive_closure rel
 
-let ppo h =
-  ppo_of_rows h (Array.init (History.nprocs h) (fun p -> History.proc_ops h p))
-
+let all_rows h = Array.init (History.nprocs h) (fun p -> History.proc_ops h p)
+let ppo h = ppo_of_rows h (all_rows h)
 let ppo_of_proc h p = ppo_of_rows h [| History.proc_ops h p |]
+let load_op_store_store h = ppo_of_rows ~any_loc:true h (all_rows h)
+
+let forwarding h ~rf =
+  let rel = Rel.create (History.nops h) in
+  let legal r =
+    let ro = History.op h r and w = Reads_from.writer rf r in
+    (* The processor's earlier writes to r's location, latest first. *)
+    let earlier =
+      Array.fold_left
+        (fun acc id ->
+          let o = History.op h id in
+          if o.Op.index < ro.Op.index && Op.is_write o && Op.same_loc o ro
+          then id :: acc
+          else acc)
+        [] (History.proc_ops h ro.Op.proc)
+    in
+    match earlier with
+    | latest :: _ when latest = w -> true
+    | _ when w <> History.init && Op.same_proc (History.op h w) ro -> false
+    | _ ->
+        if w <> History.init then Rel.add rel w r;
+        List.iter (fun w' -> Rel.add rel w' r) earlier;
+        true
+  in
+  if List.for_all legal (History.reads h) then Some rel else None
 
 let ppo_within h ~members =
   let rows =

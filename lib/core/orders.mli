@@ -33,6 +33,22 @@ val ppo_of_proc : History.t -> int -> Rel.t
     (the ordering clause of release consistency constrains only the
     view owner's operations). *)
 
+val load_op_store_store : History.t -> Rel.t
+(** SPARC's LoadOp and StoreStore: every program-order pair but a write
+    followed by a read, so, unlike {!ppo}, nothing chains through a
+    same-location read. *)
+
+val forwarding : History.t -> rf:Reads_from.t -> Rel.t option
+(** SPARC's value axiom, as the edges a view respects in place of the
+    reads-from edges.  A read whose writer is its processor's latest
+    earlier write to its location gets none: the store buffer may
+    forward it, before the write reaches memory.  Every other read gets
+    its reads-from edge and an edge from each of its processor's earlier
+    writes to its location.  [None] when a read's writer is another of
+    its processor's writes, which no view allows: a later one closes a
+    cycle with LoadOp, an older one with the from-read edge to the
+    latest. *)
+
 val real_time : History.t -> Rel.t
 (** Real-time precedence from operation intervals: [a] before [b] when
     [a]'s response strictly precedes [b]'s invocation.  Empty when the

@@ -1,8 +1,8 @@
 (** The catalogue of memory models: the fixed built-ins, family
     exemplars, and on-demand instantiation of parameterized families
-    through the {!Model_ref} grammar.  Every model but [tso-op]
-    ({!Tso_operational}) is defined here, as one table row: key, name,
-    description and {!Model.params} quadruple.
+    through the {!Model_ref} grammar.  Every model is defined here, as
+    one table row: key, name, description and {!Model.params}
+    quadruple.
 
     Keys are the CLI identifiers ([atomic], [sc], [tso], [pc],
     [rc-sc], [rc-pc], [wo], [pc-g], [pc-part(blocks=k)], [causal],
@@ -21,9 +21,9 @@ val comparable : Model.t list
     PRAM — the inputs to the lattice reconstruction. *)
 
 val certifiable : Model.t list
-(** The catalogued models declaring a parameter quadruple
-    ({!Model.params}).  Exactly these can emit verdict certificates
-    checkable by {!Smem_cert.Kernel}. *)
+(** {!all}: every model has a quadruple, so every one emits verdict
+    certificates checkable by {!Smem_cert.Kernel}.  Kept as a name
+    because perfbench/load.ml reads it. *)
 
 (** {1 Families} *)
 
@@ -46,9 +46,11 @@ val resolve : string -> (Model.t, string) result
 (** Resolve a key or model reference: an exact catalogue key first,
     then the {!Model_ref} grammar against {!families} (instances are
     memoized, so resolving the same reference twice yields the same
-    [Model.t] and one shared verdict-cache line).  [Error] carries the
-    parse or instantiation failure, or an unknown-name message with a
-    did-you-mean suggestion. *)
+    [Model.t] and one shared verdict-cache line).  A key padded with
+    whitespace, which the grammar tolerates around a token, resolves
+    to its model.  [Error] carries the parse or instantiation failure,
+    arguments given to a catalogue key, or an unknown-name message
+    with a did-you-mean suggestion. *)
 
 val find : string -> Model.t option
 (** [resolve] with the reason discarded. *)
@@ -58,4 +60,5 @@ val keys : unit -> string list
 
 val suggest : string -> string option
 (** The closest catalogue key or family name within edit distance 3,
-    if any — the did-you-mean candidate for an unknown name. *)
+    other than the name itself, if any — the did-you-mean candidate for
+    an unknown name. *)

@@ -37,28 +37,25 @@ let absorb_violations acc violations =
   List.fold_left
     (fun acc (v : Oracle.violation) ->
       let acc = { acc with violations = acc.violations @ [ v ] } in
-      match v.Oracle.certificate with
-      | None -> acc
-      | Some c -> (
-          match Smem_cert.Kernel.verify c with
-          | Ok Smem_cert.Kernel.Complete ->
-              { acc with certified = acc.certified + 1 }
-          | Ok (Smem_cert.Kernel.Unverified_cap _) ->
-              (* The kernel accepted on the frontier cross-check alone:
-                 count it apart so a campaign full of capped acceptances
-                 cannot read as fully re-verified. *)
-              {
-                acc with
-                certified = acc.certified + 1;
-                cert_unverified_cap = acc.cert_unverified_cap + 1;
-              }
-          | Error e ->
-              {
-                acc with
-                cert_failures =
-                  acc.cert_failures
-                  @ [ Printf.sprintf "case %d: %s" v.Oracle.case e ];
-              }))
+      match Smem_cert.Kernel.verify v.Oracle.certificate with
+      | Ok Smem_cert.Kernel.Complete ->
+          { acc with certified = acc.certified + 1 }
+      | Ok (Smem_cert.Kernel.Unverified_cap _) ->
+          (* The kernel accepted on the frontier cross-check alone:
+             count it apart so a campaign full of capped acceptances
+             cannot read as fully re-verified. *)
+          {
+            acc with
+            certified = acc.certified + 1;
+            cert_unverified_cap = acc.cert_unverified_cap + 1;
+          }
+      | Error e ->
+          {
+            acc with
+            cert_failures =
+              acc.cert_failures
+              @ [ Printf.sprintf "case %d: %s" v.Oracle.case e ];
+          })
     acc violations
 
 (* One history through the lattice oracle (and, when configured, the

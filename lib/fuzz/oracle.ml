@@ -19,7 +19,7 @@ type violation = {
   shrunk : H.t;
   shrink_steps : int;
   test : Test.t;
-  certificate : Cert.t option;
+  certificate : Cert.t;
 }
 
 (* Route verdict queries through a caching {!Smem_serve.Service} when
@@ -81,7 +81,7 @@ let soundness ?service ~case machine h =
     (* A forbidden certificate for the shrunk repro: the claim being
        violated is exactly "the model rejects this machine trace", and
        the kernel can re-refute it independently. *)
-    let certificate = Cert.certify model ~name:test.Test.name shrunk in
+    let certificate = Cert.make model ~name:test.Test.name shrunk in
     Some
       {
         kind = Unsound { machine = machine_name; model = model.Model.key };
@@ -136,7 +136,7 @@ let lattice ?service ?pairs ~case h =
         in
         (* The half of the broken containment a certificate can carry:
            the stronger model's witness that the history is allowed. *)
-        let certificate = Cert.certify stronger ~name:test.Test.name shrunk in
+        let certificate = Cert.make stronger ~name:test.Test.name shrunk in
         Some
           {
             kind =
@@ -156,8 +156,8 @@ let lattice ?service ?pairs ~case h =
       end)
     pairs
 
-(* The engines differential: for every model with a parameter triple,
-   the constraint-propagation engine and the enumerator must return
+(* The engines differential: for every model, the constraint-propagation
+   engine and the enumerator must return
    the same verdict.  Deliberately bypasses the service
    cache and {!Model.witness_of} dispatch — the point is to run BOTH
    engines on the same history, whatever the process-global mode. *)
@@ -193,7 +193,7 @@ let engines ~case h =
         in
         (* The enumerator's certificate for the shrunk repro: the kernel
            arbitrates which engine is wrong. *)
-        let certificate = Cert.certify m ~name:test.Test.name shrunk in
+        let certificate = Cert.make m ~name:test.Test.name shrunk in
         Some
           {
             kind =
@@ -206,7 +206,7 @@ let engines ~case h =
             certificate;
           }
       end)
-    Smem_core.Registry.certifiable
+    Smem_core.Registry.all
 
 let pp_kind ppf = function
   | Unsound { machine; model } ->
@@ -225,11 +225,8 @@ let pp_violation ppf v =
     "@[<v>%a (case %d)@,original:@,%a@,shrunk (%d step(s)):@,%a@,replay:@,%s%s@]"
     pp_kind v.kind v.case H.pp v.original v.shrink_steps H.pp v.shrunk
     (String.trim (Smem_litmus.Print.to_string v.test))
-    (match v.certificate with
-    | None -> ""
-    | Some c ->
-        Printf.sprintf "\ncertificate: %s verdict for model %s" 
-          (match c.Cert.verdict with
-          | Cert.Allowed -> "allowed"
-          | Cert.Forbidden -> "forbidden")
-          c.Cert.model)
+    (Printf.sprintf "\ncertificate: %s verdict for model %s"
+       (match v.certificate.Cert.verdict with
+       | Cert.Allowed -> "allowed"
+       | Cert.Forbidden -> "forbidden")
+       v.certificate.Cert.model)

@@ -36,11 +36,10 @@ type violation = {
   shrunk : Smem_core.History.t;
   shrink_steps : int;
   test : Smem_litmus.Test.t;  (** replayable litmus form of [shrunk] *)
-  certificate : Smem_cert.Cert.t option;
+  certificate : Smem_cert.Cert.t;
       (** kernel-checkable evidence for the shrunk repro: the model's
           forbidden certificate for an unsoundness, the stronger model's
-          allowed certificate for a broken containment.  [None] when the
-          judging model is not certifiable. *)
+          allowed certificate for a broken containment. *)
 }
 
 val soundness :

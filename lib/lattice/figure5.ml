@@ -77,11 +77,13 @@ let hasse =
     edge "causal-coh" "pc-g";
     edge "pram" "slow";
     edge "slow" "local";
-    (* An SC serialization replays on the store-buffer machine, and its
-       writers satisfy every session guarantee, writes-follow-reads
-       included.  Object causal memory is causal memory when every
-       location is a register. *)
-    edge "sc" "tso-op";
+    (* A TSO witness is a SPARC TSO witness: ppo contains LoadOp and
+       StoreStore and puts every own earlier write to a read's location
+       before it, so the value axiom's edges hold without forwarding.
+       An SC serialization's writers satisfy every session guarantee,
+       writes-follow-reads included.  Object causal memory is causal
+       memory when every location is a register. *)
+    edge "tso" "tso-op";
     edge "sc" "session(ryw,mr,mw,wfr)";
     edge ~guard:Registers_only "causal" "causal-obj";
     edge ~guard:Registers_only "causal-obj" "causal";

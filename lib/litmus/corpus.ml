@@ -216,9 +216,10 @@ let sb_rfi =
     ~doc:
       "Store buffering where each processor first reads its own write \
        back.  The SPARC TSO machine allows it (reads are satisfied from \
-       the store buffer), and so does our operational replay — but the \
-       paper's view-based TSO forbids it: a view is a single sequence, so \
-       the own read cannot precede the globally serialized own write.  \
+       the store buffer), and so does tso-op, SPARC's axioms as a \
+       quadruple — but the paper's view-based TSO forbids it: a view is a \
+       single sequence, so the own read cannot precede the globally \
+       serialized own write.  \
        This is a counterexample to the paper's claimed equivalence with \
        the axiomatic TSO of Sindhu et al.; see EXPERIMENTS.md."
     ~expect:

@@ -8,8 +8,9 @@ let m_partial_batches = Metrics.counter "serve.partial_batches"
 let m_parse_errors = Metrics.counter "serve.parse_errors"
 let m_task_failures = Metrics.counter "serve.task_failures"
 
-(* One parsed line: either a request or its in-position bad-request
-   reply, tagged with the protocol version the client spoke so the
+(* One parsed line: either a request or its in-position error reply
+   ([bad-request], or [unknown-model] for a malformed structured model
+   reference), tagged with the protocol version the client spoke so the
    response comes back in the same version.  A line too broken to
    reveal its version is answered in v1, the lowest common
    denominator.  Arrival numbering is per session (per connection),
@@ -17,18 +18,18 @@ let m_task_failures = Metrics.counter "serve.task_failures"
    own. *)
 type parsed =
   | Req of int * Wire.proto * Smem_api.Request.t
-  | Bad of int * string
+  | Bad of int * Response.error_code * string
 
 let parse_line next_id line =
   incr next_id;
   let arrival = !next_id in
-  match Wire.parse_request_line line with
-  | Error message ->
+  match Wire.decode_request_line line with
+  | Error (code, message) ->
       Metrics.incr m_parse_errors;
-      Bad (arrival, message)
+      Bad (arrival, code, message)
   | Ok (id, proto, req) -> Req (Option.value id ~default:arrival, proto, req)
 
-let id_of_parsed = function Req (id, _, _) | Bad (id, _) -> id
+let id_of_parsed = function Req (id, _, _) | Bad (id, _, _) -> id
 let proto_of_parsed = function Req (_, proto, _) -> proto | Bad _ -> Wire.V1
 
 let internal_error id e =
@@ -42,8 +43,7 @@ let internal_error id e =
    [internal] error in position, never the session. *)
 let run_parsed service p =
   match p with
-  | Bad (id, message) ->
-      Response.error ~id ~code:Response.Bad_request message
+  | Bad (id, code, message) -> Response.error ~id ~code message
   | Req (id, _, req) -> (
       try Service.handle ~id service req
       with e -> internal_error id e)

@@ -351,32 +351,21 @@ let distinguish t a b scopes =
         }
 
 let certify test model format =
-  match
-    Smem_cert.Cert.certify model ~name:test.Test.name test.Test.history
-  with
-  | None ->
+  let cert = Smem_cert.Cert.make model ~name:test.Test.name test.Test.history in
+  match Smem_cert.Kernel.verify cert with
+  | Error reason ->
       Error
         {
-          code = Response.Uncertifiable;
-          message =
-            model.Model.key
-            ^ " declares no parameter quadruple; it cannot be certified";
+          code = Response.Rejected;
+          message = "kernel rejected the certificate: " ^ reason;
         }
-  | Some cert -> (
-      match Smem_cert.Kernel.verify cert with
-      | Error reason ->
-          Error
-            {
-              code = Response.Rejected;
-              message = "kernel rejected the certificate: " ^ reason;
-            }
-      | Ok _ ->
-          Ok
-            (Response.Certificate
-               {
-                 format = (match format with `Sexp -> "sexp" | `Json -> "json");
-                 body = Smem_cert.Cert.to_string ~format cert;
-               }))
+  | Ok _ ->
+      Ok
+        (Response.Certificate
+           {
+             format = (match format with `Sexp -> "sexp" | `Json -> "json");
+             body = Smem_cert.Cert.to_string ~format cert;
+           })
 
 (* The model catalogue, from the registry — the single source of truth
    the CLI table and docs/API.md's model listing are generated from. *)
@@ -390,7 +379,7 @@ let catalogue () =
               Response.key = m.Model.key;
               name = m.Model.name;
               description = m.Model.description;
-              params = Option.map Model.params_strings m.Model.params;
+              params = Model.params_strings m.Model.params;
             })
           Registry.all;
       families =

@@ -64,6 +64,6 @@ val check_model :
 
 val handle : ?id:int -> t -> Smem_api.Request.t -> Smem_api.Response.t
 (** Execute one request.  Never raises on bad input — unknown models or
-    tests, unparseable litmus text, uncertifiable models and
-    kernel-rejected certificates all come back as structured
+    tests, unparseable litmus text and kernel-rejected certificates
+    all come back as structured
     {!Smem_api.Response.Error} payloads. *)

@@ -38,18 +38,16 @@ let m_stale = Metrics.counter "store.stale"
 let header = "# smem-store/2"
 
 (* The definition a verdict is decided under: the rendered parameter
-   quadruple, or for tso-op, the catalogue's one model without a
-   quadruple, the version string kept beside its code. *)
+   quadruple. *)
 let fingerprint key =
   match Smem_core.Registry.resolve key with
   | Error _ -> None
   | Ok m ->
       let definition =
-        match m.Model.params with
-        | Some p ->
-            String.concat ";"
-              (List.map (fun (k, v) -> k ^ "=" ^ v) (Model.params_strings p))
-        | None -> Smem_core.Tso_operational.version
+        String.concat ";"
+          (List.map
+             (fun (k, v) -> k ^ "=" ^ v)
+             (Model.params_strings m.Model.params))
       in
       Some (String.sub (Digest.to_hex (Digest.string definition)) 0 16)
 

@@ -35,9 +35,8 @@ val attach : path:string -> Smem_cache.Cache.t -> t
 
 val fingerprint : string -> string option
 (** [fingerprint key]: 16 hex digits of the MD5 of the model's rendered
-    parameter quadruple ({!Smem_core.Model.params_strings}), or of
-    {!Smem_core.Tso_operational.version} for tso-op; [None] when [key]
-    does not resolve (its records never replay). *)
+    parameter quadruple ({!Smem_core.Model.params_strings}); [None] when
+    [key] does not resolve (its records never replay). *)
 
 val replayed : t -> int
 (** Records loaded into the cache at {!attach} time. *)

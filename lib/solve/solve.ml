@@ -507,12 +507,16 @@ let witness_params (p : Model.params) h =
   ctx.found
 
 let witness (m : Model.t) h =
-  match m.Model.params with
+  let p = m.Model.params in
+  match p.Model.legality with
   (* Object legality replays sequential object specifications; the
      propagation graphs and from-read rules here are register-minded (a
      queue dequeue consumes state, so value-match pruning does not
-     transfer): the enumerator decides those. *)
-  | Some p when p.Model.legality <> Model.Object_legal ->
+     transfer).  Under store forwarding a read's reads-from edge may be
+     absent from its view, which the rf propagation here assumes
+     present.  The enumerator decides both. *)
+  | Model.Object_legal | Model.Forwarding -> m.Model.witness h
+  | Model.Value_legal | Model.Writer_legal ->
       Smem_obs.Trace.span ~cat:"solve"
         ~args:
           [
@@ -521,7 +525,6 @@ let witness (m : Model.t) h =
           ]
         ("solve/" ^ m.Model.key)
       @@ fun () -> witness_params p h
-  | _ -> m.Model.witness h
 
 let check m h = Option.is_some (witness m h)
 let install () = Model.register_solver witness

@@ -20,9 +20,8 @@
     ([Smem_fuzz.Oracle.engines]) tests the equivalence continuously. *)
 
 val witness : Smem_core.Model.t -> Smem_core.History.t -> Smem_core.Witness.t option
-(** The solver's witness search.  Falls back to the model's own witness
-    function when the model declares no parameter triple, and to the
-    enumerator for object legality. *)
+(** The solver's witness search.  Hands object legality and store
+    forwarding to the enumerator (the model's own witness function). *)
 
 val check : Smem_core.Model.t -> Smem_core.History.t -> bool
 

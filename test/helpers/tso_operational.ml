@@ -1,3 +1,15 @@
+(* The operational TSO replay that decided tso-op before tso-op became
+   a parameter quadruple: §3.2's per-processor FIFO store buffers in
+   front of a single-ported shared memory.  A history is accepted iff
+   some interleaving of issue and buffer-flush steps replays it, each
+   read returning the newest buffered value for its location, or the
+   memory value when none is buffered.  Kept as the differential
+   reference of the quadruple (test_models' "tso-op reference" cases
+   and test/tso_reference.exe): on every history both must agree. *)
+
+module History = Smem_core.History
+module Op = Smem_core.Op
+
 (* State of the replay: how far each processor has issued, the pending
    store buffers (front = oldest), and the shared memory contents. *)
 type state = {
@@ -7,7 +19,11 @@ type state = {
 }
 
 let clone s =
-  { ptr = Array.copy s.ptr; buffers = Array.copy s.buffers; memory = Array.copy s.memory }
+  {
+    ptr = Array.copy s.ptr;
+    buffers = Array.copy s.buffers;
+    memory = Array.copy s.memory;
+  }
 
 let buffered_value buffer loc =
   (* Newest buffered write to [loc]: scan from the back. *)
@@ -75,22 +91,3 @@ let check h =
       buffers = Array.make nprocs [];
       memory = Array.make (max 1 nlocs) 0;
     }
-
-let version = "tso-op/1"
-
-(* No parameter quadruple: the verdict comes from state-space replay, not
-   from view construction, so there is no witness an independent kernel
-   could re-validate — the model is deliberately uncertifiable (its role
-   is to cross-validate the view-based TSO, which is). *)
-let model =
-  Model.make ~key:"tso-op" ~name:"TSO (operational replay)"
-    ~description:
-      "Store-buffer machine replay of the history: per-processor FIFO \
-       buffers over a single-ported memory (cross-validates the \
-       view-based TSO characterization)."
-    (fun h ->
-      if check h then
-        Some
-          (Witness.per_proc []
-             ~notes:(fun () -> [ "accepted by store-buffer replay" ]))
-      else None)

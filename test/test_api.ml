@@ -154,6 +154,58 @@ let request_versions_agree () =
   | Error e, _ -> Alcotest.failf "v1 line rejected: %s" e
   | _, Error e -> Alcotest.failf "v2 line rejected: %s" e
 
+(* A structured reference's family, argument names and values must
+   each keep the reference grammar's name rule, or the canonical string
+   would read back differently: an argument named "ryw,mr" printed as
+   session(ryw,mr), two flags, and a value "2) " made a reference the
+   grammar reported as "pc-part(blocks=2) )".  Such a line is answered
+   unknown-model, and the message names the field.  Whitespace the
+   grammar tolerates around a token is trimmed: {"family":" sc "} is
+   sc. *)
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+let request_malformed_refs () =
+  let line refs =
+    Printf.sprintf
+      {|{"schema":"smem-api/2","version":2,"kind":"check","test":{"corpus":"mp"},"models":[%s]}|}
+      refs
+  in
+  List.iter
+    (fun (refs, field) ->
+      match Wire.decode_request_line (line refs) with
+      | Error (Response.Unknown_model, message) ->
+          check Alcotest.bool
+            (Printf.sprintf "%s names %S" message field)
+            true
+            (contains message field)
+      | Error (code, message) ->
+          Alcotest.failf "%s answered %s: %s" refs
+            (Response.error_code_to_string code)
+            message
+      | Ok (_, _, r) ->
+          Alcotest.failf "%s decoded to %s" refs
+            (Format.asprintf "%a" Request.pp r))
+    [
+      ({|{"family":"session","args":[{"name":"ryw,mr"}]}|}, "argument name");
+      ( {|{"family":"pc-part","args":[{"name":"blocks","value":"2) "}]}|},
+        "value \"2) \"" );
+      ({|{"family":"sc mp"}|}, "family");
+    ];
+  match
+    Wire.decode_request_line
+      (line
+         {|{"family":" sc "},{"family":"pc-part","args":[{"name":" blocks ","value":" 2"}]}|})
+  with
+  | Ok (_, _, Request.Check { models; _ }) ->
+      check
+        Alcotest.(list string)
+        "trimmed" [ "sc"; "pc-part(blocks=2)" ] models
+  | Ok _ -> Alcotest.fail "wrong request"
+  | Error (_, message) -> Alcotest.failf "padded names refused: %s" message
+
 let request_garbage_rejected () =
   List.iter
     (fun line ->
@@ -218,19 +270,24 @@ let all_responses =
                  name = "Sequential Consistency";
                  description = "one total order";
                  params =
-                   Some
-                     [
-                       ("population", "shared-all");
-                       ("ordering", "po");
-                       ("mutual", "none");
-                       ("legality", "value");
-                     ];
+                   [
+                     ("population", "shared-all");
+                     ("ordering", "po");
+                     ("mutual", "none");
+                     ("legality", "writer");
+                   ];
                };
                {
                  Response.key = "tso-op";
-                 name = "TSO (operational)";
-                 description = "machine replay";
-                 params = None;
+                 name = "SPARC Total Store Ordering";
+                 description = "store forwarding";
+                 params =
+                   [
+                     ("population", "own+writes");
+                     ("ordering", "loadop-storestore");
+                     ("mutual", "global-write-order");
+                     ("legality", "forwarding");
+                   ];
                };
              ];
            families =
@@ -288,11 +345,14 @@ let error_code_strings () =
                   (Response.error_code_to_string c))
     Response.
       [
-        Bad_request; Unknown_model; Unknown_test; Uncertifiable; Too_large;
-        Rejected; Internal;
+        Bad_request; Unknown_model; Unknown_test; Too_large; Rejected;
+        Internal;
       ];
   check Alcotest.bool "unknown code" true
-    (Response.error_code_of_string "flaky" = None)
+    (Response.error_code_of_string "flaky" = None);
+  (* Every model certifies, so the code is retired. *)
+  check Alcotest.bool "uncertifiable retired" true
+    (Response.error_code_of_string "uncertifiable" = None)
 
 let response_lines_are_single_lines () =
   List.iter
@@ -488,6 +548,7 @@ let () =
           tc "schema checked" request_schema_checked;
           tc "versions agree" request_versions_agree;
           tc "garbage rejected" request_garbage_rejected;
+          tc "malformed model references" request_malformed_refs;
           tc "response roundtrip" response_roundtrip;
           tc "v1 byte shape" response_v1_shape;
           tc "response ok" response_ok;

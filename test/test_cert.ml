@@ -21,18 +21,18 @@ let model key =
   | Some m -> m
   | None -> Alcotest.failf "model %s missing" key
 
-(* Every corpus test certified under every certifiable model — the same
-   matrix `smem corpus --certify` emits. *)
+(* Every corpus test certified under every model — the same matrix
+   `smem corpus --certify` emits. *)
 let corpus_certs =
   lazy
     (List.concat_map
        (fun (t : Test.t) ->
-         List.filter_map
+         List.map
            (fun m ->
-             Option.map
-               (fun c -> (t.Test.name, m.Model.key, c))
-               (Cert.certify m ~name:t.Test.name t.Test.history))
-           Registry.certifiable)
+             ( t.Test.name,
+               m.Model.key,
+               Cert.make m ~name:t.Test.name t.Test.history ))
+           Registry.all)
        Corpus.all)
 
 (* ---------------- serialization ---------------- *)
@@ -85,18 +85,10 @@ let kernel_accepts_corpus () =
     (Lazy.force corpus_certs);
   check Alcotest.bool "matrix is non-trivial" true (!n > 100)
 
-let certify_skips_operational () =
-  let t = List.hd Corpus.all in
-  check Alcotest.bool "tso-op has no certificate" true
-    (Cert.certify (model "tso-op") ~name:t.Test.name t.Test.history = None)
-
 (* ---------------- adversarial mutations ---------------- *)
 
 (* Helpers to certify an in-test history and tear its evidence open. *)
-let certified m h =
-  match Cert.certify m h with
-  | Some c -> c
-  | None -> Alcotest.failf "model %s not certifiable" m.Model.key
+let certified m h = Cert.make m h
 
 let witness_of c =
   match c.Cert.evidence with
@@ -200,6 +192,73 @@ let mutate_forged_forbidden () =
       Cert.verdict = Cert.Forbidden;
       evidence = Cert.Frontier { rf_maps; co_orders };
     }
+
+(* ---------------- store forwarding ---------------- *)
+
+let corpus_history name =
+  match Corpus.find name with
+  | Some t -> t.Test.history
+  | None -> Alcotest.failf "corpus test %s missing" name
+
+(* tso-op is SPARC TSO as a quadruple: sb+rfi, which needs each own read
+   forwarded from the store buffer, is allowed with a witness the kernel
+   re-checks, and mp is refuted by the kernel's own search. *)
+let tso_op_certifies () =
+  List.iter
+    (fun (name, verdict) ->
+      let c = certified (model "tso-op") (corpus_history name) in
+      check Alcotest.bool (name ^ " verdict") true (c.Cert.verdict = verdict);
+      match Kernel.verify c with
+      | Ok a ->
+          check Alcotest.bool (name ^ " complete") true (a = Kernel.Complete)
+      | Error e -> Alcotest.failf "%s: kernel rejected: %s" name e)
+    [ ("sb+rfi", Cert.Allowed); ("mp", Cert.Forbidden) ]
+
+(* Every tso-op cell of a generated corpus certifies, and the kernel
+   re-checks it: completely up to its search cap. *)
+let tso_op_certifies_generated () =
+  let tso_op = model "tso-op" in
+  List.iter
+    (fun (t : Test.t) ->
+      let c = certified tso_op t.Test.history in
+      match Kernel.verify c with
+      | Ok a ->
+          if H.nops t.Test.history <= Kernel.default_max_search_ops then
+            check Alcotest.bool (t.Test.name ^ " complete") true
+              (a = Kernel.Complete)
+      | Error e -> Alcotest.failf "%s: kernel rejected: %s" t.Test.name e)
+    (Smem_corpus.Corpus.generate ~seed:42 ~count:500 ())
+
+(* ids: 0 = w x 1, 1 = w x 1, 2 = r x 1, all on processor 0.  The read
+   is forwarded the latest write, id 1.  Re-pointed at the older id 0
+   and placed between the two, a replay without the value axiom's
+   buffer would accept it: memory holds id 0 there. *)
+let mutate_forged_forwarding () =
+  let h = H.make [ [ H.write "x" 1; H.write "x" 1; H.read "x" 1 ] ] in
+  let c = certified (model "tso-op") h in
+  check Alcotest.bool "baseline accepted" true
+    (Result.is_ok (Kernel.verify c));
+  let _, _, sync, notes = witness_of c in
+  rejected "forwarded read re-pointed at an older own write"
+    {
+      c with
+      Cert.evidence =
+        Cert.Witness
+          { views = [ (0, [ 0; 2; 1 ]) ]; rf = [ (2, 0) ]; sync; notes };
+    }
+
+(* ids: 0 = w x 1, 1 = r x 2 on processor 0; 2 = w x 2 on processor 1.
+   The read is not forwarded (its writer is not its processor's), so
+   its own earlier write to x must precede it.  Placed before it,
+   straight after its writer, the read passes a replay without the
+   buffer, and the views agree on the write order 2, 0. *)
+let mutate_read_before_own_write () =
+  let h = H.make [ [ H.write "x" 1; H.read "x" 2 ]; [ H.write "x" 2 ] ] in
+  let c = certified (model "tso-op") h in
+  check Alcotest.bool "baseline accepted" true
+    (Result.is_ok (Kernel.verify c));
+  rejected "read placed before its own earlier write"
+    (with_views c [ (0, [ 2; 1; 0 ]); (1, [ 2; 0 ]) ])
 
 (* ---------------- the extended families ---------------- *)
 
@@ -319,14 +378,11 @@ let search_matches_engine () =
       if H.nops t.Test.history <= Kernel.default_max_search_ops then
         List.iter
           (fun (m : Model.t) ->
-            match m.Model.params with
-            | None -> ()
-            | Some p ->
-                check Alcotest.bool
-                  (Printf.sprintf "%s/%s" t.Test.name m.Model.key)
-                  (Model.check m t.Test.history)
-                  (Kernel.search p t.Test.history))
-          (Registry.certifiable @ Smem_testlib.Helpers.composed))
+            check Alcotest.bool
+              (Printf.sprintf "%s/%s" t.Test.name m.Model.key)
+              (Model.check m t.Test.history)
+              (Kernel.search m.Model.params t.Test.history))
+          (Registry.all @ Smem_testlib.Helpers.composed))
     Corpus.all
 
 let () =
@@ -341,7 +397,8 @@ let () =
       ( "kernel",
         [
           tc "accepts every engine certificate" kernel_accepts_corpus;
-          tc "operational models are uncertifiable" certify_skips_operational;
+          tc "tso-op certifies sb+rfi, refutes mp" tso_op_certifies;
+          tc "tso-op certifies a generated corpus" tso_op_certifies_generated;
           tc "independent search matches the engine" search_matches_engine;
           tc "search cap surfaces Unverified_cap" cap_surfaces_unverified;
           tc "extended-family instances certify" new_family_certs;
@@ -357,5 +414,7 @@ let () =
           tc "forged forbidden verdict" mutate_forged_forbidden;
           tc "pc-part view-scope violation" mutate_pc_part_scope;
           tc "session stale read" mutate_session_stale_read;
+          tc "forged forwarded read" mutate_forged_forwarding;
+          tc "read before its own write" mutate_read_before_own_write;
         ] );
     ]

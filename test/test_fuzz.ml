@@ -86,6 +86,7 @@ let figure5_closure () =
   check Alcotest.bool "no tso <= causal-coh" true (find "tso" "causal-coh" = None);
   check Alcotest.bool "no wo <= rc-pc" true (find "wo" "rc-pc" = None);
   (* every catalogue model is a node *)
+  assert_pair "tso" "tso-op" [];
   assert_pair "sc" "tso-op" [];
   assert_pair "atomic" "tso-op" [];
   assert_pair "sc" "session(ryw,mr,mw,wfr)" [];
@@ -94,8 +95,8 @@ let figure5_closure () =
   assert_pair "causal-obj" "causal" registers;
   assert_pair "tso" "causal-obj" registers;
   assert_pair "causal-obj" "local" registers;
-  check Alcotest.bool "no tso <= tso-op (not proved)" true
-    (find "tso" "tso-op" = None);
+  check Alcotest.bool "no tso-op <= tso (sb+rfi)" true
+    (find "tso-op" "tso" = None);
   check Alcotest.bool "no self-pair" true
     (List.for_all
        (fun (c : Figure5.containment) -> c.stronger <> c.weaker)
@@ -107,8 +108,8 @@ let figure5_closure () =
         true
         (List.mem m.Model.key Figure5.model_keys))
     Registry.all;
-  (* atomic reaches all twenty others (seven conditionally); 97 pairs
-     in total across the twenty-one-node lattice: 82 unconditional, 11
+  (* atomic reaches all twenty others (seven conditionally); 98 pairs
+     in total across the twenty-one-node lattice: 83 unconditional, 11
      on registers only, 4 where acquires read unmixed locations *)
   let count gs =
     List.length
@@ -116,8 +117,8 @@ let figure5_closure () =
          (fun (c : Figure5.containment) -> c.guards = gs)
          Figure5.containments)
   in
-  check Alcotest.int "97 containments" 97 (List.length Figure5.containments);
-  check Alcotest.int "82 unconditional" 82 (count []);
+  check Alcotest.int "98 containments" 98 (List.length Figure5.containments);
+  check Alcotest.int "83 unconditional" 83 (count []);
   check Alcotest.int "11 on registers only" 11 (count registers);
   check Alcotest.int "4 on unmixed acquires" 4 (count unmixed)
 
@@ -410,14 +411,10 @@ let prop_certificates_accepted =
     small_history_arb (fun h ->
       List.for_all
         (fun (m : Model.t) ->
-          match Cert.certify m h with
-          | None -> QCheck.Test.fail_reportf "%s not certifiable" m.Model.key
-          | Some c -> (
-              match Kernel.verify c with
-              | Ok a -> a = Kernel.Complete
-              | Error e ->
-                  QCheck.Test.fail_reportf "%s rejected: %s" m.Model.key e))
-        Registry.certifiable)
+          match Kernel.verify (Cert.make m h) with
+          | Ok a -> a = Kernel.Complete
+          | Error e -> QCheck.Test.fail_reportf "%s rejected: %s" m.Model.key e)
+        Registry.all)
 
 (* The kernel's from-scratch search must agree with every engine verdict
    on small histories: the two deciders share only the parameter
@@ -426,11 +423,8 @@ let prop_kernel_search_agrees =
   QCheck.Test.make ~name:"kernel search agrees with the engine" ~count:120
     small_history_arb (fun h ->
       List.for_all
-        (fun (m : Model.t) ->
-          match m.Model.params with
-          | None -> true
-          | Some p -> Kernel.search p h = Model.check m h)
-        Registry.certifiable)
+        (fun (m : Model.t) -> Kernel.search m.Model.params h = Model.check m h)
+        Registry.all)
 
 let violation_certificates () =
   (* The flipped-containment violation from above must ship a
@@ -438,16 +432,14 @@ let violation_certificates () =
   let pairs = [ (model "pram", model "sc") ] in
   match Oracle.lattice ~pairs ~case:0 (sb_padded ()) with
   | [ v ] -> (
-      match v.Oracle.certificate with
-      | None -> Alcotest.fail "violation carries no certificate"
-      | Some c -> (
-          check Alcotest.string "certified by the allowing model" "pram"
-            c.Cert.model;
-          check Alcotest.bool "allowed certificate" true
-            (c.Cert.verdict = Cert.Allowed);
-          match Kernel.verify c with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "kernel rejected the certificate: %s" e))
+      let c = v.Oracle.certificate in
+      check Alcotest.string "certified by the allowing model" "pram"
+        c.Cert.model;
+      check Alcotest.bool "allowed certificate" true
+        (c.Cert.verdict = Cert.Allowed);
+      match Kernel.verify c with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "kernel rejected the certificate: %s" e)
   | vs -> Alcotest.failf "expected exactly one violation, got %d" (List.length vs)
 
 let campaign_counts_certificates () =

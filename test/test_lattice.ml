@@ -141,7 +141,7 @@ let projection_edges_exhaustive () =
       ("causal-coh", "pc-g");
       ("pram", "slow");
       ("slow", "local");
-      ("sc", "tso-op");
+      ("tso", "tso-op");
       ("sc", "session(ryw,mr,mw,wfr)");
       ("causal", "causal-obj");
       ("causal-obj", "causal");

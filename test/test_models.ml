@@ -6,8 +6,9 @@
    - containment properties on random histories (the arrows of
      Figure 5, plus the extended family);
    - structural properties of witnesses;
-   - the TSO/operational-TSO relationship, including the store-forwarding
-     counterexample documented in EXPERIMENTS.md. *)
+   - the TSO/SPARC-TSO relationship, including the store-forwarding
+     counterexample documented in EXPERIMENTS.md, and tso-op's quadruple
+     against the store-buffer replay it replaced. *)
 
 module H = Smem_core.History
 module Model = Smem_core.Model
@@ -93,8 +94,8 @@ let causal_witness_valid () =
         w.Smem_core.Witness.views
 
 (* The store-forwarding counterexample: the paper's view-based TSO
-   rejects sb+rfi while the operational machine accepts it — the paper's
-   §3.2 equivalence claim fails on this history. *)
+   rejects sb+rfi while SPARC TSO and the store-buffer machine accept
+   it — the paper's §3.2 equivalence claim fails on this history. *)
 let tso_forwarding_divergence () =
   let h =
     match Corpus.find "sb+rfi" with
@@ -103,8 +104,43 @@ let tso_forwarding_divergence () =
   in
   check Alcotest.bool "view-based TSO forbids" false
     (Model.check (model "tso") h);
-  check Alcotest.bool "operational TSO allows" true
-    (Smem_core.Tso_operational.check h)
+  check Alcotest.bool "SPARC TSO allows" true (Model.check (model "tso-op") h);
+  check Alcotest.bool "store-buffer replay allows" true
+    (Smem_testlib.Tso_operational.check h)
+
+(* tso-op is SPARC TSO as a quadruple, and the store-buffer replay it
+   replaced (test/helpers) is its reference: the two agree on every
+   history of the standard scopes, of the labeled 2x2 scope and of the
+   built-in corpus.  The last history keeps an older own write to x
+   buffered behind the one its read is forwarded: a rule that ordered
+   that older write before the read would forbid it, since processor
+   2 sees y written before the first write to x reaches memory. *)
+let tso_op_equals_replay () =
+  let module Enumerate = Smem_lattice.Enumerate in
+  let tso_op = model "tso-op" in
+  let agree h =
+    if Model.check tso_op h <> Smem_testlib.Tso_operational.check h then
+      Alcotest.failf "tso-op and the store-buffer replay disagree on %a" H.pp
+        h
+  in
+  List.iter
+    (fun scope -> Enumerate.iter scope ~f:agree)
+    (Smem_lattice.Classify.standard_scopes
+    @ [
+        { Enumerate.procs = [ 2; 2 ]; nlocs = 2; max_value = 1; labeled = true };
+      ]);
+  List.iter (fun (t : Test.t) -> agree t.Test.history) Corpus.all;
+  let older_write_buffered =
+    H.make
+      [
+        [ H.write "x" 1; H.write "x" 2; H.read "x" 2; H.read "y" 0 ];
+        [ H.write "y" 1 ];
+        [ H.read "y" 1; H.read "x" 0 ];
+      ]
+  in
+  agree older_write_buffered;
+  check Alcotest.bool "an older own write stays buffered" true
+    (Model.check tso_op older_write_buffered)
 
 (* EXPERIMENTS.md finding 7: TSO is not contained in §7's coherent
    causal memory, though it is in causal memory and in coherence.
@@ -430,6 +466,7 @@ let () =
           tc "PRAM witness is valid" pram_witness_valid;
           tc "causal witness is valid" causal_witness_valid;
           tc "TSO store-forwarding divergence" tso_forwarding_divergence;
+          tc "tso-op = store-buffer replay" tso_op_equals_replay;
           tc "TSO not within causal-coh (three locations)"
             tso_not_within_causal_coh;
           tc "trivial history allowed everywhere" trivial_history_everywhere;

@@ -36,7 +36,7 @@ let model key =
 let enum_allows (m : Model.t) h = Option.is_some (m.Model.witness h)
 let solve_allows (m : Model.t) h = Solve.check m h
 
-let agree_everywhere ?(models = Registry.certifiable) ~what h =
+let agree_everywhere ?(models = Registry.all) ~what h =
   List.iter
     (fun (m : Model.t) ->
       let enum = enum_allows m h and solve = solve_allows m h in
@@ -55,12 +55,12 @@ let builtin_corpus_cases =
     (fun (t : Test.t) ->
       tc t.Test.name (fun () ->
           agree_everywhere
-            ~models:(Registry.certifiable @ Helpers.composed)
+            ~models:(Registry.all @ Helpers.composed)
             ~what:t.Test.name t.Test.history))
     Corpus.all
 
 (* The standard load: 500 deduplicated machine-execution tests, every
-   certifiable model, both engines (the same differential `smem fuzz
+   model, both engines (the same differential `smem fuzz
    --engines --corpus` runs in CI). *)
 let generated_corpus_differential () =
   let tests = Smem_corpus.Corpus.generate ~seed:42 ~count:500 ~max_ops:8 () in
@@ -107,7 +107,7 @@ let pp_witness h = function
 let same_as_reference ~what h =
   List.iter
     (fun (m : Model.t) ->
-      let p = Option.get m.Model.params in
+      let p = m.Model.params in
       let reference = Helpers.reference_witness p h in
       let expected = pp_witness h reference in
       let rf_order_free = not (Smem_core.Enum.rf_needed p) in
@@ -277,16 +277,13 @@ let solver_certificates_verify () =
         (fun (t : Test.t) ->
           List.iter
             (fun (m : Model.t) ->
-              match Cert.certify m t.Test.history with
-              | None -> ()
-              | Some c -> (
-                  incr n;
-                  match Kernel.verify c with
-                  | Ok _ -> ()
-                  | Error e ->
-                      Alcotest.failf "%s/%s: kernel rejected: %s" t.Test.name
-                        m.Model.key e))
-            Registry.certifiable)
+              incr n;
+              match Kernel.verify (Cert.make m t.Test.history) with
+              | Ok _ -> ()
+              | Error e ->
+                  Alcotest.failf "%s/%s: kernel rejected: %s" t.Test.name
+                    m.Model.key e)
+            Registry.all)
         Corpus.all;
       check Alcotest.bool "matrix is non-trivial" true (!n > 100))
 
