@@ -27,6 +27,8 @@ let kind = function
   | Certify _ -> "certify"
   | Models -> "models"
 
+let kinds = [ "check"; "corpus"; "classify"; "distinguish"; "certify"; "models" ]
+
 let pp_source ppf = function
   | Named n -> Format.fprintf ppf "%s" n
   | Inline _ -> Format.pp_print_string ppf "<inline>"

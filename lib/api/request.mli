@@ -47,4 +47,7 @@ val kind : t -> string
 (** Wire tag: [check], [corpus], [classify], [distinguish],
     [certify], [models]. *)
 
+val kinds : string list
+(** Every wire tag {!kind} returns. *)
+
 val pp : Format.formatter -> t -> unit

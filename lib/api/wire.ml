@@ -628,11 +628,42 @@ let parse_line of_json line =
   | Error e -> Error ("invalid JSON: " ^ e)
   | Ok j -> of_json j
 
-let decode_request_line line =
-  match parse_line decode_request line with
-  | Ok _ as ok -> ok
-  | Error message -> Error (Response.Bad_request, message)
-  | exception Bad_reference message -> Error (Response.Unknown_model, message)
+type rejection = {
+  proto : proto option;
+  id : int option;
+  kind : string option;
+  code : Response.error_code;
+  message : string;
+}
 
-let parse_request_line line = Result.map_error snd (decode_request_line line)
+(* What a rejected line revealed before its fault: the version once
+   its schema and version decode, then its id and a known kind. *)
+let rejection j code message =
+  match Option.map proto_of_json j with
+  | None | Some (Error _) ->
+      { proto = None; id = None; kind = None; code; message }
+  | Some (Ok proto) ->
+      let j = Option.get j in
+      let id =
+        match Json.member "id" j with Some (Json.Int n) -> Some n | _ -> None
+      in
+      let kind =
+        match Json.member "kind" j with
+        | Some (Json.Str k) when List.mem k Request.kinds -> Some k
+        | _ -> None
+      in
+      { proto = Some proto; id; kind; code; message }
+
+let decode_request_line line =
+  match Json.of_string line with
+  | Error e -> Error (rejection None Response.Bad_request ("invalid JSON: " ^ e))
+  | Ok j -> (
+      match decode_request j with
+      | Ok _ as ok -> ok
+      | Error message -> Error (rejection (Some j) Response.Bad_request message)
+      | exception Bad_reference message ->
+          Error (rejection (Some j) Response.Unknown_model message))
+
+let parse_request_line line =
+  Result.map_error (fun r -> r.message) (decode_request_line line)
 let parse_response_line line = parse_line response_of_json line

@@ -58,13 +58,24 @@ val request_line : ?proto:proto -> ?id:int -> Request.t -> string
 
 val response_line : ?proto:proto -> Response.t -> string
 
+type rejection = {
+  proto : proto option;
+      (** the version the line spoke, once its [schema] and [version]
+          decode; [None] for a line too broken to reveal one *)
+  id : int option;  (** its integer [id], once the version decoded *)
+  kind : string option;  (** its [kind], once the version decoded, if known *)
+  code : Response.error_code;
+  message : string;
+}
+(** Why a request line was refused, and what it revealed first. *)
+
 val decode_request_line :
-  string ->
-  (int option * proto * Request.t, Response.error_code * string) result
-(** Parse a request line, with the code a failure is answered with:
-    [unknown-model] when a structured model reference's part breaks
-    {!Smem_core.Model_ref.valid_name} once trimmed (the message names
-    the field), [bad-request] otherwise. *)
+  string -> (int option * proto * Request.t, rejection) result
+(** Parse a request line.  A failure carries the code it is answered
+    with — [unknown-model] when a structured model reference's part
+    breaks {!Smem_core.Model_ref.valid_name} once trimmed (the message
+    names the field), [bad-request] otherwise — and what the line
+    revealed before its fault. *)
 
 val parse_request_line :
   string -> (int option * proto * Request.t, string) result

@@ -191,13 +191,14 @@ let rec events sc lineno a stop acc =
 type partial = {
   name : string;
   doc : string;
+  header : int;  (* the line of its [test] header *)
   mutable rows : H.event list list;  (* reversed *)
   mutable nrows : int;
   mutable expects : (string * Test.verdict) list;  (* reversed *)
 }
 
 let finish p =
-  if p.rows = [] then invalid_arg "empty test"
+  if p.rows = [] then fail p.header "test %S has no processor line" p.name
   else
     Test.make ~name:p.name ~doc:p.doc
       ~expect:(List.rev p.expects)
@@ -239,7 +240,8 @@ let line st lineno a stop =
             String.sub quoted 1 (l - 2)
           else fail lineno "expected a quoted string, got %S" quoted
       in
-      st.current <- Some { name; doc; rows = []; nrows = 0; expects = [] }
+      st.current <-
+        Some { name; doc; header = lineno; rows = []; nrows = 0; expects = [] }
     end
     else if k = 3 && word_is sc 0 "expect" then begin
       let p = with_current st lineno in

@@ -22,8 +22,7 @@
     the token it touches, and a run of spaces inside the doc reads as
     one.  Locations are numbered by first appearance, processor by
     processor.  The text is read in one pass; a test without a
-    processor line raises [Invalid_argument "empty test"] instead of
-    returning an error. *)
+    processor line is an error at the line of its [test] header. *)
 
 type error = { line : int; message : string }
 

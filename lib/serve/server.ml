@@ -13,24 +13,34 @@ let m_task_failures = Metrics.counter "serve.task_failures"
    reference), tagged with the protocol version the client spoke so the
    response comes back in the same version.  A line too broken to
    reveal its version is answered in v1, the lowest common
-   denominator.  Arrival numbering is per session (per connection),
-   starting at 1, and only used when the client sent no id of its
-   own. *)
+   denominator, under kind [error] and its arrival number, as an
+   smem-api/1 server answered every rejected line; a rejected v2 line
+   echoes its id and, once known, its kind.  Arrival numbering is per
+   session (per connection), starting at 1, and only used when the
+   client sent no id of its own. *)
 type parsed =
   | Req of int * Wire.proto * Smem_api.Request.t
-  | Bad of int * Response.error_code * string
+  | Bad of int * Wire.proto * Response.t
+
+let reply arrival (r : Wire.rejection) =
+  let error id = Response.error ~id ~code:r.code r.message in
+  match r.proto with
+  | Some Wire.V2 ->
+      let e = error (Option.value r.id ~default:arrival) in
+      Bad (arrival, Wire.V2, { e with kind = Option.value r.kind ~default:e.kind })
+  | Some Wire.V1 | None -> Bad (arrival, Wire.V1, error arrival)
 
 let parse_line next_id line =
   incr next_id;
   let arrival = !next_id in
   match Wire.decode_request_line line with
-  | Error (code, message) ->
+  | Error r ->
       Metrics.incr m_parse_errors;
-      Bad (arrival, code, message)
+      reply arrival r
   | Ok (id, proto, req) -> Req (Option.value id ~default:arrival, proto, req)
 
 let id_of_parsed = function Req (id, _, _) | Bad (id, _, _) -> id
-let proto_of_parsed = function Req (_, proto, _) -> proto | Bad _ -> Wire.V1
+let proto_of_parsed = function Req (_, proto, _) | Bad (_, proto, _) -> proto
 
 let internal_error id e =
   Metrics.incr m_task_failures;
@@ -43,7 +53,7 @@ let internal_error id e =
    [internal] error in position, never the session. *)
 let run_parsed service p =
   match p with
-  | Bad (id, code, message) -> Response.error ~id ~code message
+  | Bad (_, _, response) -> response
   | Req (id, _, req) -> (
       try Service.handle ~id service req
       with e -> internal_error id e)

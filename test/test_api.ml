@@ -176,12 +176,12 @@ let request_malformed_refs () =
   List.iter
     (fun (refs, field) ->
       match Wire.decode_request_line (line refs) with
-      | Error (Response.Unknown_model, message) ->
+      | Error { code = Response.Unknown_model; message; _ } ->
           check Alcotest.bool
             (Printf.sprintf "%s names %S" message field)
             true
             (contains message field)
-      | Error (code, message) ->
+      | Error { code; message; _ } ->
           Alcotest.failf "%s answered %s: %s" refs
             (Response.error_code_to_string code)
             message
@@ -204,7 +204,7 @@ let request_malformed_refs () =
         Alcotest.(list string)
         "trimmed" [ "sc"; "pc-part(blocks=2)" ] models
   | Ok _ -> Alcotest.fail "wrong request"
-  | Error (_, message) -> Alcotest.failf "padded names refused: %s" message
+  | Error { message; _ } -> Alcotest.failf "padded names refused: %s" message
 
 let request_garbage_rejected () =
   List.iter

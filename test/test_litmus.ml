@@ -400,14 +400,23 @@ let outcome parse text =
   | Error (e : Parse.error) -> Printf.sprintf "error line %d: %s" e.line e.message
   | exception e -> "raised " ^ Printexc.to_string e
 
+(* Where the reference raises on a test without a processor line, the
+   scanner reports that test at its header's line instead. *)
+let row_less got want =
+  want = "raised Invalid_argument(\"empty test\")"
+  && String.starts_with ~prefix:"error line " got
+  && String.ends_with ~suffix:"\" has no processor line" got
+
 let agrees text =
-  outcome Parse.tests_of_string text = outcome Ref_parse.tests_of_string text
+  let got = outcome Parse.tests_of_string text
+  and want = outcome Ref_parse.tests_of_string text in
+  got = want || row_less got want
 
 let check_agrees what text =
-  check Alcotest.string
-    (Printf.sprintf "%s: %S" what text)
-    (outcome Ref_parse.tests_of_string text)
-    (outcome Parse.tests_of_string text)
+  let got = outcome Parse.tests_of_string text
+  and want = outcome Ref_parse.tests_of_string text in
+  if not (row_less got want) then
+    check Alcotest.string (Printf.sprintf "%s: %S" what text) want got
 
 let printed =
   lazy
@@ -450,9 +459,12 @@ let scanner_quirks () =
   check Alcotest.int "a \\r ends no token" 2
     (parse_err "test t\r\np0: w x 1\r\n").Parse.line;
   (match Parse.tests_of_string "test a\ntest b\np0: w x 1\n" with
-  | exception Invalid_argument m ->
-      check Alcotest.string "a test without rows" "empty test" m
-  | _ -> Alcotest.fail "a test without rows was accepted");
+  | Error e ->
+      check Alcotest.int "a test without rows: its header's line" 1
+        e.Parse.line;
+      check Alcotest.string "a test without rows: the message"
+        "test \"a\" has no processor line" e.Parse.message
+  | Ok _ -> Alcotest.fail "a test without rows was accepted");
   List.iter (check_agrees "corner")
     [
       "";

@@ -697,6 +697,43 @@ let server_bad_line_in_position () =
   | Response.Error { code = Response.Bad_request; _ } -> ()
   | _ -> Alcotest.fail "middle response is not a bad-request error"
 
+(* A rejected line is answered in the version it revealed: a v2 line
+   whose only fault is a malformed structured model reference comes
+   back in v2, under its kind and id, as the same line naming an
+   unknown key does; a v1 line keeps the smem-api/1 answer (kind
+   [error], arrival number). *)
+let server_rejected_v2_line_in_kind () =
+  let module Json = Smem_obs.Json in
+  let out =
+    run_server
+      [
+        {|{"schema":"smem-api/2","version":2,"id":2,"kind":"check","test":{"corpus":"mp"},"models":[{"family":"session","args":[{"name":"ryw,mr"}]}]}|}
+        ^ "\n";
+        {|{"schema":"smem-api/1","id":9,"kind":"check","test":{"corpus":"mp"},"models":[{"family":"a b"}]}|}
+        ^ "\n";
+      ]
+  in
+  match List.map (fun l -> Json.of_string l |> Result.get_ok) out with
+  | [ v2; v1 ] ->
+      let field name j = Json.member name j in
+      check Alcotest.bool "v2 schema" true
+        (field "schema" v2 = Some (Json.Str Wire.schema));
+      check Alcotest.bool "v2 version" true
+        (field "version" v2 = Some (Json.Int Wire.version));
+      check Alcotest.bool "kind check" true
+        (field "kind" v2 = Some (Json.Str "check"));
+      check Alcotest.bool "id echoed" true (field "id" v2 = Some (Json.Int 2));
+      (match (Wire.parse_response_line (List.hd out) |> Result.get_ok).Response.payload with
+      | Response.Error { code = Response.Unknown_model; _ } -> ()
+      | _ -> Alcotest.fail "not an unknown-model error");
+      check Alcotest.bool "v1 schema kept" true
+        (field "schema" v1 = Some (Json.Str Wire.schema_v1));
+      check Alcotest.bool "v1 kind error" true
+        (field "kind" v1 = Some (Json.Str "error"));
+      check Alcotest.bool "v1 arrival number" true
+        (field "id" v1 = Some (Json.Int 2))
+  | _ -> Alcotest.fail "expected two responses"
+
 let server_second_pass_all_cached () =
   (* The serve-smoke CI property, in-process: the same corpus sent
      twice over one connection answers the second pass entirely from
@@ -1253,6 +1290,7 @@ let () =
         [
           tc "in-order responses, id echo" server_answers_in_order;
           tc "bad line answered in position" server_bad_line_in_position;
+          tc "rejected v2 line answered in v2" server_rejected_v2_line_in_kind;
           tc "second pass all cached" server_second_pass_all_cached;
           tc "partial batch answered without waiting" server_partial_batch;
           tc "malformed frame mid-stream" server_malformed_frame_mid_stream;
