@@ -127,46 +127,58 @@ let ref_name what s =
         (Bad_reference
            (Printf.sprintf "model ref: %s %S is not a model name" what s))
 
-let ref_of_json = function
-  | Json.Str s -> Ok s
+(* A malformed reference, as against one that names no model
+   ([Bad_reference]): the decoders below answer it with [Error]. *)
+exception Malformed of string
+
+(* Lists decode right to left, so the rightmost bad reference, or
+   argument, decides the error. *)
+let ref_of_json_exn = function
+  | Json.Str s -> s
   | Json.Obj _ as j -> (
       match Json.member "family" j with
       | Some (Json.Str family) ->
           let family = ref_name "family" family in
-          let* args =
-            match Json.member "args" j with
-            | None -> Ok []
-            | Some (Json.Arr items) ->
-                List.fold_right
-                  (fun item acc ->
-                    let* acc = acc in
-                    match Json.member "name" item with
-                    | Some (Json.Str name) ->
-                        let name = ref_name "argument name" name in
-                        let value =
-                          match Json.member "value" item with
-                          | Some (Json.Str v) when String.trim v <> "" ->
-                              ref_name "value" v
-                          | _ -> ""
-                        in
-                        Ok ((name, value) :: acc)
-                    | _ -> Error "model ref: argument without a name")
-                  items (Ok [])
-            | Some _ -> Error "model ref: args must be an array"
+          let rec args = function
+            | [] -> []
+            | item :: rest -> (
+                let rest = args rest in
+                match Json.member "name" item with
+                | Some (Json.Str name) ->
+                    let name = ref_name "argument name" name in
+                    let value =
+                      match Json.member "value" item with
+                      | Some (Json.Str v) when String.trim v <> "" ->
+                          ref_name "value" v
+                      | _ -> ""
+                    in
+                    (name, value) :: rest
+                | _ -> raise (Malformed "model ref: argument without a name"))
           in
-          Ok (Model_ref.to_string { Model_ref.family; args })
-      | _ -> Error "model ref: expected a string or {family, args}")
-  | _ -> Error "model ref: expected a string or {family, args}"
+          let args =
+            match Json.member "args" j with
+            | None -> []
+            | Some (Json.Arr items) -> args items
+            | Some _ -> raise (Malformed "model ref: args must be an array")
+          in
+          (match args with
+          | [] -> family
+          | args -> Model_ref.to_string { Model_ref.family; args })
+      | _ -> raise (Malformed "model ref: expected a string or {family, args}"))
+  | _ -> raise (Malformed "model ref: expected a string or {family, args}")
+
+let ref_of_json j = try Ok (ref_of_json_exn j) with Malformed m -> Error m
 
 let refs_of_json what = function
   | None -> Ok []
-  | Some (Json.Arr items) ->
-      List.fold_right
-        (fun item acc ->
-          let* acc = acc in
-          let* s = ref_of_json item in
-          Ok (s :: acc))
-        items (Ok [])
+  | Some (Json.Arr items) -> (
+      let rec refs = function
+        | [] -> []
+        | item :: rest ->
+            let rest = refs rest in
+            ref_of_json_exn item :: rest
+      in
+      try Ok (refs items) with Malformed m -> Error m)
   | Some _ -> Error (what ^ ": expected an array")
 
 let scopes_of_json = function

@@ -50,13 +50,17 @@ let successors_from t w =
 
 let of_write_order h ws =
   let nlocs = History.nlocs h in
-  let per_loc = Array.make nlocs [] in
+  let loc w = (History.op h w).Op.loc in
+  let filled = Array.make nlocs 0 in
+  Array.iter (fun w -> filled.(loc w) <- filled.(loc w) + 1) ws;
+  let per_loc = Array.map (fun n -> Array.make n 0) filled in
+  Array.fill filled 0 nlocs 0;
   Array.iter
     (fun w ->
-      let loc = (History.op h w).Op.loc in
-      per_loc.(loc) <- w :: per_loc.(loc))
+      let l = loc w in
+      per_loc.(l).(filled.(l)) <- w;
+      filled.(l) <- filled.(l) + 1)
     ws;
-  let per_loc = Array.map (fun l -> Array.of_list (List.rev l)) per_loc in
   build (History.nops h) nlocs per_loc
 
 let default_respect h w1 w2 =

@@ -3,10 +3,13 @@
     Coherence is the paper's canonical mutual-consistency requirement
     (§2, parameter 2): all writes to a given location appear in the same
     order in every processor view.  The checkers existentially quantify
-    over coherence orders; this module enumerates them, pruned by each
-    processor's program order on its own writes to the location (any
-    coherence order violating it would make every view cyclic, since
-    views also respect at least that much of program order). *)
+    over coherence orders, pruned by each processor's program order on
+    its own writes to the location (any coherence order violating it
+    would make every view cyclic, since views also respect at least
+    that much of program order).  The enumerator grows them one write
+    at a time and builds each complete one with {!of_write_order};
+    {!iter} enumerates them whole, for [Diagnose] and as the tests'
+    reference. *)
 
 type t
 
@@ -27,9 +30,8 @@ val successors_from : t -> int -> int list
 
 val of_write_order : History.t -> int array -> t
 (** [of_write_order h ws] builds the coherence order induced by a total
-    order [ws] on {e all} writes of the history (used by the TSO
-    checker, whose mutual-consistency witness is a single global write
-    serialization). *)
+    order [ws] on {e all} writes of the history: TSO's global write
+    serialization, or each location's order laid end to end. *)
 
 val default_respect : History.t -> int -> int -> bool
 (** [default_respect h w1 w2]: [w1] is program-order-before [w2] on the

@@ -1,4 +1,4 @@
-module Perm = Smem_relation.Perm
+module Bitset = Smem_relation.Bitset
 
 type co_mode = Co_none | Co_per_loc | Co_global
 
@@ -96,6 +96,98 @@ let sync_walk h =
     in
     go 0 0
 
+(* The coherence and write orders by prefix (DESIGN, "Coherence and
+   write orders by prefix"): a depth-first walk that places one write at
+   a time, under a coherence order each location's writes in turn
+   (locations in id order, as {!Coherence.iter} nests them), under a
+   global write order all writes at once.  It tries the ready writes —
+   those whose program-order predecessors are placed — in the order
+   {!Perm.iter_constrained} does, so the complete orders arrive in the
+   full enumeration's order, and it places a write only where
+   {!Leaf.refutes} does not cut the prefix.  A history with a single
+   order (each scope's writes on one processor) has it judged whole. *)
+let co_walk p h mode =
+  let nscopes = match mode with Co_global -> 1 | _ -> History.nlocs h in
+  let scope s =
+    match mode with
+    | Co_global -> History.writes h
+    | Co_per_loc | Co_none -> History.writes_to h s
+  in
+  (* A write is ready once its processor's previous write in its scope
+     is placed: the placed writes of a processor are a program-order
+     prefix of its writes. *)
+  let prev =
+    match mode with
+    | Co_global -> History.prev_write h
+    | Co_per_loc | Co_none -> History.prev_write_to h
+  in
+  let proc w = (History.op h w).Op.proc in
+  let placed = Array.make (History.nops h) false in
+  let seq = Array.make (List.length (History.writes h)) (-1) in
+  let candidate () =
+    match mode with
+    | Co_global -> Leaf.Write_order seq
+    | Co_per_loc | Co_none -> Leaf.Co (Coherence.of_write_order h seq)
+  in
+  (* A scope on one processor has one order; if every scope has, the
+     single candidate is judged whole. *)
+  let single s =
+    match scope s with
+    | [] -> true
+    | w :: rest -> List.for_all (fun w' -> proc w' = proc w) rest
+  in
+  let steps =
+    writer_legal p && not (List.for_all single (List.init nscopes Fun.id))
+  in
+  let nwrites = Array.length seq in
+  let unplaced = Bitset.create (if steps then History.nops h else 0) in
+  let ready w = (not placed.(w)) && (prev w < 0 || placed.(prev w)) in
+  fun stage ~f ->
+    (* [n] writes placed so far, [rest] of them still to place in scope
+       [s]. *)
+    let rec go s n rest pre =
+      if rest = 0 then enter (s + 1) n pre
+      else List.exists (fun w -> ready w && descend s n rest pre w) (scope s)
+    and descend s n rest pre w =
+      placed.(w) <- true;
+      seq.(n) <- w;
+      let accepted =
+        match pre with
+        | None -> go s (n + 1) (rest - 1) None
+        | Some pre ->
+            Bitset.remove unplaced w;
+            let accepted =
+              (not (Leaf.refutes stage pre w ~unplaced))
+              && go s (n + 1) (rest - 1)
+                   (if n + 1 = nwrites then None
+                    else Some (Leaf.place stage pre w ~unplaced))
+            in
+            Bitset.add unplaced w;
+            accepted
+      in
+      placed.(w) <- false;
+      accepted
+    and enter s n pre =
+      if s = nscopes then begin
+        Stats.count_co ();
+        f (candidate ())
+      end
+      else
+        let ws = scope s in
+        match pre with
+        | Some _ ->
+            List.iter (Bitset.add unplaced) ws;
+            let accepted = go s n (List.length ws) pre in
+            List.iter (Bitset.remove unplaced) ws;
+            accepted
+        | None -> go s n (List.length ws) pre
+    in
+    if not steps then enter 0 0 None
+    else
+      match Leaf.prefix stage with
+      | Some pre -> enter 0 0 (Some pre)
+      | None -> false
+
 let witness p h =
   let leaf = Leaf.prepare p h in
   let found = ref None in
@@ -108,16 +200,10 @@ let witness p h =
   let co_phase =
     match co_mode p with
     | Co_none -> fun stage -> accept (Leaf.check stage Leaf.No_co)
-    | Co_per_loc ->
+    | (Co_per_loc | Co_global) as mode ->
+        let walk = lazy (co_walk p h mode) in
         fun stage ->
-          Coherence.iter h ~f:(fun co -> accept (Leaf.check stage (Leaf.Co co)))
-    | Co_global ->
-        let writes = Array.of_list (History.writes h) in
-        fun stage ->
-          Perm.iter_constrained writes ~precedes:(Coherence.default_respect h)
-            ~f:(fun worder ->
-              Stats.count_co ();
-              accept (Leaf.check stage (Leaf.Write_order worder)))
+          Lazy.force walk stage ~f:(fun co -> accept (Leaf.check stage co))
   in
   let sync_phase =
     if sync_needed p then

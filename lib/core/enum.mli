@@ -2,12 +2,11 @@
     quadruple, over the variables the quadruple implies.
 
     It picks a reads-from map ({!Reads_from.iter}), then a total order
-    on the labeled operations, then a coherence order
-    ({!Coherence.iter}) or a global write order (constrained
-    permutations of all writes), and asks {!Leaf} about each candidate
-    at the stage it completes — so everything a stage fixes is computed
-    once, and a stage that refutes skips every candidate below it.  The
-    first accepted candidate's witness is returned.
+    on the labeled operations, then a coherence order or a global
+    write order, and asks {!Leaf} about each candidate at the stage it
+    completes — so everything a stage fixes is computed once, and a
+    stage that refutes skips every candidate below it.  The first
+    accepted candidate's witness is returned.
 
     The labeled order grows one operation at a time, among the linear
     extensions of program order: an operation is appended only when
@@ -17,6 +16,17 @@
     increasing id order, so the legal complete orders arrive in the
     order a full enumeration would visit them, and the witness is the
     one it would return.
+
+    Coherence and write orders grow the same way, one write at a time:
+    a location's writes at a time, locations in id order, under a
+    coherence order, and all writes under a global write order.  Ready
+    writes (program-order predecessors placed) are tried in increasing
+    id order, as {!Coherence.iter} and [Perm.iter_constrained] would,
+    and under writer legality (store forwarding included) a write is
+    placed only when {!Leaf.refutes} finds that the edges the prefix
+    fixes close no cycle.  Value-legal models take no step, and no
+    failed prefix is remembered (DESIGN, "Coherence and write orders
+    by prefix").
 
     @raise View.Too_large when the history has [Sys.int_size] or more
     labeled operations under a quadruple with a labeled order (the

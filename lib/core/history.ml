@@ -6,6 +6,8 @@ type index = {
   writes : int list;
   writes_to : int list array;  (* by location *)
   labeled : int list;
+  prev_write : int array;  (* by op id *)
+  prev_write_to : int array;  (* by op id *)
 }
 
 type t = {
@@ -172,7 +174,33 @@ let build_index t =
     end;
     if Op.is_labeled o then labeled := id :: !labeled
   done;
-  { reads = !reads; writes = !writes; writes_to; labeled = !labeled }
+  (* Each processor's latest write so far, and per location. *)
+  let prev_write = Array.make (Array.length t.ops) (-1) in
+  let prev_write_to = Array.make (Array.length t.ops) (-1) in
+  let last_to = Array.make (max 1 t.nlocs) (-1) in
+  Array.iter
+    (fun row ->
+      let last = ref (-1) in
+      Array.fill last_to 0 (Array.length last_to) (-1);
+      Array.iter
+        (fun id ->
+          let o = t.ops.(id) in
+          prev_write.(id) <- !last;
+          prev_write_to.(id) <- last_to.(o.Op.loc);
+          if Op.is_write o then begin
+            last := id;
+            last_to.(o.Op.loc) <- id
+          end)
+        row)
+    t.by_proc;
+  {
+    reads = !reads;
+    writes = !writes;
+    writes_to;
+    labeled = !labeled;
+    prev_write;
+    prev_write_to;
+  }
 
 let index t =
   match t.index with
@@ -189,6 +217,8 @@ let writes_to t loc =
   if loc < 0 || loc >= t.nlocs then [] else (index t).writes_to.(loc)
 
 let labeled t = (index t).labeled
+let prev_write t id = (index t).prev_write.(id)
+let prev_write_to t id = (index t).prev_write_to.(id)
 let has_labeled t = labeled t <> []
 
 let all_ops_set t = Bitset.of_list (nops t) (List.init (nops t) Fun.id)

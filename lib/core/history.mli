@@ -69,9 +69,10 @@ val proc_ops : t -> int -> int array
 (** Identifiers of a processor's operations in program order. *)
 
 val reads : t -> int list
-(** Identifiers of all read operations, ascending.  This list and the
-    three below are built together, in one pass, the first time one of
-    them is asked for; later calls return the same lists. *)
+(** Identifiers of all read operations, ascending.  This list, the
+    three below and the tables behind {!prev_write} and
+    {!prev_write_to} are built together the first time one of them is
+    asked for; later calls return the same values. *)
 
 val writes : t -> int list
 (** Identifiers of all write operations, ascending. *)
@@ -81,6 +82,14 @@ val writes_to : t -> int -> int list
 
 val labeled : t -> int list
 (** Identifiers of labeled operations, ascending. *)
+
+val prev_write : t -> int -> int
+(** [prev_write h id]: the latest write of [id]'s processor before it in
+    program order, or [-1]. *)
+
+val prev_write_to : t -> int -> int
+(** [prev_write_to h id]: the same, among the writes to [id]'s
+    location. *)
 
 val has_labeled : t -> bool
 

@@ -279,6 +279,81 @@ let with_sync t seq =
     let order = Orders.total_order (History.nops t.h) seq in
     Some { t with sync = Some seq; extra = union_opt t.extra (Some order) }
 
+(* ---- the coherence prefix (DESIGN, "Coherence and write orders by
+   prefix") ---- *)
+
+(* The reads of each write under the stage's map, and the edges every
+   completion of the prefix holds, over all operations: a view holds
+   those between its operations, plus its order. *)
+type prefix = { readers : int list array; fixed : Rel.t }
+
+let prefix t =
+  let h = t.h in
+  let rf = get_rf t in
+  let readers = Array.make (History.nops h) [] in
+  (* The stage's edges, as [engine] passes them, plus each read of the
+     initial value before every write to its location. *)
+  let fixed = Rel.copy (Lazy.force t.rf_rel) in
+  if t.shared != t.static then Rel.union_into ~into:fixed t.shared;
+  Option.iter (Rel.union_into ~into:fixed) t.extra;
+  List.iter
+    (fun r ->
+      let w = Reads_from.writer rf r in
+      if w = History.init then
+        List.iter
+          (fun w -> Rel.add fixed r w)
+          (History.writes_to h (History.op h r).Op.loc)
+      else readers.(w) <- r :: readers.(w))
+    (History.reads h);
+  if
+    List.for_all
+      (fun (v : Engine.view_spec) ->
+        Rel.acyclic_within v.Engine.order fixed v.Engine.ops)
+      t.views
+  then Some { readers; fixed }
+  else None
+
+(* The writes of [unplaced] at [w]'s location: all of them under a
+   coherence order, which places one location at a time. *)
+let at_loc t w unplaced =
+  if t.p.Model.mutual <> Model.Global_write_order then unplaced
+  else
+    let h = t.h in
+    let loc = (History.op h w).Op.loc in
+    let s = Bitset.create (History.nops h) in
+    Bitset.iter
+      (fun u -> if (History.op h u).Op.loc = loc then Bitset.add s u)
+      unplaced;
+    s
+
+(* The new pairs are [w] before each write of [unplaced] and each read
+   of [w] before each of them at its location.  Every view's graph is
+   acyclic, so a cycle the pairs close runs back from one pair's target
+   to its source. *)
+let refutes t pre w ~unplaced =
+  let readers = pre.readers.(w) in
+  let at_loc =
+    match readers with [] -> unplaced | _ -> at_loc t w unplaced
+  in
+  List.exists
+    (fun (v : Engine.view_spec) ->
+      let back s x =
+        Bitset.mem v.Engine.ops x
+        && Rel.reaches_within v.Engine.order pre.fixed v.Engine.ops s x
+      in
+      back unplaced w || List.exists (back at_loc) readers)
+    t.views
+
+let place t pre w ~unplaced =
+  let readers = pre.readers.(w) in
+  let at_loc =
+    match readers with [] -> unplaced | _ -> at_loc t w unplaced
+  in
+  let fixed = Rel.copy pre.fixed in
+  Rel.add_row fixed w unplaced;
+  List.iter (fun r -> Rel.add_row fixed r at_loc) readers;
+  { pre with fixed }
+
 (* ---- the coherence stage and the back-ends ---- *)
 
 let notes t ~worder =

@@ -15,8 +15,10 @@
     choice it depends on: {!prepare} once per history (po, ppo, po-loc,
     fences, view populations, static per-view orders), {!with_rf} once
     per reads-from map, {!step} once per labeled operation appended to
-    a labeled order and {!with_sync} once per complete one, and
-    {!check} per coherence choice.  Each stage may refute outright.
+    a labeled order and {!with_sync} once per complete one,
+    {!refutes} once per write appended to a coherence or write-order
+    prefix, and {!check} per complete coherence choice.  Each stage may
+    refute outright.
     The enumerator ({!Enum}) and the constraint solver
     ([Smem_solve.Solve]) share it, so both accept exactly the same
     candidates and build the same witnesses. *)
@@ -84,6 +86,33 @@ val with_sync : t -> int array -> t option
     unless {!step} allows each of its operations in turn, from
     {!sync_start} — the fold of the step over the order.  Counted as
     [search.sync_orders]. *)
+
+type prefix
+(** A prefix of a coherence order or of a global write order: the
+    edges every completion of it fixes, per view (DESIGN, "Coherence
+    and write orders by prefix"). *)
+
+val prefix : t -> prefix option
+(** The empty prefix of a writer-legal stage (store forwarding
+    included): the stage's edges, each read of the initial value before
+    every write to its location, and no write placed.  [None] when they
+    already close a cycle in some view, so that no coherence choice
+    passes {!check}. *)
+
+val refutes :
+  t -> prefix -> int -> unplaced:Smem_relation.Bitset.t -> bool
+(** [refutes t pre w ~unplaced]: would write [w], placed next after
+    [pre] and before every write of [unplaced], close a cycle in some
+    view?  [unplaced] holds the writes not yet placed, [w] excluded:
+    those of [w]'s location under a coherence order, every write under
+    a global write order.  The new fixed edges are [w] before each of
+    them and each read of [w] before each of them at its location.
+    When it does, no completion passes {!check}: every candidate of
+    the prefix holds these edges. *)
+
+val place : t -> prefix -> int -> unplaced:Smem_relation.Bitset.t -> prefix
+(** The prefix with [w] placed, as in {!refutes}; [pre] is not
+    changed. *)
 
 val check : t -> co -> Witness.t option
 (** The last stage: the full candidate's verdict, with its witness.

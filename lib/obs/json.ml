@@ -284,6 +284,9 @@ let of_string s =
   | v -> Ok v
   | exception Parse_error msg -> Error msg
 
-let member key = function
-  | Obj fields -> List.assoc_opt key fields
-  | _ -> None
+(* [String.equal], not the polymorphic compare of [List.assoc_opt]. *)
+let rec find key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else find key rest
+
+let member key = function Obj fields -> find key fields | _ -> None

@@ -56,6 +56,10 @@ val word : t -> int -> int
 (** [word s k] is the packed word whose bit [i] is element
     [k * Sys.int_size + i]; {!Rel}'s rows pack elements the same way. *)
 
+val lowest : int -> int
+(** [lowest w] is the index of the lowest set bit of the nonzero word
+    [w]. *)
+
 val iter_word : (int -> unit) -> int -> int -> unit
 (** [iter_word f base w] applies [f (base + i)] to each set bit [i] of
     the word [w], in increasing order. *)

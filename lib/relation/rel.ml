@@ -129,6 +129,48 @@ let transitive_closure t =
 
 let is_transitive t = equal (transitive_closure t) t
 
+let add_row t a s =
+  check t a a;
+  if Bitset.capacity s <> t.size then
+    invalid_arg "Rel.add_row: capacity mismatch";
+  for k = 0 to t.w - 1 do
+    let i = (a * t.w) + k in
+    t.bits.(i) <- t.bits.(i) lor Bitset.word s k
+  done
+
+(* On one word: a frontier of set bits, each row masked by [keep]. *)
+let reaches_within r1 r2 keep s b =
+  same_size r1 r2;
+  check r1 b b;
+  if Bitset.capacity keep <> r1.size || Bitset.capacity s <> r1.size then
+    invalid_arg "Rel.reaches_within: capacity mismatch";
+  if r1.w = 1 then
+    let mask = Bitset.word keep 0 and target = bit b in
+    let rec go seen frontier =
+      seen land target <> 0
+      || frontier <> 0
+         &&
+         let a = Bitset.lowest frontier in
+         let fresh = (r1.bits.(a) lor r2.bits.(a)) land mask land lnot seen in
+         go (seen lor fresh) (frontier land (frontier - 1) lor fresh)
+    in
+    let start = Bitset.word s 0 land mask in
+    go start start
+  else
+    let g = restrict (union r1 r2) keep in
+    let seen = Bitset.inter s keep in
+    let rec visit a =
+      iter_row
+        (fun c ->
+          if not (Bitset.mem seen c) then begin
+            Bitset.add seen c;
+            visit c
+          end)
+        g a
+    in
+    Bitset.iter visit (Bitset.copy seen);
+    Bitset.mem seen b
+
 let irreflexive t =
   let rec from a = a = t.size || ((not (has t a a)) && from (a + 1)) in
   from 0
@@ -162,7 +204,34 @@ let topological_sort t =
     Some (Array.to_list order)
   else None
 
-let acyclic t = kahn t (fun _ _ -> ()) = t.size
+(* On one word, peel the elements of [left] with no successor left in
+   it until none remain (acyclic) or none can go (a cycle). *)
+let rec peel r1 r2 left =
+  let rec sinks rest acc =
+    if rest = 0 then acc
+    else
+      let a = Bitset.lowest rest in
+      sinks
+        (rest land (rest - 1))
+        (if (r1.bits.(a) lor r2.bits.(a)) land left = 0 then acc lor bit a
+         else acc)
+  in
+  left = 0
+  ||
+  let gone = sinks left 0 in
+  gone <> 0 && peel r1 r2 (left land lnot gone)
+
+let acyclic t =
+  if t.w = 1 then
+    peel t t (if t.size = Sys.int_size then -1 else (1 lsl t.size) - 1)
+  else kahn t (fun _ _ -> ()) = t.size
+
+let acyclic_within r1 r2 keep =
+  same_size r1 r2;
+  if Bitset.capacity keep <> r1.size then
+    invalid_arg "Rel.acyclic_within: capacity mismatch";
+  if r1.w = 1 then peel r1 r2 (Bitset.word keep 0)
+  else acyclic (restrict (union r1 r2) keep)
 
 exception Found_cycle of int list
 

@@ -69,11 +69,29 @@ val transitive_closure : t -> t
 
 val is_transitive : t -> bool
 
+val add_row : t -> int -> Bitset.t -> unit
+(** [add_row r a s] adds a pair from [a] to each element of [s], in
+    place.
+    @raise Invalid_argument unless [s]'s capacity is [r]'s size. *)
+
+val reaches_within : t -> t -> Bitset.t -> Bitset.t -> int -> bool
+(** [reaches_within r1 r2 keep s b]: over the pairs of [r1] and [r2]
+    with both ends in [keep], is [b] an element of [s] in [keep], or
+    reachable from one?  Allocates nothing when the size is at most
+    [Sys.int_size].
+    @raise Invalid_argument on a size or capacity mismatch. *)
+
 val irreflexive : t -> bool
 
 val acyclic : t -> bool
 (** [acyclic r] is [true] when [r] has no directed cycle (equivalently,
     the transitive closure of [r] is irreflexive). *)
+
+val acyclic_within : t -> t -> Bitset.t -> bool
+(** [acyclic_within r1 r2 keep]: [acyclic] of the union of [r1] and
+    [r2] restricted to [keep], without building it when the size is at
+    most [Sys.int_size].
+    @raise Invalid_argument on a size or capacity mismatch. *)
 
 val topological_sort : t -> int list option
 (** A linear extension of [r] over the whole universe, or [None] when

@@ -361,6 +361,42 @@ let legal_sequence h ids =
         current = op.Op.value)
     ids
 
+(* [legal_sequence] under SPARC's value axiom (store forwarding): a read
+   first sees its processor's latest earlier write to its location that
+   the sequence has not reached yet, and memory only when there is
+   none. *)
+let legal_forwarding_sequence h ids =
+  let mem = Hashtbl.create 7 and placed = Hashtbl.create 7 in
+  List.for_all
+    (fun id ->
+      let op = H.op h id in
+      Hashtbl.replace placed id ();
+      if Op.is_write op then begin
+        Hashtbl.replace mem op.Op.loc op.Op.value;
+        true
+      end
+      else
+        let buffered =
+          Array.fold_left
+            (fun acc w ->
+              let o = H.op h w in
+              if
+                Op.is_write o && o.Op.loc = op.Op.loc
+                && o.Op.index < op.Op.index
+                && not (Hashtbl.mem placed w)
+              then Some o.Op.value
+              else acc)
+            None (H.proc_ops h op.Op.proc)
+        in
+        let current =
+          match buffered with
+          | Some v -> v
+          | None -> (
+              match Hashtbl.find_opt mem op.Op.loc with Some v -> v | None -> 0)
+        in
+        current = op.Op.value)
+    ids
+
 (* Does a sequence respect a relation (restricted to the ids present)? *)
 let respects h rel ids =
   ignore h;

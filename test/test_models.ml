@@ -436,8 +436,14 @@ let prop_all_witnesses_legal =
           match m.Model.witness h with
           | None -> true
           | Some w ->
+              (* tso-op's views are legal under store forwarding. *)
+              let legal =
+                match m.Model.params.Model.legality with
+                | Model.Forwarding -> Helpers.legal_forwarding_sequence
+                | _ -> Helpers.legal_sequence
+              in
               List.for_all
-                (fun (_, seq) -> Helpers.legal_sequence h seq)
+                (fun (_, seq) -> legal h seq)
                 w.Smem_core.Witness.views)
         Registry.all)
 

@@ -398,6 +398,32 @@ let differential (n, ps, qs, keep) =
       ( "irreflexive",
         on_graphs (fun g g' -> Rel.irreflexive g = Ref.irreflexive g') );
       ("acyclic", on_graphs (fun g g' -> Rel.acyclic g = Ref.acyclic g'));
+      ( "acyclic_within",
+        Rel.acyclic_within r s keep
+        = Ref.acyclic (Ref.restrict rs' keep) );
+      ( "reaches_within",
+        let from = Bitset.of_list n (List.map fst qs) in
+        let closed = Ref.transitive_closure (Ref.restrict rs' keep) in
+        List.for_all
+          (fun b ->
+            Rel.reaches_within r s keep from b
+            = (Bitset.mem keep b
+              && (Bitset.mem from b
+                 || List.exists
+                      (fun a -> Bitset.mem keep a && Ref.mem closed a b)
+                      (Bitset.elements from))))
+          (List.filter (fun b -> b mod 5 = 0 || b = n - 1) (List.init n Fun.id))
+      );
+      ( "add_row",
+        List.for_all
+          (fun a ->
+            let g = Rel.copy r and g' = Ref.copy r' in
+            outcome (fun () -> Rel.add_row g a keep)
+            = outcome (fun () ->
+                  if a < 0 || a >= n then invalid_arg "Rel: out of range";
+                  Bitset.iter (Ref.add g' a) keep)
+            && same g g')
+          [ -1; 0; n / 2; n - 1; n ] );
       ( "topological_sort",
         on_graphs (fun g g' ->
             Rel.topological_sort g = Ref.topological_sort g') );

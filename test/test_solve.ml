@@ -5,9 +5,14 @@
      and qcheck random histories (shrunk on failure) — both engines
      accept candidates through the same leaf (Smem_core.Leaf), and these
      suites pin down that the solver's pruning never drops one;
-   - the co-pump family: forbidden under SC for every k >= 2, allowed
-     at k = 1, and the shape on which the solver must overtake the
-     enumerator;
+   - the coherence and write orders by prefix: the enumerator's
+     witness equals the whole-order enumeration's
+     ([Helpers.reference_witness]) under every model with a labeled,
+     coherence or write order;
+   - the co-pump family: forbidden for every k >= 2, allowed at k = 1;
+     under the writer-legal and forwarding models the enumerator
+     refutes it before any complete coherence order for k up to 10,
+     and both engines must overtake the whole-order enumeration on it;
    - witness reusability: a solver witness re-checks under the
      enumeration engine's kernel, and certificates emitted while the
      solve engine is selected still verify. *)
@@ -89,16 +94,27 @@ let prop_random_separated =
       agree_everywhere ~what:"separated" h;
       true)
 
-(* ---------------- labeled orders by prefix ---------------- *)
+(* ---------------- orders by prefix ---------------- *)
 
 (* Both engines grow the labeled order of RC_sc and weak ordering one
-   operation at a time through [Leaf.step].  The baseline enumerates
-   every linear extension and hands each whole to [Leaf.with_sync]
-   ([Helpers.reference_witness]); the witnesses must be the same bytes,
-   which also pins the order the walk visits legal orders in.  The
-   solver decides reads in fail-first order, so its RC_sc witness may
-   take another reads-from map: there only the verdict must match. *)
+   operation at a time through [Leaf.step], and the enumerator grows
+   coherence and write orders one write at a time through
+   [Leaf.refutes].  The baseline enumerates every linear extension and
+   every coherence or write order, and hands each whole to the leaf
+   ([Helpers.reference_witness]); the enumerator's witnesses must be
+   the same bytes, which also pins the order the walks visit complete
+   orders in.  The solver decides reads in fail-first order, so where
+   the model commits to a reads-from map its witness may take another
+   map: there only the verdict must match. *)
 let labeled_models = [ model "wo"; model "rc-sc" ]
+
+let prefix_models =
+  List.filter
+    (fun (m : Model.t) ->
+      let p = m.Model.params in
+      Smem_core.Enum.sync_needed p
+      || Smem_core.Enum.co_mode p <> Smem_core.Enum.Co_none)
+    Registry.all
 
 let pp_witness h = function
   | None -> "forbidden"
@@ -126,7 +142,7 @@ let same_as_reference ~what h =
               (Format.asprintf "%a" H.pp h)
               expected got)
         [ ("enum", m.Model.witness h); ("solve", Solve.witness m h) ])
-    labeled_models
+    prefix_models
 
 let prop_reference_mixed =
   QCheck.Test.make ~name:"prefix walk = full enumeration, mixed labels"
@@ -225,9 +241,46 @@ let co_pump k =
       [ H.read "x" 2; H.read "x" 1 ];
     ]
 
+(* The writer-legal and forwarding models with a coherence or write
+   order: the prefix walk's step applies to them. *)
+let stepped_models =
+  List.filter
+    (fun (m : Model.t) ->
+      let p = m.Model.params in
+      Smem_core.Enum.co_mode p <> Smem_core.Enum.Co_none
+      &&
+      match p.Model.legality with
+      | Model.Writer_legal | Model.Forwarding -> true
+      | Model.Value_legal | Model.Object_legal -> false)
+    Registry.all
+
+(* Both read values are written once, so the reads-from map is forced.
+   Placing chain A's first write fixes the from-read edge r x 1 -> w x 2,
+   which closes the cycle w x 2 -> r x 2 -> r x 1: every prefix that
+   places it is refuted, and no complete coherence order reaches the
+   leaf.  The whole-order enumeration checked all C(2k, k) of them.  The
+   value-legal models take no step and keep the engine differential. *)
 let co_pump_family () =
   check Alcotest.bool "k=1 allowed under sc" true
     (solve_allows (model "sc") (co_pump 1));
+  check
+    (Alcotest.list Alcotest.string)
+    "stepped models"
+    [ "atomic"; "sc"; "tso"; "tso-op"; "pc"; "rc-sc"; "rc-pc"; "coh" ]
+    (List.map (fun (m : Model.t) -> m.Model.key) stepped_models);
+  for k = 2 to 10 do
+    List.iter
+      (fun (m : Model.t) ->
+        Smem_core.Stats.reset ();
+        let allowed = enum_allows m (co_pump k) in
+        let s = Smem_core.Stats.snapshot () in
+        let what = Printf.sprintf "k=%d under %s" k m.Model.key in
+        check Alcotest.bool (what ^ " forbidden") false allowed;
+        check Alcotest.int (what ^ ": complete coherence orders") 0
+          s.Smem_core.Stats.co_candidates)
+      stepped_models
+  done;
+  Smem_core.Stats.reset ();
   for k = 2 to 5 do
     check Alcotest.bool
       (Printf.sprintf "k=%d forbidden under sc" k)
@@ -236,29 +289,33 @@ let co_pump_family () =
     agree_everywhere ~what:(Printf.sprintf "co-pump(%d)" k) (co_pump k)
   done
 
-(* The crossover the solver exists for.  Both read values are written
-   once, so the reads-from map is forced and the whole refutation sits
-   in the coherence enumeration: the enumerator checks all C(2k, k)
-   interleavings of the two write chains, while the solver derives the
-   from-read cycle without building one.  At k = 7 the margin is
-   hundreds of times, so one wall-clock sample per engine suffices. *)
-let solver_overtakes_enumeration () =
+(* The crossovers.  The whole-order enumeration
+   ([Helpers.reference_witness]) checks all C(2k, k) interleavings of
+   the two write chains; the solver derives the from-read cycle without
+   building one, and the prefix walk refutes every prefix that places
+   chain A's first write.  At k = 7 the reference refutes 3 432 orders,
+   hundreds of times the work of either search, so one wall-clock
+   sample per side suffices. *)
+let overtakes_full_enumeration search () =
   let sc = model "sc" in
   let timed allows h =
     let t0 = Smem_obs.Clock.now () in
-    let got = allows sc h in
+    let got = allows h in
     (got, Smem_obs.Clock.elapsed_ns t0)
+  in
+  let reference h =
+    Option.is_some (Helpers.reference_witness sc.Model.params h)
   in
   let overtaken = ref false in
   for k = 2 to 7 do
     let h = co_pump k in
-    let enum, enum_ns = timed enum_allows h in
-    let solve, solve_ns = timed solve_allows h in
-    check Alcotest.bool (Printf.sprintf "k=%d engines agree" k) enum solve;
-    check Alcotest.bool (Printf.sprintf "k=%d forbidden under sc" k) false enum;
-    if solve_ns < enum_ns then overtaken := true
+    let full, full_ns = timed reference h in
+    let got, ns = timed (search sc) h in
+    check Alcotest.bool (Printf.sprintf "k=%d agrees" k) full got;
+    check Alcotest.bool (Printf.sprintf "k=%d forbidden under sc" k) false got;
+    if ns < full_ns then overtaken := true
   done;
-  check Alcotest.bool "solver faster than enumeration for some k" true
+  check Alcotest.bool "faster than the full enumeration for some k" true
     !overtaken
 
 (* ---------------- witnesses and certificates ---------------- *)
@@ -310,7 +367,10 @@ let () =
       ( "co-pump",
         [
           tc "forbidden for k >= 2, allowed at k = 1" co_pump_family;
-          tc "solver overtakes enumeration" solver_overtakes_enumeration;
+          tc "solver overtakes enumeration"
+            (overtakes_full_enumeration solve_allows);
+          tc "prefix walk overtakes full enumeration"
+            (overtakes_full_enumeration enum_allows);
         ] );
       ( "certificates",
         [ tc "solver-engine certificates verify" solver_certificates_verify ]
